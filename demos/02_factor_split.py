@@ -2,7 +2,9 @@
 
 The ring GF(2^m)[x]/<(x^n + d0)^(2^k*lam)> splits along the distinct
 irreducible factors of x^n + d0 through orthogonal idempotents; every
-later construction happens factor by factor.
+later construction happens factor by factor.  Counting needs only the
+factors and their cofactors; the idempotents are built, and certified,
+the first time they are read.
 
 Run:  PYTHONPATH=src python demos/02_factor_split.py
 """
@@ -20,12 +22,14 @@ print("x^7 + 1 over GF(2):", [f for f, _ in factor_xn_delta(GF2m(1), 7, 1)])
 params = Params(m=1, n=3, k=2, lam=2, delta=1, alpha=1)
 fd = build_factor_data(params)
 F = params.field
-print("\nmodulus degree:", pr.deg(fd.modulus))
 for i, ent in enumerate(fd.entries, start=1):
     print(f"factor {i}: f = {ent.f}, cofactor = {ent.cofactor}")
-    print(f"  idempotent e_{i} =", ent.idempotent)
 
-e1, e2 = (ent.idempotent for ent in fd.entries)
+print("\nmodulus degree:", pr.deg(fd.modulus))
+for i, eps in enumerate(fd.idempotents, start=1):
+    print(f"  idempotent e_{i} =", eps)
+
+e1, e2 = fd.idempotents
 print("\nidempotent identities (exact, mod the big modulus):")
 print("  e1 + e2      =", pr.p_add(F, e1, e2))
 print("  e1 * e2      =", pr.p_mod(F, pr.p_mul(F, e1, e2), fd.modulus))

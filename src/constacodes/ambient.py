@@ -468,12 +468,12 @@ def code_ambient_generators(
     F = params.field
     M = factor_data.modulus
     out = []
-    for ent, ctx, desc in zip(factor_data.entries, ctxs, code.components):
+    for eps, ctx, desc in zip(factor_data.idempotents, ctxs, code.components):
         for g in descriptor_generators(params, ctx, desc):
             out.append(
                 (
-                    pr.p_mod(F, pr.p_mul(F, ent.idempotent, g[0]), M),
-                    pr.p_mod(F, pr.p_mul(F, ent.idempotent, g[1]), M),
+                    pr.p_mod(F, pr.p_mul(F, eps, g[0]), M),
+                    pr.p_mod(F, pr.p_mul(F, eps, g[1]), M),
                 )
             )
     return out

@@ -2,11 +2,14 @@
 
 Subcommands: factor, count, enumerate, oracle, selfdual.  All output is
 JSON (schema field = 1) except `enumerate --format csv`, which emits a
-flat descriptor table.  Exit codes: 0 success, 1 verification mismatch,
-2 invalid input.
+flat descriptor table.  Exit codes: 0 success, also when the reader of
+stdout closes the pipe early; 1 verification mismatch or a failed
+internal certificate; 2 invalid input, including an --out path that
+cannot be opened.
 
-Caps may be set by flag or by the environment variables
-CONSTACODES_MAT_CAP / CONSTACODES_ORACLE_DIM_CAP; a flag wins.  The
+The oracle's dimension cap is --oracle-dim-cap or, without that flag,
+the environment variable CONSTACODES_ORACLE_DIM_CAP.  The library's
+materialization cap, CONSTACODES_MAT_CAP, has no flag.  The
 --threads flag bounds worker parallelism and is validated; the current
 implementation runs every stage serially, so any accepted value yields
 byte-identical output.
@@ -15,12 +18,13 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import random
 import sys
-from typing import IO
+from typing import ContextManager, IO
 
 from . import ambient as amb
 from . import enumerator as en
@@ -70,9 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("selfdual", help="list the self-dual codes of length 4")
     _common(s)
-    s.add_argument("--verify", dest="verify", action="store_true", default=True)
-    s.add_argument("--no-verify", dest="verify", action="store_false")
-    s.add_argument("--mat-cap", type=int, default=None)
+    s.add_argument("--no-verify", dest="verify", action="store_false",
+                   help="list the codes without checking self-duality")
     return p
 
 
@@ -88,10 +91,14 @@ def _check_threads(args) -> None:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
 
 
-def _open_out(args) -> IO[str]:
-    if args.out:
+def _open_out(args) -> ContextManager[IO[str]]:
+    """The --out file, or stdout, which stays open for later callers."""
+    if not args.out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
         return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+    except OSError as exc:
+        raise ValueError(f"cannot open --out: {exc}") from exc
 
 
 def _dump(obj) -> str:
@@ -106,7 +113,7 @@ def cmd_factor(args) -> int:
         "params": params.as_dict(),
         "factors": [{"degree": ent.degree, "coeffs": list(ent.f)} for ent in fd.entries],
         "cofactors": [list(ent.cofactor) for ent in fd.entries],
-        "idempotents": [list(ent.idempotent) for ent in fd.entries],
+        "idempotents": [list(eps) for eps in fd.idempotents],
     }
     with _open_out(args) as out:
         out.write(_dump(doc) + "\n")
@@ -278,10 +285,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_threads(args)
-        return _DISPATCH[args.cmd](args)
+        status = _DISPATCH[args.cmd](args)
+        # Flush here so a closed pipe raises inside this try, not at exit.
+        sys.stdout.flush()
+        return status
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader has all it wanted.  Point stdout at devnull so the
+        # interpreter's own flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 def entry() -> None:

@@ -365,12 +365,12 @@ def code_generators(
     M = factor_data.modulus
     combined: list[list[Poly]] = [[pr.P_ZERO, pr.P_ZERO], [pr.P_ZERO, pr.P_ZERO]]
     width = 1
-    for ent, ctx, desc in zip(factor_data.entries, ctxs, code.components):
+    for eps, ctx, desc in zip(factor_data.idempotents, ctxs, code.components):
         gens = descriptor_generators(params, ctx, desc)
         width = max(width, len(gens))
         for slot, g in enumerate(gens):
             for part in range(2):
-                term = pr.p_mod(F, pr.p_mul(F, ent.idempotent, g[part]), M)
+                term = pr.p_mod(F, pr.p_mul(F, eps, g[part]), M)
                 combined[slot][part] = pr.p_add(F, combined[slot][part], term)
     out = [tuple(combined[0])]
     if width > 1:
@@ -389,7 +389,7 @@ def list_self_dual_length4(params: Params) -> list[CodeDescriptor]:
     <f^4>; family 5 with (s, t) = (3, 2), h any residue-field constant;
     family 5 with (s, t) = (2, 4), h any residue mod f^2; and family 6
     with (s, t) = (1, 6), where h has its constant digit pinned to
-    alpha_root^3 and two free digits.
+    alpha_root and two free digits.
     """
     if (params.n, params.k, params.lam, params.delta) != (1, 2, 2, 1):
         raise ValueError(
@@ -405,9 +405,8 @@ def list_self_dual_length4(params: Params) -> list[CodeDescriptor]:
         out.append(CodeDescriptor((IdealDescriptor(1, 5, 3, 2, pr.p_const(c)),)))
     for h in iter_h(ctx, 2):
         out.append(CodeDescriptor((IdealDescriptor(1, 5, 2, 4, h),)))
-    pinned = F.pow(params.alpha_root, 3)
     for h_free in iter_h(ctx, 2):
         shifted = pr.p_mul(F, h_free, ctx.f_pows[1])
-        h = pr.p_add(F, pr.p_const(pinned), shifted)
+        h = pr.p_add(F, pr.p_const(params.alpha_root), shifted)
         out.append(CodeDescriptor((IdealDescriptor(1, 6, 1, 6, h),)))
     return out

@@ -6,22 +6,23 @@ irreducible factors.  Equal-degree splitting uses the absolute trace
 map h + h^2 + h^4 + ... down to GF(2), the characteristic-2 substitute
 for the odd-characteristic exponentiation split.
 
-On top of the bare factor list, build_factor_data assembles for every
-factor f_j of degree d_j:
+build_factor_data keeps, for every factor f_j of degree d_j, only the
+local data: f_j, d_j and the exact cofactor C_j = (x^n + c) / f_j.
+That is all counting and enumeration need.  The global split data, the
+modulus M = (x^n + c)^e with e = 2^k * lam and the idempotents
 
-  * the cofactor  C_j = (x^n + c) / f_j,
-  * a Bezout pair (g_j, h_j) with  g_j*C_j^e + h_j*f_j^e = 1  where
-    e = 2^k * lam,
-  * the idempotent  eps_j = g_j * C_j^e  mod (x^n + c)^e.
+    eps_j = s_j * C_j^e  mod M,   s_j * C_j^e = 1 (mod f_j^e),
 
-The idempotent identities (sum = 1, eps_j^2 = eps_j, eps_j*eps_l = 0)
-are verified exactly at construction time.
+are built on first use and certified in linear size (see
+FactorData.idempotents); the tests keep the exhaustive pairwise check
+of eps_j^2 = eps_j and eps_j * eps_l = 0.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gf2m import GF2m
 from . import polyring as pr
@@ -70,7 +71,7 @@ def _trace_split(F: GF2m, g: Poly, d: int, rng: random.Random) -> tuple[Poly, Po
         tr = h
         acc = h
         for _ in range(bits - 1):
-            acc = pr.p_mod(F, pr.p_mul(F, acc, acc), g)
+            acc = pr.p_mod(F, pr.p_sqr(F, acc), g)
             tr = pr.p_add(F, tr, acc)
         w = pr.p_gcd(F, tr, g) if tr else pr.P_ZERO
         if w and 0 < pr.deg(w) < pr.deg(g):
@@ -135,69 +136,64 @@ def factor_xn_delta(
 class FactorEntry:
     f: Poly
     degree: int
-    cofactor: Poly
-    bezout_g: Poly
-    bezout_h: Poly
-    idempotent: Poly
+    cofactor: Poly      # (x^n + delta_root) / f, exactly
 
 
 @dataclass(frozen=True)
 class FactorData:
-    base: Poly          # x^n + delta_root
-    modulus: Poly       # base^(2^k * lam)
+    """The factors of the core polynomial; global split data on demand."""
+
+    params: Params
     entries: tuple[FactorEntry, ...]
 
     @property
     def r(self) -> int:
         return len(self.entries)
 
+    @property
+    def modulus(self) -> Poly:
+        """M = (x^n + delta_root)^e, e = 2^k * lam, built on first use."""
+        return self.params.a_modulus
+
+    @cached_property
+    def idempotents(self) -> tuple[Poly, ...]:
+        """eps_j = s_j * C_j^e mod M, one per factor, certified when built.
+
+        s_j inverts C_j^e modulo f_j^e, found by an xgcd at the local
+        degree d_j * e.  The certificate is the exact local Bezout identity
+        for every factor plus sum eps_j = 1 (mod M).  With the factor
+        product verified and the cofactors exact, eps_j = 1 (mod f_j^e)
+        and C_j^e | eps_j, so by CRT the eps_j are the orthogonal
+        idempotents of the split.  The sum is what catches a wrong cofactor.
+        """
+        F = self.params.field
+        e = self.params.nilpotency
+        M = self.modulus
+        out = []
+        total = pr.P_ZERO
+        for i, ent in enumerate(self.entries):
+            f_e = pr.p_pow(F, ent.f, e)
+            cof_e = pr.p_pow(F, ent.cofactor, e)
+            local = pr.p_mod(F, cof_e, f_e)
+            _, s, t = pr.p_xgcd(F, local, f_e)
+            if pr.p_add(F, pr.p_mul(F, s, local), pr.p_mul(F, t, f_e)) != pr.P_ONE:
+                raise ArithmeticError(f"Bezout identity failed for factor {i}")
+            eps = pr.p_mod(F, pr.p_mul(F, s, cof_e), M)
+            total = pr.p_add(F, total, eps)
+            out.append(eps)
+        if pr.p_mod(F, total, M) != pr.P_ONE:
+            raise ArithmeticError("idempotents do not sum to 1")
+        return tuple(out)
+
 
 def build_factor_data(params: Params, rng: random.Random | None = None) -> FactorData:
-    """Factor the core polynomial and assemble cofactor/Bezout/idempotent data."""
+    """Factor the core polynomial and divide out each factor's cofactor."""
     F = params.field
-    e = params.nilpotency
     base = params.base_poly
-    modulus = params.a_modulus
-    factors = factor_xn_delta(F, params.n, params.delta_root, rng=rng)
-
     entries = []
-    for f, d in factors:
-        cof = pr.p_divmod(F, base, f)[0]
-        f_e = pr.p_pow(F, f, e)
-        cof_e = pr.p_pow(F, cof, e)
-        g0, s, t = pr.p_xgcd(F, cof_e, f_e)
-        if g0 != pr.P_ONE:
-            raise ArithmeticError("factor powers are not coprime; factorization is broken")
-        eps = pr.p_mod(F, pr.p_mul(F, s, cof_e), modulus)
-        entries.append(FactorEntry(f, d, cof, s, t, eps))
-
-    data = FactorData(base=base, modulus=modulus, entries=tuple(entries))
-    _verify_idempotents(F, data)
-    return data
-
-
-def _verify_idempotents(F: GF2m, data: FactorData) -> None:
-    M = data.modulus
-    total = pr.P_ZERO
-    for i, ent in enumerate(data.entries):
-        # Bezout identity holds exactly in the polynomial ring.
-        e_pow = pr.deg(M) // pr.deg(data.base)
-        lhs = pr.p_add(
-            F,
-            pr.p_mul(F, ent.bezout_g, pr.p_pow(F, ent.cofactor, e_pow)),
-            pr.p_mul(F, ent.bezout_h, pr.p_pow(F, ent.f, e_pow)),
-        )
-        if lhs != pr.P_ONE:
-            raise ArithmeticError(f"Bezout identity failed for factor {i}")
-        sq = pr.p_mod(F, pr.p_mul(F, ent.idempotent, ent.idempotent), M)
-        if sq != ent.idempotent:
-            raise ArithmeticError(f"idempotent {i} is not idempotent")
-        total = pr.p_add(F, total, ent.idempotent)
-        for jj in range(i):
-            cross = pr.p_mod(
-                F, pr.p_mul(F, ent.idempotent, data.entries[jj].idempotent), M
-            )
-            if cross != pr.P_ZERO:
-                raise ArithmeticError(f"idempotents {jj} and {i} are not orthogonal")
-    if pr.p_mod(F, total, M) != pr.P_ONE:
-        raise ArithmeticError("idempotents do not sum to 1")
+    for f, d in factor_xn_delta(F, params.n, params.delta_root, rng=rng):
+        cof, rem = pr.p_divmod(F, base, f)
+        if rem:
+            raise ArithmeticError(f"factor {f} does not divide the core polynomial")
+        entries.append(FactorEntry(f, d, cof))
+    return FactorData(params=params, entries=tuple(entries))

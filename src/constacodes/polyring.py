@@ -123,6 +123,20 @@ def p_mul(F: GF2m, a: Poly, b: Poly) -> Poly:
     return normalize(_mul_school(F, a, b))
 
 
+def p_sqr(F: GF2m, a: Poly) -> Poly:
+    """a*a in linear time: in characteristic 2 the cross terms cancel, so
+    (sum a_i x^i)^2 = sum a_i^2 x^(2i)."""
+    if not a:
+        return P_ZERO
+    out = [0] * (2 * len(a) - 1)
+    if F.m == 1:
+        out[::2] = a
+    else:
+        mul = F.mul
+        out[::2] = [mul(c, c) for c in a]
+    return tuple(out)
+
+
 def p_divmod(F: GF2m, a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with deg r < deg b; b must be nonzero."""
     if not b:
@@ -204,7 +218,7 @@ def p_pow(F: GF2m, p: Poly, e: int) -> Poly:
             r = p_mul(F, r, p)
         e >>= 1
         if e:
-            p = p_mul(F, p, p)
+            p = p_sqr(F, p)
     return r
 
 
@@ -221,5 +235,5 @@ def p_powmod(F: GF2m, base: Poly, e: int, modulus: Poly) -> Poly:
             r = p_mod(F, p_mul(F, r, base), modulus)
         e >>= 1
         if e:
-            base = p_mod(F, p_mul(F, base, base), modulus)
+            base = p_mod(F, p_sqr(F, base), modulus)
     return r

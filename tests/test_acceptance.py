@@ -241,13 +241,13 @@ def test_criterion_6_structural_invariants():
     checked = 0
     for m, n in [(1, 1), (1, 3), (2, 3), (1, 7)]:
         params = Params(m, n, 2, 2, 1, 1)
-        fd = build_factor_data(params)  # idempotent identities verified inside
+        fd = build_factor_data(params)
         F = params.field
         M = fd.modulus
         total = pr.P_ZERO
-        for ent in fd.entries:
-            total = pr.p_add(F, total, ent.idempotent)
-            assert pr.p_mod(F, pr.p_mul(F, ent.idempotent, ent.idempotent), M) == ent.idempotent
+        for eps in fd.idempotents:  # certified when built
+            total = pr.p_add(F, total, eps)
+            assert pr.p_mod(F, pr.p_mul(F, eps, eps), M) == eps
         assert pr.p_mod(F, total, M) == (1,)
 
         ctxs = en.chain_contexts(params, fd)  # unit congruence asserted inside

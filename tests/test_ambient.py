@@ -290,14 +290,17 @@ def test_exactly_11_self_dual(p1122, oracle_135):
     assert count == 11
 
 
-def test_self_dual_list_verified_at_m2():
+@pytest.mark.parametrize(
+    "m,alpha", [(2, a) for a in range(1, 4)] + [(3, a) for a in range(1, 8)]
+)
+def test_self_dual_list_verified(m, alpha):
     from constacodes.factorizer import build_factor_data
 
-    p = Params(2, 1, 2, 2, 1, 1)
+    p = Params(m, 1, 2, 2, 1, alpha)
     fd = build_factor_data(p)
     ctxs = en.chain_contexts(p, fd)
     codes = en.list_self_dual_length4(p)
-    assert len(codes) == 37
+    assert len(codes) == 1 + (1 << m) + 2 * (1 << (2 * m))
     for code in codes:
         basis = amb.code_bit_basis(p, fd, code, ctxs).basis
         assert amb.dual_bit_basis(p, basis) == basis

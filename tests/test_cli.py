@@ -1,23 +1,31 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from constacodes import cli
+from constacodes import polyring as pr
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def run_cli(*args, env_extra=None):
+def cli_env(env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*args, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "constacodes.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(env_extra),
     )
 
 
@@ -175,3 +183,49 @@ def test_selfdual_rejects_covered_case_violation():
     res = run_cli("selfdual", "--m", "1", "--n", "3")
     assert res.returncode == 2
     assert "n=3" in res.stderr
+
+
+def test_failed_certificate_exit_1(monkeypatch, capsys):
+    real = cli.build_factor_data
+
+    def corrupted(params, rng=None):
+        fd = real(params, rng=rng)
+        first = fd.entries[0]
+        bad = dataclasses.replace(
+            first, cofactor=pr.p_add(params.field, first.cofactor, (0, 1, 1)))
+        return dataclasses.replace(fd, entries=(bad,) + fd.entries[1:])
+
+    monkeypatch.setattr(cli, "build_factor_data", corrupted)
+    assert cli.main(["factor", "--m", "1", "--n", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: idempotents do not sum to 1")
+
+
+def test_unopenable_out_exit_2(tmp_path):
+    res = run_cli("count", "--m", "1", "--out", str(tmp_path / "missing" / "x"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: cannot open --out")
+    assert "Traceback" not in res.stderr
+
+
+def test_closed_pipe_exit_0():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "constacodes.cli", "enumerate", "--m", "1", "--n", "3",
+         "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    assert proc.stdout.readline() == b"index,factor,family,s,t,h,size\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+def test_main_twice_in_process(capsys):
+    for _ in range(2):
+        assert cli.main(["count", "--m", "1", "--n", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == "135"

@@ -317,10 +317,11 @@ def test_selfdual_contains_u_squared_ideal():
 
 
 def test_selfdual_alpha_dependence():
-    # alpha = w in GF(4): the family-6 members pin digit 0 to alpha_root^3
+    # alpha = w in GF(4): the family-6 members pin digit 0 to alpha_root
+    # (alpha_root != 1 here, while alpha_root^3 = 1 for every alpha in GF(4))
     p = Params(2, 1, 2, 2, 1, 2)
     codes = en.list_self_dual_length4(p)
-    pinned = p.field.pow(p.alpha_root, 3)
+    pinned = p.alpha_root
     fam6 = [c.components[0] for c in codes if c.components[0].family == 6]
     assert len(fam6) == 16
     fd = build_factor_data(p)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -80,18 +81,18 @@ def test_is_irreducible():
 )
 def test_factor_data_idempotent_identities(m, n):
     params = Params(m, n, 2, 2, 1, 1)
-    fd = build_factor_data(params)  # raises if any identity fails
+    fd = build_factor_data(params)
     F = params.field
     M = fd.modulus
     total = pr.P_ZERO
-    for ent in fd.entries:
-        total = pr.p_add(F, total, ent.idempotent)
-        sq = pr.p_mod(F, pr.p_mul(F, ent.idempotent, ent.idempotent), M)
-        assert sq == ent.idempotent
+    for eps in fd.idempotents:  # raises if the certificate fails
+        total = pr.p_add(F, total, eps)
+        sq = pr.p_mod(F, pr.p_mul(F, eps, eps), M)
+        assert sq == eps
     assert pr.p_mod(F, total, M) == (1,)
-    for i, a in enumerate(fd.entries):
-        for b in fd.entries[:i]:
-            assert pr.p_mod(F, pr.p_mul(F, a.idempotent, b.idempotent), M) == ()
+    for i, a in enumerate(fd.idempotents):
+        for b in fd.idempotents[:i]:
+            assert pr.p_mod(F, pr.p_mul(F, a, b), M) == ()
 
 
 def test_r_equals_one_gives_unit_idempotent():
@@ -99,7 +100,7 @@ def test_r_equals_one_gives_unit_idempotent():
     params = Params(1, 1, 2, 2, 1, 1)
     fd = build_factor_data(params)
     assert fd.r == 1
-    assert fd.entries[0].idempotent == (1,)
+    assert fd.idempotents[0] == (1,)
     assert fd.entries[0].cofactor == (1,)
 
 
@@ -109,9 +110,9 @@ def test_idempotent_kills_own_factor_power():
     fd = build_factor_data(params)
     F = params.field
     e = params.nilpotency
-    for ent in fd.entries:
+    for ent, eps in zip(fd.entries, fd.idempotents):
         fe = pr.p_pow(F, ent.f, e)
-        assert pr.p_mod(F, pr.p_mul(F, ent.idempotent, fe), fd.modulus) == ()
+        assert pr.p_mod(F, pr.p_mul(F, eps, fe), fd.modulus) == ()
 
 
 def test_power_reassembly():
@@ -131,3 +132,38 @@ def test_pairwise_coprime():
     for i in range(len(ents)):
         for j in range(i):
             assert pr.p_gcd(F, ents[i].f, ents[j].f) == (1,)
+
+
+@pytest.mark.parametrize("m,n", [(1, 7), (2, 7), (3, 5), (4, 15)])
+def test_lazy_idempotents_match_global_xgcd(m, n):
+    # reference: one xgcd of C_j^e against f_j^e at the full degree e*n
+    params = Params(m, n, 2, 2, 1, 1)
+    fd = build_factor_data(params)
+    F = params.field
+    e = params.nilpotency
+    expect = []
+    for ent in fd.entries:
+        cof_e = pr.p_pow(F, ent.cofactor, e)
+        g, s, _ = pr.p_xgcd(F, cof_e, pr.p_pow(F, ent.f, e))
+        assert g == (1,)
+        expect.append(pr.p_mod(F, pr.p_mul(F, s, cof_e), fd.modulus))
+    assert fd.idempotents == tuple(expect)
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        # shares the factor x + 1: no local inverse exists
+        (lambda F, c: pr.p_add(F, c, (1,)), "Bezout"),
+        # coprime to x + 1 but no longer divisible by the cubics
+        (lambda F, c: pr.p_add(F, c, (0, 1, 1)), "sum to 1"),
+    ],
+)
+def test_certificate_rejects_corrupted_cofactor(corrupt, message):
+    params = Params(1, 7, 2, 2, 1, 1)
+    fd = build_factor_data(params)
+    first = fd.entries[0]
+    bad = dataclasses.replace(first, cofactor=corrupt(params.field, first.cofactor))
+    broken = dataclasses.replace(fd, entries=(bad,) + fd.entries[1:])
+    with pytest.raises(ArithmeticError, match=message):
+        broken.idempotents

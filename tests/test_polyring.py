@@ -125,6 +125,18 @@ def test_karatsuba_matches_schoolbook():
             assert fast == slow
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 13])
+def test_sqr_matches_mul(m):
+    # m = 13 is above the log-table limit, so field products are computed
+    F = GF2m(m)
+    rng = random.Random(m)
+    assert pr.p_sqr(F, ()) == ()
+    for max_deg in (0, 1, 5, 40, 150):
+        a = rand_poly(F, rng, max_deg)
+        assert pr.p_sqr(F, a) == pr.p_mul(F, a, a)
+
+
 def test_pow_small():
     assert pr.p_pow(F2, (1, 1), 4) == (1, 0, 0, 0, 1)  # (x+1)^4 = x^4+1
     assert pr.p_pow(F2, (1, 1), 0) == (1,)
+
