@@ -9,7 +9,7 @@ exact arithmetic, with brute-force oracles validating the construction
 at small parameter sizes.
 """
 
-from .gf2m import GF2m, field_new
+from .gf2m import GF2m
 from .params import Params
 from .factorizer import FactorData, FactorEntry, build_factor_data, factor_xn_delta
 from .chainring import ChainCtx, make_chain_ctx, canonical_module_form
@@ -39,7 +39,6 @@ from .ambient import (
 
 __all__ = [
     "GF2m",
-    "field_new",
     "Params",
     "FactorData",
     "FactorEntry",

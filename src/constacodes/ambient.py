@@ -29,6 +29,7 @@ independent oracle.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -94,15 +95,12 @@ def r_shift_u(a: RElem) -> RElem:
 # Per-parameter cached tables
 # ----------------------------------------------------------------------
 
-_TABLES: dict[tuple, dict] = {}
+# Keyed by the Params instance, so the tables live and die with it.
+_TABLES: weakref.WeakKeyDictionary[Params, dict] = weakref.WeakKeyDictionary()
 
 
 def _tables(params: Params) -> dict:
-    key = (
-        params.m, params.n, params.k, params.lam,
-        params.delta, params.alpha, params.field.reduction,
-    )
-    got = _TABLES.get(key)
+    got = _TABLES.get(params)
     if got is not None:
         return got
     F = params.field
@@ -117,14 +115,8 @@ def _tables(params: Params) -> dict:
     lam = params.lam
     mat = [[pows[l][2 * j] if 2 * j < w else 0 for l in range(lam)] for j in range(lam)]
     minv = _matrix_inverse(F, mat)
-    got = {
-        "gamma": gamma,
-        "gamma_pows": pows,
-        "minv": minv,
-        "u2_amb": pr.p_mod(F, params.u_squared_poly, params.a_modulus),
-        "bitspace": None,
-    }
-    _TABLES[key] = got
+    got = {"gamma_pows": pows, "minv": minv, "bitspace": None}
+    _TABLES[params] = got
     return got
 
 
@@ -155,7 +147,7 @@ def amb_add(params: Params, a: AmbientElem, b: AmbientElem) -> AmbientElem:
 def amb_mul(params: Params, a: AmbientElem, b: AmbientElem) -> AmbientElem:
     F = params.field
     M = params.a_modulus
-    u2 = _tables(params)["u2_amb"]
+    u2 = params.u_squared_poly  # already reduced: deg u^2 < deg M
     lo = pr.p_add(
         F,
         pr.p_mod(F, pr.p_mul(F, a[0], b[0]), M),
@@ -187,7 +179,7 @@ def rp_add(a: RPoly, b: RPoly) -> RPoly:
 def rp_mul(params: Params, a: RPoly, b: RPoly) -> RPoly:
     F = params.field
     N = params.length
-    gamma = _tables(params)["gamma"]
+    gamma = _tables(params)["gamma_pows"][1]
     w = params.u_exp
     acc = [[0] * w for _ in range(N)]
     zero = (0,) * w
@@ -210,7 +202,7 @@ def rp_mul(params: Params, a: RPoly, b: RPoly) -> RPoly:
 def rp_mul_x(params: Params, a: RPoly) -> RPoly:
     """The constacyclic shift: multiply by x, folding x^N to gamma."""
     F = params.field
-    gamma = _tables(params)["gamma"]
+    gamma = _tables(params)["gamma_pows"][1]
     return (r_mul(F, gamma, a[-1]),) + a[:-1]
 
 def rp_mul_u(params: Params, a: RPoly) -> RPoly:
@@ -248,10 +240,6 @@ def inner_product(params: Params, a: RPoly, b: RPoly) -> RElem:
     for x, y in zip(a, b):
         acc = r_add(acc, r_mul(F, x, y))
     return acc
-
-def constacyclic_shift(params: Params, word: RPoly) -> RPoly:
-    return rp_mul_x(params, word)
-
 
 # ----------------------------------------------------------------------
 # The structure map between the two sides
@@ -320,7 +308,6 @@ class BitSpace:
     with the three multiplication operators in matrix form."""
 
     def __init__(self, params: Params) -> None:
-        self.params = params
         self.m = params.m
         self.w = params.u_exp
         self.N = params.length
@@ -456,6 +443,26 @@ class IdealSet:
 # Enumerated codes, materialized
 # ----------------------------------------------------------------------
 
+def _component_generators(
+    params: Params,
+    factor_data: FactorData,
+    code: CodeDescriptor,
+    ctxs: list[ChainCtx] | None,
+) -> list[list[AmbientElem]]:
+    """Per component j, eps_j * g mod M for each of its generators g."""
+    if ctxs is None:
+        ctxs = chain_contexts(params, factor_data)
+    F = params.field
+    M = factor_data.modulus
+    return [
+        [
+            tuple(pr.p_mod(F, pr.p_mul(F, eps, part), M) for part in g)
+            for g in descriptor_generators(params, ctx, desc)
+        ]
+        for eps, ctx, desc in zip(factor_data.idempotents, ctxs, code.components)
+    ]
+
+
 def code_ambient_generators(
     params: Params,
     factor_data: FactorData,
@@ -463,19 +470,30 @@ def code_ambient_generators(
     ctxs: list[ChainCtx] | None = None,
 ) -> list[AmbientElem]:
     """Idempotent-scaled generators of a code on the plain side."""
-    if ctxs is None:
-        ctxs = chain_contexts(params, factor_data)
-    F = params.field
-    M = factor_data.modulus
+    comps = _component_generators(params, factor_data, code, ctxs)
+    return [g for comp in comps for g in comp]
+
+
+def code_generators(
+    params: Params,
+    factor_data: FactorData,
+    code: CodeDescriptor,
+    ctxs: list[ChainCtx] | None = None,
+) -> list[AmbientElem]:
+    """At most two combined generators of the whole code.
+
+    Slot i is the sum over components of their i-th idempotent-scaled
+    generator; components with one generator contribute zero to the
+    second slot.
+    """
+    comps = _component_generators(params, factor_data, code, ctxs)
     out = []
-    for eps, ctx, desc in zip(factor_data.idempotents, ctxs, code.components):
-        for g in descriptor_generators(params, ctx, desc):
-            out.append(
-                (
-                    pr.p_mod(F, pr.p_mul(F, eps, g[0]), M),
-                    pr.p_mod(F, pr.p_mul(F, eps, g[1]), M),
-                )
-            )
+    for slot in range(max(len(comp) for comp in comps)):
+        acc = (pr.P_ZERO, pr.P_ZERO)
+        for comp in comps:
+            if slot < len(comp):
+                acc = amb_add(params, acc, comp[slot])
+        out.append(acc)
     return out
 
 

@@ -23,11 +23,20 @@ where <f^t0> is the projection of the module to the first coordinate
 and <f^t1> is the ideal of second coordinates paired with 0.  Both
 rows are intrinsic to the module, which is what makes the form
 canonical; rows with pivot exponent e (i.e. zero) are omitted.
+
+iter_h is the one residue iterator: every module that walks residues
+mod f^l (the ideal enumeration, the submodule lattice walk and the
+materialization oracle) goes through it.  It yields residues ordered
+by their f-adic digit expansions, least significant digit first, each
+digit a polynomial of degree below d ordered by packed coefficient
+value (coefficient i of the digit in bits m*i .. m*i+m-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 from .gf2m import GF2m
 from . import polyring as pr
@@ -53,6 +62,22 @@ class ChainCtx:
     def q(self) -> int:
         """Residue field size 2^(m*d)."""
         return 1 << (self.field.m * self.d)
+
+    @cached_property
+    def digits(self) -> list[Poly]:
+        """Residue-field digits (polys of degree < d) by packed value.
+
+        Coefficient i fills bits m*i .. m*i+m-1 of the packed value, so
+        the digits of degree i come after all lower-degree ones, ordered
+        by their top coefficient and then by their lower part.
+        """
+        out = [pr.P_ZERO]
+        for i in range(self.d):
+            pad = (0,) * i
+            out += [
+                lo + pad[len(lo):] + (c,) for c in range(1, self.field.order) for lo in out
+            ]
+        return out
 
 
 def make_plain_ctx(field: GF2m, f: Poly, e: int) -> ChainCtx:
@@ -121,10 +146,6 @@ def c_mul(ctx: ChainCtx, a: Poly, b: Poly) -> Poly:
     return pr.p_mod(ctx.field, pr.p_mul(ctx.field, a, b), ctx.modulus)
 
 
-def c_pow(ctx: ChainCtx, a: Poly, e: int) -> Poly:
-    return pr.p_powmod(ctx.field, a, e, ctx.modulus)
-
-
 def c_inv(ctx: ChainCtx, a: Poly) -> Poly:
     """Inverse of a unit, via the extended gcd with f^e."""
     if pi_degree(ctx, a) != 0:
@@ -165,27 +186,9 @@ def pi_degree(ctx: ChainCtx, a: Poly) -> int:
         t += 1
 
 
-def unit_part(ctx: ChainCtx, a: Poly) -> tuple[int, Poly]:
-    """Write a = f^t * w exactly (w a unit); returns (e, zero) for a = 0."""
-    if not a:
-        return ctx.e, pr.P_ZERO
-    t = 0
-    while True:
-        q, rem = pr.p_divmod(ctx.field, a, ctx.f)
-        if rem:
-            return t, a
-        a = q
-        t += 1
-
-
 # ----------------------------------------------------------------------
 # The u-extension K + uK; elements are pairs (a0, a1) meaning a0 + u*a1.
 # ----------------------------------------------------------------------
-
-def ext_add(ctx: ChainCtx, a: Vec2, b: Vec2) -> Vec2:
-    F = ctx.field
-    return pr.p_add(F, a[0], b[0]), pr.p_add(F, a[1], b[1])
-
 
 def ext_mul(ctx: ChainCtx, a: Vec2, b: Vec2) -> Vec2:
     if ctx.u_squared is None:
@@ -227,16 +230,18 @@ def canonical_module_form(ctx: ChainCtx, gens) -> CanonForm:
     e = ctx.e
 
     # Pivot for column 0: smallest pi-degree among first coordinates.
-    t0 = min(pi_degree(ctx, g[0]) for g in rows)
+    degs = [pi_degree(ctx, g[0]) for g in rows]
+    t0 = min(degs)
     second_gens: list[Poly] = []
     lead: Vec2 | None = None
     if t0 < e:
-        gsel = next(g for g in rows if pi_degree(ctx, g[0]) == t0)
+        isel = degs.index(t0)
+        gsel = rows[isel]
         w = pr.p_divmod(F, gsel[0], ctx.f_pows[t0])[0]  # exact, w a unit
         winv = c_inv(ctx, w)
         lead = (ctx.f_pows[t0], c_mul(ctx, winv, gsel[1]))
-        for g in rows:
-            if g is gsel:
+        for i, g in enumerate(rows):
+            if i == isel:
                 continue
             qfac = pr.p_divmod(F, g[0], ctx.f_pows[t0])[0]  # exact by minimality of t0
             second_gens.append(c_add(ctx, g[1], c_mul(ctx, qfac, lead[1])))
@@ -285,10 +290,6 @@ def module_contains(ctx: ChainCtx, form: CanonForm, v: Vec2) -> bool:
     return pi_degree(ctx, rem) >= t1
 
 
-def spans_same_module(ctx: ChainCtx, gens_a, gens_b) -> bool:
-    return canonical_module_form(ctx, gens_a) == canonical_module_form(ctx, gens_b)
-
-
 def satisfies_u_closure(ctx: ChainCtx, gens) -> bool:
     """Whether the K-span of gens is stable under the u-action.
 
@@ -315,7 +316,7 @@ def materialize_submodule(ctx: ChainCtx, gens, cap: int = 1 << 20) -> frozenset:
     work = size_k if len(gens) < 2 else size_k * size_k
     if work > cap:
         raise ValueError("submodule materialization would exceed the cap")
-    scalars = _all_ring_elements(ctx)
+    scalars = list(iter_h(ctx, ctx.e))
     if not gens:
         return frozenset({(pr.P_ZERO, pr.P_ZERO)})
     tables = []
@@ -351,7 +352,7 @@ def enumerate_all_submodules(ctx: ChainCtx):
                         rows.append((pr.P_ZERO, ctx.f_pows[t1]))
                     yield tuple(rows)
                 continue
-            for a in _residues(ctx, t1):
+            for a in iter_h(ctx, t1):
                 if a and t1 > e - t0 + pi_degree(ctx, a):
                     continue
                 rows = [(ctx.f_pows[t0], a)]
@@ -360,24 +361,20 @@ def enumerate_all_submodules(ctx: ChainCtx):
                 yield tuple(rows)
 
 
-def _residues(ctx: ChainCtx, ell: int):
-    """All residues mod f^ell, by packed coefficient value."""
+def iter_h(ctx: ChainCtx, ell: int) -> Iterator[Poly]:
+    """All residues mod f^ell, in the digit order of the module docstring."""
     if ell <= 0:
         yield pr.P_ZERO
         return
-    m = ctx.field.m
-    mask = ctx.field.order - 1
-    nco = ctx.d * ell
-    for packed in range(1 << (m * nco)):
-        yield pr.normalize(((packed >> (m * i)) & mask) for i in range(nco))
-
-
-def _all_ring_elements(ctx: ChainCtx) -> list[Poly]:
-    """Every element of K, ordered by packed coefficient value."""
-    m = ctx.field.m
-    nco = ctx.d * ctx.e
-    out = []
-    for packed in range(1 << (m * nco)):
-        coeffs = [(packed >> (m * i)) & (ctx.field.order - 1) for i in range(nco)]
-        out.append(pr.normalize(coeffs))
-    return out
+    F = ctx.field
+    q = ctx.q
+    digits = ctx.digits
+    for counter in range(q**ell):
+        acc = pr.P_ZERO
+        c = counter
+        for i in range(ell):
+            digit = digits[c % q]
+            c //= q
+            if digit:
+                acc = pr.p_add(F, acc, pr.p_mul(F, digit, ctx.f_pows[i]))
+        yield acc

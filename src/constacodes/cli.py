@@ -9,10 +9,7 @@ cannot be opened.
 
 The oracle's dimension cap is --oracle-dim-cap or, without that flag,
 the environment variable CONSTACODES_ORACLE_DIM_CAP.  The library's
-materialization cap, CONSTACODES_MAT_CAP, has no flag.  The
---threads flag bounds worker parallelism and is validated; the current
-implementation runs every stage serially, so any accepted value yields
-byte-identical output.
+materialization cap, CONSTACODES_MAT_CAP, has no flag.
 """
 
 from __future__ import annotations
@@ -45,8 +42,6 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--reduction", type=int, default=None,
                         help="override the field reduction polynomial (packed bits)")
     parser.add_argument("--seed", type=int, default=0, help="seed for the factorizer RNG")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker bound (validated; execution is serial)")
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
 
@@ -82,13 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_params(args) -> Params:
     return Params(args.m, args.n, args.k, args.lam, args.delta, args.alpha,
                   reduction=args.reduction)
-
-
-def _check_threads(args) -> None:
-    if args.threads is None:
-        args.threads = os.cpu_count() or 1
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
 
 
 def _open_out(args) -> ContextManager[IO[str]]:
@@ -150,10 +138,6 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _descriptor_json(desc: en.IdealDescriptor) -> dict:
-    return desc.as_dict()
-
-
 def cmd_enumerate(args) -> int:
     if args.offset < 0 or (args.limit is not None and args.limit < 0):
         raise ValueError("--offset and --limit must be nonnegative")
@@ -189,7 +173,7 @@ def cmd_enumerate(args) -> int:
         for code in window:
             entry = {
                 "size": str(en.code_size(params, fd, code)),
-                "components": [_descriptor_json(c) for c in code.components],
+                "components": [c.as_dict() for c in code.components],
             }
             if args.with_generators:
                 gens = amb.code_ambient_generators(params, fd, code, ctxs)
@@ -248,7 +232,7 @@ def cmd_selfdual(args) -> int:
     for code in codes:
         entry = {
             "size": str(en.code_size(params, fd, code)),
-            "components": [_descriptor_json(c) for c in code.components],
+            "components": [c.as_dict() for c in code.components],
         }
         if args.verify:
             basis = amb.code_bit_basis(params, fd, code, ctxs).basis
@@ -284,7 +268,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads(args)
         status = _DISPATCH[args.cmd](args)
         # Flush here so a closed pipe raises inside this try, not at exit.
         sys.stdout.flush()

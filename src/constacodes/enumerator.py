@@ -29,9 +29,10 @@ law for the two generator rows (degrees s and s+t); the materialization
 oracle in the test suite pins it down independently.
 
 Descriptors stream in a fixed total order: family, then t, then s,
-then h; h-residues are ordered by their digit expansions, least
-significant digit first, digits by packed coefficient value.  Streams
-are lazy so astronomically large enumerations can be paged.
+then h; h runs over chainring.iter_h, so h-residues are ordered by
+their digit expansions, least significant digit first, digits by
+packed coefficient value.  Streams are lazy so astronomically large
+enumerations can be paged.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from typing import Iterator
 
 from . import chainring as cr
 from . import polyring as pr
-from .chainring import ChainCtx, Vec2
-from .factorizer import FactorData, build_factor_data
+from .chainring import ChainCtx, Vec2, iter_h
+from .factorizer import FactorData
 from .params import Params
 from .polyring import Poly
 
@@ -141,43 +142,6 @@ def h_space_exponent(params: Params, family: int, s: int, t: int | None) -> int:
     return 0
 
 
-def iter_h(ctx: ChainCtx, ell: int) -> Iterator[Poly]:
-    """All residues mod f^ell in the documented digit order."""
-    if ell <= 0:
-        yield pr.P_ZERO
-        return
-    F = ctx.field
-    q = ctx.q
-    digit_cache = _digit_polys(ctx)
-    for counter in range(q**ell):
-        acc = pr.P_ZERO
-        c = counter
-        for i in range(ell):
-            digit = digit_cache[c % q]
-            c //= q
-            if digit:
-                acc = pr.p_add(F, acc, pr.p_mul(F, digit, ctx.f_pows[i]))
-        yield acc
-
-
-_DIGIT_CACHE: dict[tuple[int, int, Poly], list[Poly]] = {}
-
-
-def _digit_polys(ctx: ChainCtx) -> list[Poly]:
-    """Residue-field digits (polys of degree < d) by packed value."""
-    key = (ctx.field.m, ctx.d, ctx.f)
-    got = _DIGIT_CACHE.get(key)
-    if got is None:
-        m = ctx.field.m
-        mask = ctx.field.order - 1
-        got = [
-            pr.normalize(((v >> (m * i)) & mask) for i in range(ctx.d))
-            for v in range(ctx.q)
-        ]
-        _DIGIT_CACHE[key] = got
-    return got
-
-
 def enumerate_ideals(
     params: Params, ctx: ChainCtx, factor_index: int = 1
 ) -> Iterator[IdealDescriptor]:
@@ -254,25 +218,6 @@ def _lead_entry(params: Params, ctx: ChainCtx, desc: IdealDescriptor) -> Poly:
     return acc
 
 
-def descriptor_module_rows(
-    params: Params, ctx: ChainCtx, desc: IdealDescriptor
-) -> list[Vec2]:
-    """Generator rows of the matching K-submodule of K^2."""
-    fam, s, t = desc.family, desc.s, desc.t
-    fs = cr.c_reduce(ctx, ctx.f_pows[s])
-    if fam in (1, 2):
-        return [(_lead_entry(params, ctx, desc), fs)]
-    if fam == 3:
-        return [(fs, pr.P_ZERO), (pr.P_ZERO, fs)]
-    if fam == 4:
-        return [(pr.P_ZERO, fs), (cr.c_reduce(ctx, ctx.f_pows[s + 1]), pr.P_ZERO)]
-    assert t is not None
-    return [
-        (_lead_entry(params, ctx, desc), fs),
-        (cr.c_reduce(ctx, ctx.f_pows[s + t]), pr.P_ZERO),
-    ]
-
-
 def descriptor_generators(
     params: Params, ctx: ChainCtx, desc: IdealDescriptor
 ) -> list[Vec2]:
@@ -293,6 +238,20 @@ def descriptor_generators(
         (_lead_entry(params, ctx, desc), fs),
         (cr.c_reduce(ctx, ctx.f_pows[s + t]), pr.P_ZERO),
     ]
+
+
+def descriptor_module_rows(
+    params: Params, ctx: ChainCtx, desc: IdealDescriptor
+) -> list[Vec2]:
+    """Generator rows of the matching K-submodule of K^2.
+
+    These are the ideal generators, plus u*f^s for family 3: the
+    K-span of f^s alone misses it, the ideal <f^s> does not.
+    """
+    rows = descriptor_generators(params, ctx, desc)
+    if desc.family == 3:
+        rows.append((pr.P_ZERO, rows[0][0]))
+    return rows
 
 
 def ideal_membership_check(params: Params, ctx: ChainCtx, desc: IdealDescriptor) -> bool:
@@ -347,37 +306,6 @@ def enumerate_codes(
         yield CodeDescriptor(combo)
 
 
-def code_generators(
-    params: Params,
-    factor_data: FactorData,
-    code: CodeDescriptor,
-    ctxs: list[ChainCtx] | None = None,
-) -> list[Vec2]:
-    """At most two combined generators of the whole code.
-
-    Each is sum over factors of idempotent * per-factor generator,
-    reduced in the big quotient ring; components with one generator
-    contribute zero to the second slot.
-    """
-    if ctxs is None:
-        ctxs = chain_contexts(params, factor_data)
-    F = params.field
-    M = factor_data.modulus
-    combined: list[list[Poly]] = [[pr.P_ZERO, pr.P_ZERO], [pr.P_ZERO, pr.P_ZERO]]
-    width = 1
-    for eps, ctx, desc in zip(factor_data.idempotents, ctxs, code.components):
-        gens = descriptor_generators(params, ctx, desc)
-        width = max(width, len(gens))
-        for slot, g in enumerate(gens):
-            for part in range(2):
-                term = pr.p_mod(F, pr.p_mul(F, eps, g[part]), M)
-                combined[slot][part] = pr.p_add(F, combined[slot][part], term)
-    out = [tuple(combined[0])]
-    if width > 1:
-        out.append(tuple(combined[1]))
-    return out
-
-
 # ----------------------------------------------------------------------
 # Self-dual codes of length 4 over GF(2^m)[u]/<u^4>
 # ----------------------------------------------------------------------
@@ -397,8 +325,8 @@ def list_self_dual_length4(params: Params) -> list[CodeDescriptor]:
             f"got n={params.n}, k={params.k}, lambda={params.lam}, delta={params.delta}"
         )
     F = params.field
-    fd = build_factor_data(params)
-    ctx = chain_contexts(params, fd)[0]
+    # delta = 1 makes the core polynomial x + 1 itself: nothing to factor.
+    ctx = cr.make_plain_ctx(F, (1, 1), params.nilpotency)
 
     out = [CodeDescriptor((IdealDescriptor(1, 3, 4, None, ()),))]
     for c in F.elements():

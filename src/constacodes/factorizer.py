@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gf2m import GF2m
+from .gf2m import GF2m, _factor_int
 from . import polyring as pr
 from .polyring import Poly
 from .params import Params
@@ -43,18 +43,7 @@ def is_irreducible(F: GF2m, f: Poly) -> bool:
     x = pr.P_X
     if pr.p_powmod(F, x, q**d, f) != pr.p_mod(F, x, f):
         return False
-    dd = d
-    primes = []
-    p = 2
-    while p * p <= dd:
-        if dd % p == 0:
-            primes.append(p)
-            while dd % p == 0:
-                dd //= p
-        p += 1
-    if dd > 1:
-        primes.append(dd)
-    for p in primes:
+    for p in _factor_int(d):
         h = pr.p_powmod(F, x, q ** (d // p), f)
         if pr.p_gcd(F, pr.p_add(F, h, x), f) != pr.P_ONE:
             return False
@@ -90,7 +79,6 @@ def factor_xn_delta(
     n: int,
     delta0: int,
     rng: random.Random | None = None,
-    verify: bool = True,
 ) -> list[tuple[Poly, int]]:
     """Distinct monic irreducible factors of x^n + delta0, with degrees.
 
@@ -121,14 +109,13 @@ def factor_xn_delta(
             frob = pr.p_mod(F, frob, rem)
 
     factors.sort(key=lambda f: (pr.deg(f), f))
-    if verify:
-        prod = pr.P_ONE
-        for f in factors:
-            if not is_irreducible(F, f):
-                raise ArithmeticError(f"factor {f} failed the irreducibility test")
-            prod = pr.p_mul(F, prod, f)
-        if prod != target:
-            raise ArithmeticError("factor product does not reassemble the input")
+    prod = pr.P_ONE
+    for f in factors:
+        if not is_irreducible(F, f):
+            raise ArithmeticError(f"factor {f} failed the irreducibility test")
+        prod = pr.p_mul(F, prod, f)
+    if prod != target:
+        raise ArithmeticError("factor product does not reassemble the input")
     return [(f, pr.deg(f)) for f in factors]
 
 

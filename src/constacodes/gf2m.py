@@ -109,7 +109,11 @@ def bp_is_irreducible(poly: int) -> bool:
 
 
 def _factor_int(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division (n <= 2^16 here)."""
+    """Distinct prime factors of n by trial division.
+
+    n is small here: a multiplicative group order 2^m - 1 (m <= 16) or
+    the degree of a polynomial.
+    """
     out = []
     p = 2
     while p * p <= n:
@@ -221,9 +225,6 @@ class GF2m:
             return self._exp[self._log[a] + self._log[b]]
         return self._mul_raw(a, b)
 
-    def sqr(self, a: int) -> int:
-        return self.mul(a, a)
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero element."""
         if a == 0:
@@ -231,9 +232,6 @@ class GF2m:
         if self._exp is not None:
             return self._exp[self.order - 1 - self._log[a]]
         return self._pow_raw(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square-and-multiply; negative e allowed for units."""
@@ -286,7 +284,3 @@ class GF2m:
     def nonzero_elements(self) -> range:
         return range(1, self.order)
 
-
-def field_new(m: int, reduction: int | None = None) -> GF2m:
-    """Build a GF(2^m) context (see GF2m)."""
-    return GF2m(m, reduction)

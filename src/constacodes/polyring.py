@@ -55,13 +55,6 @@ def p_scale(F: GF2m, a: Poly, c: int) -> Poly:
     return normalize(F.mul(x, c) for x in a)
 
 
-def p_shift(a: Poly, k: int) -> Poly:
-    """Multiply by x^k."""
-    if not a:
-        return P_ZERO
-    return (0,) * k + a
-
-
 def _mul_school(F: GF2m, a: Poly, b: Poly) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     mul = F.mul

@@ -149,7 +149,7 @@ def test_ext_mul_commutative_associative():
 def test_all_ideals_are_f_powers_d1():
     # exhaustive at |K| = 256: every principal ideal K*a equals K*f^t
     ctx = plain8()
-    elems = cr._all_ring_elements(ctx)
+    elems = list(cr.iter_h(ctx, ctx.e))
     power_ideals = [frozenset(cr.c_mul(ctx, c, ctx.f_pows[t]) for c in elems) for t in range(9)]
     for t in range(9):
         assert len(power_ideals[t]) == 2 ** (8 - t)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 from constacodes import cli
+from constacodes import factorizer
 from constacodes import polyring as pr
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,8 +76,8 @@ def test_invalid_delta_exit_2():
     assert "delta" in res.stderr
 
 
-def test_invalid_threads_exit_2():
-    res = run_cli("count", "--m", "1", "--threads", "0")
+def test_threads_flag_removed():
+    res = run_cli("count", "--m", "1", "--threads", "2")
     assert res.returncode == 2
 
 
@@ -229,3 +231,48 @@ def test_main_twice_in_process(capsys):
     for _ in range(2):
         assert cli.main(["count", "--m", "1", "--n", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == "135"
+
+
+def test_selfdual_factors_once(monkeypatch, tmp_path):
+    calls = []
+    real = factorizer.factor_xn_delta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(factorizer, "factor_xn_delta", counted)
+    out = tmp_path / "selfdual.json"
+    assert cli.main(["selfdual", "--m", "2", "--alpha", "2", "--out", str(out)]) == 0
+    assert len(calls) == 1
+
+
+# sha256 of each invocation's output, pinned so that refactors keep the
+# CLI output byte-identical.
+STDOUT_FINGERPRINTS = [
+    ("factor --m 1 --n 7",
+     "9c0fee6a09b542dfa7e2cf1fa6dc108ded9bbbb759a91aad56843e1d42562122"),
+    ("factor --m 2 --n 7 --delta 2 --alpha 3",
+     "b21b6e1ce027206f9877b0e75653167ddf1e3958ba0b987d9dd5d6e566c5f64a"),
+    ("factor --m 3 --n 15",
+     "fbd643b645f2386630870b549c6f1d6b88bf83c816965171549d2cbbde0386bd"),
+    ("factor --m 4 --n 21",
+     "6d69ad66710932b48d3f92587d336a55ae15cab7db55498ebf1244ea855a125b"),
+    ("count --m 5 --n 31",
+     "0c3ac925a446ed55a143950ccc84df2e69a620ae8dae7cdf4e98a6e3bef1c657"),
+    ("enumerate --m 2 --n 7 --limit 50 --with-generators",
+     "237b694c23a3d42c1b9acb99de2e580df764629caa12137c1176473113fef3ef"),
+    ("enumerate --m 1 --n 3 --offset 1000 --limit 100 --format csv",
+     "1bb72045f5d406c14d026c17b2820bfbd3bc5274703574f14ade4aaeeb9541f1"),
+    ("enumerate --m 2 --n 1 --format csv",
+     "2975cbe6175115f006ac8b2bca32fee4dd3b2106729018987ecc0febae23de04"),
+    ("selfdual --m 2 --alpha 2",
+     "50f0ce5d63da73f2fddfa0e0eb2a57f4e60bb7cd9e29a60f2b1124872841a9bb"),
+]
+
+
+def test_stdout_fingerprints(tmp_path):
+    for i, (invocation, digest) in enumerate(STDOUT_FINGERPRINTS):
+        out = tmp_path / f"{i}.out"
+        assert cli.main(invocation.split() + ["--out", str(out)]) == 0, invocation
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, invocation

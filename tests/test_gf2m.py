@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from constacodes.gf2m import GF2m, bp_is_irreducible, field_new
+from constacodes.gf2m import GF2m, bp_is_irreducible
 
 
 def test_f2_context():
-    F = field_new(1)
+    F = GF2m(1)
     assert F.order == 2
     assert F.mul(1, 1) == 1
     assert F.add(1, 1) == 0
