@@ -2,7 +2,8 @@
 
 Every code of length 2^k*n over GF(2^m)[u]/<u^(2*lam)> with shift unit
 delta + alpha*u^2 is a product of per-factor ideals drawn from six
-families; counts come out of two closed formulas that must agree.
+families; counts come out of two closed formulas that must agree, and
+the code stream can start at any index.
 
 Run:  PYTHONPATH=src python demos/04_enumerate_and_count.py
 """
@@ -38,6 +39,19 @@ first = list(itertools.islice(en.enumerate_codes(p3, fd3), 3))
 for code in first:
     print("  size", en.code_size(p3, fd3, code),
           [(c.family, c.s, c.t) for c in code.components])
+
+# Streams seek: a page from deep in the (m, n) = (2, 7) stream costs
+# one step per block, not one per code before it.  This page crosses
+# the point where the last factor starts over and the one before it
+# steps forward.
+p7 = Params(m=2, n=7, k=2, lam=2, delta=1, alpha=1)
+fd7 = build_factor_data(p7)
+offset = 18125645
+print("\nlength 28 over GF(4)[u]/<u^4>:", en.count_codes(p7, fd7), "codes")
+print("ideals per factor:", en.factor_counts(p7, fd7))
+print(f"from code {offset}:")
+for i, code in enumerate(itertools.islice(en.enumerate_codes(p7, fd7, start=offset), 6), offset):
+    print(f"  {i}:", [(c.family, c.s, c.t, c.h) for c in code.components])
 
 # Counts grow fast but stay exact (arbitrary precision).
 p_big = Params(m=2, n=3, k=3, lam=2, delta=1, alpha=1)

@@ -54,12 +54,22 @@ DEFAULT_ORACLE_DIM_CAP = 16
 DEFAULT_MAT_CAP = 1 << 24
 
 
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def oracle_dim_cap() -> int:
-    return int(os.environ.get("CONSTACODES_ORACLE_DIM_CAP", DEFAULT_ORACLE_DIM_CAP))
+    return _env_int("CONSTACODES_ORACLE_DIM_CAP", DEFAULT_ORACLE_DIM_CAP)
 
 
 def materialization_cap() -> int:
-    return int(os.environ.get("CONSTACODES_MAT_CAP", DEFAULT_MAT_CAP))
+    return _env_int("CONSTACODES_MAT_CAP", DEFAULT_MAT_CAP)
 
 
 # ----------------------------------------------------------------------

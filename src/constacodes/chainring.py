@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import xor
 from typing import Iterator
 
 from .gf2m import GF2m
@@ -361,20 +362,35 @@ def enumerate_all_submodules(ctx: ChainCtx):
                 yield tuple(rows)
 
 
-def iter_h(ctx: ChainCtx, ell: int) -> Iterator[Poly]:
-    """All residues mod f^ell, in the digit order of the module docstring."""
+def iter_h(ctx: ChainCtx, ell: int, start: int = 0) -> Iterator[Poly]:
+    """Residues mod f^ell in the digit order of the module docstring,
+    from the start-th one on (ell <= 0: the zero residue only).
+
+    Digit 0 varies fastest and its term is the digit itself, so each
+    run of q residues shares one sum of the higher terms.  That sum is
+    zero or of degree >= d, above every digit, so adding a digit only
+    flips its low coefficients.
+    """
+    if start < 0:
+        raise ValueError(f"start must be nonnegative, got {start}")
     if ell <= 0:
-        yield pr.P_ZERO
+        if start == 0:
+            yield pr.P_ZERO
         return
     F = ctx.field
     q = ctx.q
     digits = ctx.digits
-    for counter in range(q**ell):
-        acc = pr.P_ZERO
-        c = counter
-        for i in range(ell):
-            digit = digits[c % q]
-            c //= q
-            if digit:
-                acc = pr.p_add(F, acc, pr.p_mul(F, digit, ctx.f_pows[i]))
-        yield acc
+    high_start, low_start = divmod(start, q)
+    for high in range(high_start, q ** (ell - 1)):
+        base = pr.P_ZERO
+        c = high
+        for i in range(1, ell):
+            c, r = divmod(c, q)
+            if r:
+                base = pr.p_add(F, base, pr.p_mul(F, digits[r], ctx.f_pows[i]))
+        if base:
+            for digit in digits[low_start:]:
+                yield tuple(map(xor, base, digit)) + base[len(digit):]
+        else:
+            yield from digits[low_start:]
+        low_start = 0

@@ -57,8 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("enumerate", help="stream code descriptors")
     _common(e)
-    e.add_argument("--offset", type=int, default=0)
-    e.add_argument("--limit", type=int, default=None)
+    e.add_argument("--offset", type=int, default=0,
+                   help="index of the first code; the stream seeks there directly")
+    e.add_argument("--limit", type=int, default=None, help="number of codes (default all)")
     e.add_argument("--with-generators", action="store_true",
                    help="attach lifted generator words to each code")
     e.add_argument("--format", choices=("json", "csv"), default="json")
@@ -145,9 +146,8 @@ def cmd_enumerate(args) -> int:
     fd = build_factor_data(params, rng=random.Random(args.seed))
     ctxs = en.chain_contexts(params, fd)
     total = en.count_codes(params, fd)
-    stream = en.enumerate_codes(params, fd, ctxs)
-    stop = None if args.limit is None else args.offset + args.limit
-    window = itertools.islice(stream, args.offset, stop)
+    stream = en.enumerate_codes(params, fd, ctxs, start=args.offset)
+    window = itertools.islice(stream, args.limit)
 
     with _open_out(args) as out:
         if args.format == "csv":

@@ -33,10 +33,19 @@ then h; h runs over chainring.iter_h, so h-residues are ordered by
 their digit expansions, least significant digit first, digits by
 packed coefficient value.  Streams are lazy so astronomically large
 enumerations can be paged.
+
+Every stream can start at any index.  Block (family, s, t) holds
+exactly q^l descriptors (l = h_space_exponent), so enumerate_ideals
+skips whole blocks and starts iter_h inside the block it lands in.  A
+code is a mixed-radix number over the factors, with the per-factor
+ideal counts as radices, so enumerate_codes splits its start index into
+one index per factor.  A seek costs O(blocks + r) for r factors,
+whatever the index; walking there would cost O(index).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -111,12 +120,17 @@ def count_ideals(q: int, k: int, lam: int) -> int:
     return s
 
 
+def factor_counts(params: Params, factor_data: FactorData) -> list[int]:
+    """Number of ideals per factor: the radices of the code stream."""
+    return [
+        count_ideals(1 << (params.m * ent.degree), params.k, params.lam)
+        for ent in factor_data.entries
+    ]
+
+
 def count_codes(params: Params, factor_data: FactorData) -> int:
     """Total number of codes: product of per-factor ideal counts."""
-    total = 1
-    for ent in factor_data.entries:
-        total *= count_ideals(1 << (params.m * ent.degree), params.k, params.lam)
-    return total
+    return math.prod(factor_counts(params, factor_data))
 
 
 def count_submodules_length2(q: int, e: int) -> int:
@@ -142,32 +156,51 @@ def h_space_exponent(params: Params, family: int, s: int, t: int | None) -> int:
     return 0
 
 
-def enumerate_ideals(
-    params: Params, ctx: ChainCtx, factor_index: int = 1
-) -> Iterator[IdealDescriptor]:
-    """Every ideal descriptor for one factor, exactly once, in order."""
+def ideal_blocks(params: Params) -> Iterator[tuple[int, int, int | None]]:
+    """The (family, s, t) blocks of a factor's stream, in stream order.
+
+    Block (family, s, t) holds q^l descriptors, one per residue h mod
+    f^l, with l = h_space_exponent(params, family, s, t).
+    """
     e = params.nilpotency
     two_k = 1 << params.k
     boundary = two_k * (params.lam - 1)
-
     for s in range(boundary):
-        for h in iter_h(ctx, h_space_exponent(params, 1, s, None)):
-            yield IdealDescriptor(factor_index, 1, s, None, h)
+        yield 1, s, None
     for s in range(boundary, e):
-        for h in iter_h(ctx, h_space_exponent(params, 2, s, None)):
-            yield IdealDescriptor(factor_index, 2, s, None, h)
+        yield 2, s, None
     for s in range(e + 1):
-        yield IdealDescriptor(factor_index, 3, s, None, ())
+        yield 3, s, None
     for s in range(e - 1):
-        yield IdealDescriptor(factor_index, 4, s, 1, ())
+        yield 4, s, 1
     for t in range(2, two_k + 1):
         for s in range(e - t):
-            for h in iter_h(ctx, h_space_exponent(params, 5, s, t)):
-                yield IdealDescriptor(factor_index, 5, s, t, h)
+            yield 5, s, t
     for t in range(two_k + 1, e):
         for s in range(e - t):
-            for h in iter_h(ctx, h_space_exponent(params, 6, s, t)):
-                yield IdealDescriptor(factor_index, 6, s, t, h)
+            yield 6, s, t
+
+
+def enumerate_ideals(
+    params: Params, ctx: ChainCtx, factor_index: int = 1, start: int = 0
+) -> Iterator[IdealDescriptor]:
+    """Every ideal descriptor for one factor, exactly once, in order,
+    from the start-th one on.
+
+    The seek skips whole blocks by their size q^l, then starts iter_h
+    at the remaining index inside the block it lands in.
+    """
+    if start < 0:
+        raise ValueError(f"start must be nonnegative, got {start}")
+    for family, s, t in ideal_blocks(params):
+        ell = h_space_exponent(params, family, s, t)
+        size = ctx.q ** ell
+        if start >= size:
+            start -= size
+            continue
+        for h in iter_h(ctx, ell, start):
+            yield IdealDescriptor(factor_index, family, s, t, h)
+        start = 0
 
 
 def ideal_size(params: Params, d: int, desc: IdealDescriptor) -> int:
@@ -268,42 +301,47 @@ def chain_contexts(params: Params, factor_data: FactorData) -> list[ChainCtx]:
         cr.make_chain_ctx(params, ent.f, ent.cofactor) for ent in factor_data.entries
     ]
 
-# Per-factor descriptor lists are cached below this count; above it the
-# stream is regenerated on every pass of the outer product.
-_CACHE_LIMIT = 1 << 17
-
 
 def enumerate_codes(
-    params: Params, factor_data: FactorData, ctxs: list[ChainCtx] | None = None
+    params: Params,
+    factor_data: FactorData,
+    ctxs: list[ChainCtx] | None = None,
+    start: int = 0,
 ) -> Iterator[CodeDescriptor]:
-    """All codes in a fixed order; the last component varies fastest."""
+    """All codes in a fixed order, from the start-th one on.
+
+    Code i is a mixed-radix number whose digits are ideal indices, one
+    per factor, with the factors' ideal counts as radices and the last
+    factor varying fastest.  The seek splits start into these digits;
+    the stream then runs like an odometer: a factor whose stream runs
+    out restarts at index 0 and the factor before it steps forward.
+    """
+    if start < 0:
+        raise ValueError(f"start must be nonnegative, got {start}")
     if ctxs is None:
         ctxs = chain_contexts(params, factor_data)
-
-    factories = []
-    for j, (ent, ctx) in enumerate(zip(factor_data.entries, ctxs), start=1):
-        n_j = count_ideals(1 << (params.m * ent.degree), params.k, params.lam)
-        if n_j <= _CACHE_LIMIT:
-            cached = list(enumerate_ideals(params, ctx, j))
-            factories.append(lambda cached=cached: iter(cached))
-        else:
-            factories.append(
-                lambda params=params, ctx=ctx, j=j: enumerate_ideals(params, ctx, j)
-            )
-
-    def rec(idx: int) -> Iterator[tuple[IdealDescriptor, ...]]:
-        if idx == len(factories) - 1:
-            for d in factories[idx]():
-                yield (d,)
-            return
-        for d in factories[idx]():
-            for rest in rec(idx + 1):
-                yield (d,) + rest
-
-    if not factories:
-        return
-    for combo in rec(0):
-        yield CodeDescriptor(combo)
+    indices = []
+    for radix in reversed(factor_counts(params, factor_data)):
+        start, idx = divmod(start, radix)
+        indices.append(idx)
+    if start or not indices:
+        return  # past the end, or no factors
+    indices.reverse()
+    streams = [
+        enumerate_ideals(params, ctx, j, idx)
+        for j, (ctx, idx) in enumerate(zip(ctxs, indices), start=1)
+    ]
+    current = [next(stream) for stream in streams]
+    while True:
+        yield CodeDescriptor(tuple(current))
+        j = len(streams) - 1
+        while (desc := next(streams[j], None)) is None:
+            if j == 0:
+                return
+            streams[j] = enumerate_ideals(params, ctxs[j], j + 1)
+            current[j] = next(streams[j])
+            j -= 1
+        current[j] = desc
 
 
 # ----------------------------------------------------------------------

@@ -143,6 +143,36 @@ def test_ext_mul_commutative_associative():
 
 
 # ----------------------------------------------------------------------
+# Residue iterator
+# ----------------------------------------------------------------------
+
+def digit_sum(ctx, counter, ell):
+    """Residue number `counter` mod f^ell: sum of its base-q digits times f^i."""
+    acc = pr.P_ZERO
+    for i in range(ell):
+        counter, r = divmod(counter, ctx.q)
+        acc = pr.p_add(ctx.field, acc, pr.p_mul(ctx.field, ctx.digits[r], ctx.f_pows[i]))
+    return acc
+
+
+@pytest.mark.parametrize("field,f,ell", [
+    (F2, (1, 1), 5),            # d=1, q=2
+    (F2, (1, 1, 1), 3),         # d=2, q=4
+    (F4, (2, 1), 3),            # d=1, q=4
+    (F4, (1, 1, 0, 1), 2),      # d=3, q=64
+])
+def test_iter_h_matches_digit_sum(field, f, ell):
+    ctx = cr.make_plain_ctx(field, f, 4)
+    size = ctx.q ** ell
+    full = [digit_sum(ctx, c, ell) for c in range(size)]
+    assert list(cr.iter_h(ctx, ell)) == full
+    for start in sorted({1, ctx.q - 1, ctx.q, ctx.q + 1, size // 2, size - 1, size, size + 5}):
+        assert list(cr.iter_h(ctx, ell, start)) == full[start:], start
+    assert list(cr.iter_h(ctx, 0)) == [pr.P_ZERO]
+    assert list(cr.iter_h(ctx, 0, 1)) == []
+
+
+# ----------------------------------------------------------------------
 # Ideal lattice of the chain ring itself
 # ----------------------------------------------------------------------
 

@@ -6,7 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from constacodes import ambient as amb
 from constacodes import cli
+from constacodes import enumerator as en
 from constacodes import factorizer
 from constacodes import polyring as pr
 
@@ -163,6 +167,19 @@ def test_oracle_dim_cap_env():
     res2 = run_cli("oracle", "--m", "1", "--n", "1",
                    env_extra={"CONSTACODES_ORACLE_DIM_CAP": "8"})
     assert res2.returncode == 2
+    res3 = run_cli("oracle", "--m", "1",
+                   env_extra={"CONSTACODES_ORACLE_DIM_CAP": "abc"})
+    assert res3.returncode == 2
+    assert res3.stderr == ("error: CONSTACODES_ORACLE_DIM_CAP must be an integer, "
+                           "got 'abc'\n")
+
+
+def test_mat_cap_env_named(monkeypatch):
+    monkeypatch.setenv("CONSTACODES_MAT_CAP", "1e6")
+    with pytest.raises(ValueError, match="CONSTACODES_MAT_CAP must be an integer"):
+        amb.materialization_cap()
+    monkeypatch.setenv("CONSTACODES_MAT_CAP", "4096")
+    assert amb.materialization_cap() == 4096
 
 
 def test_selfdual_m1():
@@ -268,6 +285,12 @@ STDOUT_FINGERPRINTS = [
      "2975cbe6175115f006ac8b2bca32fee4dd3b2106729018987ecc0febae23de04"),
     ("selfdual --m 2 --alpha 2",
      "50f0ce5d63da73f2fddfa0e0eb2a57f4e60bb7cd9e29a60f2b1124872841a9bb"),
+    # Deep seeks; the second window crosses the point where factor 3
+    # (18125649 ideals) starts over and factor 2 steps forward.
+    ("enumerate --m 2 --n 7 --offset 5000000 --limit 10",
+     "c5761bb6bc8a6093fbfc89340ca32b109859d416ada7fa03453ae697c7fa84d9"),
+    ("enumerate --m 2 --n 7 --offset 18125645 --limit 10",
+     "d459e71234814953f8e4c08249d604cf327c7933446ca7c67edf6aae5af3b258"),
 ]
 
 
@@ -276,3 +299,23 @@ def test_stdout_fingerprints(tmp_path):
         out = tmp_path / f"{i}.out"
         assert cli.main(invocation.split() + ["--out", str(out)]) == 0, invocation
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, invocation
+
+
+def test_enumerate_offset_is_a_seek(monkeypatch, tmp_path):
+    # Walking to the offset would build about 10^5 descriptors; a seek
+    # builds one per factor plus one per further code.
+    built = []
+    real = en.IdealDescriptor
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(en, "IdealDescriptor", counted)
+    out = tmp_path / "page.json"
+    argv = ["enumerate", "--m", "2", "--n", "7", "--offset", "100000", "--limit", "10"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    r = len(doc["codes"][0]["components"])
+    assert len(doc["codes"]) == 10
+    assert len(built) <= 10 + r

@@ -32,6 +32,10 @@ def test_count_789():
 @pytest.mark.parametrize("lam", [2, 3])
 def test_sum_equals_closed_form(q, k, lam):
     assert en.count_ideals_sum_form(q, k, lam) == en.count_ideals_closed_form(q, k, lam)
+    # The seek's block sizes q^l add up to the same count.
+    p = Params(1, 1, k, lam, 1, 1)
+    blocks = sum(q ** en.h_space_exponent(p, fam, s, t) for fam, s, t in en.ideal_blocks(p))
+    assert blocks == en.count_ideals_sum_form(q, k, lam)
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
@@ -274,6 +278,68 @@ def test_code_sizes_divide_ring_size(p1322, fd1322):
     full = (1 << p1322.m) ** (p1322.u_exp * p1322.length)
     for code in itertools.islice(en.enumerate_codes(p1322, fd1322), 500):
         assert full % en.code_size(p1322, fd1322, code) == 0
+
+
+# ----------------------------------------------------------------------
+# Seeking: a stream can start at any index
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+def test_enumerate_ideals_seek_equals_tail(m, n):
+    p = Params(m, n, 2, 2, 1, 1)
+    fd = build_factor_data(p)
+    ctx = en.chain_contexts(p, fd)[0]
+    full = list(en.enumerate_ideals(p, ctx, 1))
+    for i in range(len(full) + 3):
+        assert list(en.enumerate_ideals(p, ctx, 1, i)) == full[i:], i
+    # The blocks the seek skips are the stream's own runs, in order.
+    runs = [(fam, s, t) for (fam, s, t), _ in
+            itertools.groupby(full, key=lambda d: (d.family, d.s, d.t))]
+    assert runs == list(en.ideal_blocks(p))
+    sizes = Counter((d.family, d.s, d.t) for d in full)
+    for fam, s, t in en.ideal_blocks(p):
+        assert sizes[fam, s, t] == ctx.q ** en.h_space_exponent(p, fam, s, t)
+
+
+def test_enumerate_codes_seek_equals_window(p1322, fd1322, ctxs1322):
+    full = list(en.enumerate_codes(p1322, fd1322, ctxs1322))
+    total = len(full)
+    starts = random.Random(17).sample(range(total), 30)
+    starts += [0, 788, 789, 790, total - 1, total, total + 7]
+    for i in starts:
+        window = itertools.islice(en.enumerate_codes(p1322, fd1322, ctxs1322, i), 50)
+        assert list(window) == full[i:i + 50], i
+    assert list(en.enumerate_codes(p1322, fd1322, ctxs1322, total)) == []
+    assert list(en.enumerate_codes(p1322, fd1322, ctxs1322, total + 7)) == []
+
+
+def test_enumerate_codes_seek_is_mixed_radix():
+    # Three factors of 789 ideals each: code i has ideal indices
+    # (i // 789^2, i // 789 % 789, i % 789).  The windows cross points
+    # where one and where two factors start over.
+    p = Params(2, 3, 2, 2, 1, 1)
+    fd = build_factor_data(p)
+    ctxs = en.chain_contexts(p, fd)
+    ideals = [list(en.enumerate_ideals(p, ctx, j)) for j, ctx in enumerate(ctxs, 1)]
+    radix = [len(x) for x in ideals]
+    assert radix == [789, 789, 789]
+    total = en.count_codes(p, fd)
+    for i in [0, 789 - 3, 789 * 789 - 3, 5 * 789 * 789 + 788, total - 3]:
+        expected = []
+        for j in range(i, min(i + 6, total)):
+            idx = (j // (789 * 789), j // 789 % 789, j % 789)
+            expected.append(en.CodeDescriptor(tuple(x[a] for x, a in zip(ideals, idx))))
+        window = itertools.islice(en.enumerate_codes(p, fd, ctxs, i), 6)
+        assert list(window) == expected, i
+
+
+def test_negative_start_rejected(p1322, fd1322, ctxs1322):
+    with pytest.raises(ValueError):
+        next(en.enumerate_codes(p1322, fd1322, ctxs1322, -1))
+    with pytest.raises(ValueError):
+        next(en.enumerate_ideals(p1322, ctxs1322[0], 1, -1))
+    with pytest.raises(ValueError):
+        next(en.iter_h(ctxs1322[0], 2, -1))
 
 
 def test_code_generators_bound(p1322, fd1322, ctxs1322):
