@@ -3,7 +3,9 @@
 With delta = 1 the shift unit 1 + alpha*u^2 is its own inverse, so a
 code and its dual live in the same ambient ring and self-duality is
 well posed.  There are exactly 1 + 2^m + 2*4^m self-dual codes; each is
-verified here against the raw-orthogonality dual.
+verified here against its dual.  The dual of an ideal comes from the
+trace form Tr(top u-digit of <x, y>), a generating character of R; the
+tests cross-check it against the R-valued inner product.
 
 Run:  PYTHONPATH=src python demos/06_self_dual.py
 """

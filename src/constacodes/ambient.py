@@ -19,7 +19,8 @@ For oracle work the word side is flattened to GF(2) vectors packed in
 ints (D = m * 2*lam * N bits).  An ideal is then an xor-closed set
 stable under three linear operators: multiply-by-x (the constacyclic
 shift), multiply-by-u, and (for m > 1) multiply by a field generator.
-brute_force_ideals finds every ideal of the word ring from scratch:
+Duals of ideals come from the GF(2) trace form, also kept in matrix
+form.  brute_force_ideals finds every ideal of the word ring from scratch:
 close each single element under the operators, deduplicate by reduced
 echelon basis, then close the family under pairwise ideal sums.  It
 never consults the descriptor enumeration, which is what makes it an
@@ -244,7 +245,8 @@ def rp_pow(params: Params, a: RPoly, e: int) -> RPoly:
     return r
 
 def inner_product(params: Params, a: RPoly, b: RPoly) -> RElem:
-    """R-valued Euclidean inner product of two words."""
+    """R-valued Euclidean inner product of two words (the tests' reference
+    for dual_bit_basis, which works from the trace form)."""
     F = params.field
     acc = (0,) * params.u_exp
     for x, y in zip(a, b):
@@ -315,20 +317,30 @@ def psi_inverse(params: Params, word: RPoly) -> AmbientElem:
 
 class BitSpace:
     """The word ring as a GF(2) vector space of dimension m * 2*lam * N,
-    with the three multiplication operators in matrix form."""
+    with the three multiplication operators in matrix form (ops) and the
+    Gram matrix of the trace form (form)."""
 
     def __init__(self, params: Params) -> None:
-        self.m = params.m
-        self.w = params.u_exp
+        F = params.field
+        m = self.m = params.m
+        w = self.w = params.u_exp
         self.N = params.length
-        self.dim = self.m * self.w * self.N
+        self.dim = m * w * self.N
         ops = [
             self._linearize(lambda v: rp_mul_x(params, v)),
             self._linearize(lambda v: rp_mul_u(params, v)),
         ]
-        if self.m > 1:
+        if m > 1:
             ops.append(self._linearize(lambda v: rp_scale(params, v, 2)))
         self.ops = ops
+        # B(x, y) = Tr(top u-digit of <x, y>): coefficient i pairs only
+        # with itself, u-digit t only with w-1-t, and field bit a with
+        # field bit b through Tr(y^a * y^b).
+        tr = [sum(F.trace(F.mul(1 << a, 1 << b)) << b for b in range(m)) for a in range(m)]
+        self.form = [
+            tr[a] << ((i * w + w - 1 - t) * m)
+            for i in range(self.N) for t in range(w) for a in range(m)
+        ]
 
     # bit layout: bit (i*w + t)*m + b  <=>  coefficient i, u-digit t, field bit b
     def to_bits(self, word: RPoly) -> int:
@@ -397,18 +409,8 @@ class BitSpace:
         return tuple(sorted(rows.values(), reverse=True))
 
     def is_invariant(self, basis: tuple[int, ...]) -> bool:
-        rows: dict[int, int] = {}
-        for v in basis:
-            self._insert(rows, v)
-        for v in basis:
-            for op in self.ops:
-                w = self.apply(op, v)
-                for lead, row in rows.items():
-                    if (w >> lead) & 1:
-                        w ^= row
-                if w:
-                    return False
-        return True
+        """Whether the span of basis is operator-stable, i.e. an ideal."""
+        return self.closure(basis) == self.rref(basis)
 
     @staticmethod
     def span(basis: tuple[int, ...]) -> Iterator[int]:
@@ -440,13 +442,6 @@ class IdealSet:
     @property
     def size(self) -> int:
         return 1 << len(self.basis)
-
-    def contains(self, v: int) -> bool:
-        for row in self.basis:
-            lead = row.bit_length() - 1
-            if (v >> lead) & 1:
-                v ^= row
-        return v == 0
 
 
 # ----------------------------------------------------------------------
@@ -580,7 +575,11 @@ def brute_force_ideals(params: Params, dim_cap: int | None = None) -> list[Ideal
     return [IdealSet(b) for b in sorted(found, key=lambda b: (len(b), b))]
 
 
-def recover_generators(params: Params, ideal: IdealSet, scan_limit: int = 1 << 16) -> list[int]:
+# Span vectors tried as a second generator before the greedy search gives up.
+_SCAN_LIMIT = 1 << 16
+
+
+def recover_generators(params: Params, ideal: IdealSet) -> list[int]:
     """A generating set of at most two elements, found greedily."""
     if not ideal.basis:
         return []
@@ -598,73 +597,49 @@ def recover_generators(params: Params, ideal: IdealSet, scan_limit: int = 1 << 1
         if w and bs.closure((best, w)) == ideal.basis:
             return [best, w]
         scanned += 1
-        if scanned > scan_limit:
+        if scanned > _SCAN_LIMIT:
             break
     raise ArithmeticError("no two-element generating set found by greedy search")
 
 
 # ----------------------------------------------------------------------
-# Dual codes via raw orthogonality
+# Dual codes via the trace form
 # ----------------------------------------------------------------------
 
-def _code_basis_from_words(params: Params, words: Iterable[RPoly]) -> tuple[int, ...]:
-    bs = bit_space(params)
-    return bs.rref(bs.to_bits(w) for w in words)
-
-
 def dual_bit_basis(params: Params, code_basis: tuple[int, ...]) -> tuple[int, ...]:
-    """RREF basis of the orthogonal complement under the R-valued form."""
+    """RREF basis of the dual of an ideal under the R-valued inner product.
+
+    B(x, y) = Tr(top u-digit of <x, y>) is a generating character of R
+    (it is nonzero on the minimal ideal u^(2*lam-1)R), so for an ideal C,
+    x is orthogonal to all of C iff B(x, c) = 0 for every c in C (Wood,
+    Amer. J. Math. 121, 1999).  The dual is the GF(2) kernel of the rows
+    form*c over the basis of C.  Raises ValueError if the span is not an
+    ideal, where the two duals differ.
+    """
     bs = bit_space(params)
-    F = params.field
-    m, w = params.m, params.u_exp
-    unit_words = [bs.from_bits(1 << b) for b in range(bs.dim)]
-    rows = []
-    for bvec in code_basis:
-        b_rp = bs.from_bits(bvec)
-        per_bit = [inner_product(params, unit_words[b], b_rp) for b in range(bs.dim)]
-        for t in range(w):
-            for fb in range(m):
-                row = 0
-                for b in range(bs.dim):
-                    if (per_bit[b][t] >> fb) & 1:
-                        row |= 1 << b
-                if row:
-                    rows.append(row)
-    kernel = _gf2_nullspace(rows, bs.dim)
-    return bs.rref(kernel)
-
-
-def _gf2_nullspace(rows: list[int], ncols: int) -> list[int]:
+    if not bs.is_invariant(code_basis):
+        raise ValueError("dual_bit_basis: the span is not an ideal")
     pivots: dict[int, int] = {}
-    for row in rows:
-        for c, r in pivots.items():
-            if (row >> c) & 1:
-                row ^= r
-        if row:
-            c = row.bit_length() - 1
-            for c2 in list(pivots):
-                if (pivots[c2] >> c) & 1:
-                    pivots[c2] ^= row
-            pivots[c] = row
+    for c in code_basis:
+        BitSpace._insert(pivots, bs.apply(bs.form, c))
     kernel = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        v = 1 << c
-        for pc, prow in pivots.items():
-            if (prow >> c) & 1:
-                v |= 1 << pc
-        kernel.append(v)
-    return kernel
+    for col in range(bs.dim):
+        if col not in pivots:
+            v = 1 << col
+            for lead, row in pivots.items():
+                if (row >> col) & 1:
+                    v |= 1 << lead
+            kernel.append(v)
+    return bs.rref(kernel)
 
 
 def dual_code(
     params: Params, codewords: Iterable[RPoly], cap: int | None = None
 ) -> set[RPoly]:
-    """All words orthogonal to the given code, with the size law checked."""
+    """All words orthogonal to the given ideal, with the size law checked."""
     cap = materialization_cap() if cap is None else cap
     bs = bit_space(params)
-    code_basis = _code_basis_from_words(params, codewords)
+    code_basis = bs.rref(bs.to_bits(w) for w in codewords)
     dual_basis = dual_bit_basis(params, code_basis)
     if (1 << len(dual_basis)) > cap:
         raise ValueError("dual materialization exceeds the cap")

@@ -5,7 +5,8 @@ JSON (schema field = 1) except `enumerate --format csv`, which emits a
 flat descriptor table.  Exit codes: 0 success, also when the reader of
 stdout closes the pipe early; 1 verification mismatch or a failed
 internal certificate; 2 invalid input, including an --out path that
-cannot be opened.
+cannot be opened, and an output (stdout or --out) that cannot be
+written.
 
 The oracle's dimension cap is --oracle-dim-cap or, without that flag,
 the environment variable CONSTACODES_ORACLE_DIM_CAP.  The library's
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -112,27 +114,19 @@ def cmd_factor(args) -> int:
 def cmd_count(args) -> int:
     params = _make_params(args)
     fd = build_factor_data(params, rng=random.Random(args.seed))
-    per_factor = []
-    total_sum = 1
-    total_closed = 1
-    for ent in fd.entries:
-        q = 1 << (params.m * ent.degree)
-        s = en.count_ideals_sum_form(q, params.k, params.lam)
-        c = en.count_ideals_closed_form(q, params.k, params.lam)
-        if s != c:
-            print(f"count mismatch at factor degree {ent.degree}: {s} != {c}",
-                  file=sys.stderr)
-            return 1
-        per_factor.append({"degree": ent.degree, "count": str(s)})
-        total_sum *= s
-        total_closed *= c
+    # factor_counts raises ArithmeticError unless both count forms agree
+    # on every factor, so the two totals are one product.
+    counts = en.factor_counts(params, fd)
+    total = str(math.prod(counts))
     doc = {
         "schema": SCHEMA,
         "params": params.as_dict(),
-        "per_factor": per_factor,
-        "count_sum_form": str(total_sum),
-        "count_closed_form": str(total_closed),
-        "count": str(total_sum),
+        "per_factor": [
+            {"degree": ent.degree, "count": str(c)} for ent, c in zip(fd.entries, counts)
+        ],
+        "count_sum_form": total,
+        "count_closed_form": total,
+        "count": total,
     }
     with _open_out(args) as out:
         out.write(_dump(doc) + "\n")
@@ -264,6 +258,14 @@ _DISPATCH = {
 }
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout at devnull, so that the interpreter's own flush at
+    exit does not raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -279,12 +281,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
-        # The reader has all it wanted.  Point stdout at devnull so the
-        # interpreter's own flush at exit does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The reader has all it wanted.
+        _stdout_to_devnull()
         return 0
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # With --out, stdout holds nothing of ours and is left alone.
+        if not args.out:
+            _stdout_to_devnull()
+        return 2
 
 
 def entry() -> None:

@@ -249,6 +249,14 @@ class GF2m:
             return self._exp[(self._log[a] * e) % n1]
         return self._pow_raw(a, e)
 
+    def trace(self, a: int) -> int:
+        """Absolute trace a + a^2 + a^4 + ... + a^(2^(m-1)), 0 or 1."""
+        t = 0
+        for _ in range(self.m):
+            t ^= a
+            a = self.mul(a, a)
+        return t
+
     # -- square roots and 2^k-th roots ---------------------------------
 
     def sqrt(self, a: int) -> int:

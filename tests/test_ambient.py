@@ -7,6 +7,7 @@ from constacodes.gf2m import GF2m
 from constacodes import ambient as amb
 from constacodes import enumerator as en
 from constacodes import polyring as pr
+from constacodes.factorizer import build_factor_data
 from constacodes.params import Params
 
 
@@ -108,18 +109,48 @@ def test_roundtrip_and_hom_wider_u_space():
 
 
 def test_dual_rank_law_multifactor(p1322, fd1322, ctxs1322):
-    # no materialization at dimension 48: rank of code + rank of dual = 48
-    bs = amb.bit_space(p1322)
+    # No materialization at dimension 48.  Every dual row is R-orthogonal
+    # to every code row, so the dual lies in the orthogonal complement;
+    # with rank of code + rank of dual = 48 it is the whole complement.
+    p3 = Params(3, 1, 2, 2, 1, 1)
+    fd3 = build_factor_data(p3)
+    cases = [(p1322, fd1322, ctxs1322), (p3, fd3, en.chain_contexts(p3, fd3))]
     rng = random.Random(61)
-    codes = list(itertools.islice(en.enumerate_codes(p1322, fd1322, ctxs1322), 2000))
-    for code in rng.sample(codes, 8):
-        basis = amb.code_bit_basis(p1322, fd1322, code, ctxs1322).basis
-        dual = amb.dual_bit_basis(p1322, basis)
-        assert len(basis) + len(dual) == bs.dim
-        # orthogonality of a sampled pair
-        w = bs.from_bits(dual[0]) if dual else amb.rp_zero(p1322)
-        c = bs.from_bits(basis[0]) if basis else amb.rp_zero(p1322)
-        assert amb.inner_product(p1322, w, c) == (0,) * p1322.u_exp
+    for p, fd, ctxs in cases:
+        bs = amb.bit_space(p)
+        zero = (0,) * p.u_exp
+        codes = list(itertools.islice(en.enumerate_codes(p, fd, ctxs), 2000))
+        for code in rng.sample(codes, 8):
+            basis = amb.code_bit_basis(p, fd, code, ctxs).basis
+            dual = amb.dual_bit_basis(p, basis)
+            assert len(basis) + len(dual) == bs.dim
+            code_words = [bs.from_bits(c) for c in basis]
+            for d in dual:
+                w = bs.from_bits(d)
+                assert all(amb.inner_product(p, w, c) == zero for c in code_words)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 1), (1, 3)])
+def test_trace_form_matches_inner_product(m, n):
+    # B(x, y) read from the Gram matrix is the trace of the top u-digit
+    # of the R-valued inner product.
+    p = Params(m, n, 2, 2, 1, 1)
+    F = p.field
+    bs = amb.bit_space(p)
+    rng = random.Random(67)
+    for _ in range(200):
+        x, y = rng.getrandbits(bs.dim), rng.getrandbits(bs.dim)
+        bit = bin(bs.apply(bs.form, x) & y).count("1") & 1
+        top = amb.inner_product(p, bs.from_bits(x), bs.from_bits(y))[-1]
+        assert bit == F.trace(top)
+
+
+def test_dual_rejects_non_ideal(p1122):
+    bs = amb.bit_space(p1122)
+    with pytest.raises(ValueError, match="not an ideal"):
+        amb.dual_bit_basis(p1122, bs.rref([1]))
+    with pytest.raises(ValueError, match="not an ideal"):
+        amb.dual_code(p1122, [amb.rp_zero(p1122), bs.from_bits(1)])
 
 
 def test_mul_x_wraps_with_gamma(p1122):

@@ -228,6 +228,34 @@ def test_unopenable_out_exit_2(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_count_forms_disagree_exit_1(monkeypatch, capsys):
+    real = en.count_ideals_closed_form
+    monkeypatch.setattr(en, "count_ideals_closed_form",
+                        lambda q, k, lam: real(q, k, lam) + 1)
+    assert cli.main(["count", "--m", "1", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: count forms disagree")
+
+
+def test_unwritable_out_exit_2():
+    res = run_cli("count", "--m", "1", "--out", "/dev/full")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: cannot write output")
+    assert res.stderr.count("\n") == 1
+
+
+def test_unwritable_stdout_exit_2():
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(
+            [sys.executable, "-m", "constacodes.cli", "count", "--m", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env(),
+        )
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: cannot write output")
+    assert res.stderr.count("\n") == 1
+
+
 def test_closed_pipe_exit_0():
     proc = subprocess.Popen(
         [sys.executable, "-m", "constacodes.cli", "enumerate", "--m", "1", "--n", "3",
@@ -285,6 +313,10 @@ STDOUT_FINGERPRINTS = [
      "2975cbe6175115f006ac8b2bca32fee4dd3b2106729018987ecc0febae23de04"),
     ("selfdual --m 2 --alpha 2",
      "50f0ce5d63da73f2fddfa0e0eb2a57f4e60bb7cd9e29a60f2b1124872841a9bb"),
+    ("selfdual --m 3",
+     "de0ec167b3f44bcfd04bf96deba75cc04db12b13d4bd9e865295d0ed0df09388"),
+    ("selfdual --m 3 --alpha 5",
+     "d609afdce6df3706a1eac3b0e4c0cd70d8f186ed64d258facc96d6393ecd101a"),
     # Deep seeks; the second window crosses the point where factor 3
     # (18125649 ideals) starts over and factor 2 steps forward.
     ("enumerate --m 2 --n 7 --offset 5000000 --limit 10",

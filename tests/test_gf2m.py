@@ -152,3 +152,18 @@ def test_root_2k_exhaustive(m):
 def test_root_2k_rejects_zero():
     with pytest.raises(ValueError):
         GF2m(3).root_2k(0, 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 13])
+def test_trace(m):
+    # m=13 has no log tables, so its trace runs on the raw multiply.
+    F = GF2m(m)
+    rng = random.Random(71 + m)
+    elems = list(F.elements()) if m <= 3 else [rng.randrange(F.order) for _ in range(300)]
+    for a in elems:
+        b = rng.randrange(F.order)
+        assert F.trace(a) in (0, 1)
+        assert F.trace(a ^ b) == F.trace(a) ^ F.trace(b)
+        assert F.trace(F.mul(a, a)) == F.trace(a)
+    assert F.trace(0) == 0
+    assert F.trace(1) == m % 2
