@@ -3,7 +3,8 @@
 Every code of length 2^k*n over GF(2^m)[u]/<u^(2*lam)> with shift unit
 delta + alpha*u^2 is a product of per-factor ideals drawn from six
 families; counts come out of two closed formulas that must agree, and
-the code stream can start at any index.
+the code stream can start at any index.  A count needs only the factor
+degrees, and cyclotomic cosets give those without factoring.
 
 Run:  PYTHONPATH=src python demos/04_enumerate_and_count.py
 """
@@ -12,7 +13,7 @@ import itertools
 from collections import Counter
 
 from constacodes import enumerator as en
-from constacodes.factorizer import build_factor_data
+from constacodes.factorizer import build_factor_data, factor_degrees
 from constacodes.params import Params
 
 # The fully checkable case: length 4 over GF(2)[u]/<u^4>.
@@ -48,7 +49,10 @@ p7 = Params(m=2, n=7, k=2, lam=2, delta=1, alpha=1)
 fd7 = build_factor_data(p7)
 offset = 18125645
 print("\nlength 28 over GF(4)[u]/<u^4>:", en.count_codes(p7, fd7), "codes")
-print("ideals per factor:", en.factor_counts(p7, fd7))
+degrees = [ent.degree for ent in fd7.entries]
+print("factor degrees:", degrees,
+      "from cosets:", factor_degrees(p7.field, p7.n, p7.delta_root))
+print("ideals per factor:", en.factor_counts(p7, degrees))
 print(f"from code {offset}:")
 for i, code in enumerate(itertools.islice(en.enumerate_codes(p7, fd7, start=offset), 6), offset):
     print(f"  {i}:", [(c.family, c.s, c.t, c.h) for c in code.components])

@@ -11,12 +11,17 @@ written.
 The oracle's dimension cap is --oracle-dim-cap or, without that flag,
 the environment variable CONSTACODES_ORACLE_DIM_CAP.  The library's
 materialization cap, CONSTACODES_MAT_CAP, has no flag.
+
+`count` factors nothing: it reads the factor degrees off cyclotomic
+cosets (factorizer.factor_degrees).  Counts and sizes print in full,
+however many digits they have.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -27,7 +32,7 @@ from typing import ContextManager, IO
 
 from . import ambient as amb
 from . import enumerator as en
-from .factorizer import build_factor_data
+from .factorizer import build_factor_data, factor_degrees
 from .params import Params
 
 SCHEMA = 1
@@ -43,7 +48,8 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=int, default=1, help="shift constant alpha (default 1)")
     parser.add_argument("--reduction", type=int, default=None,
                         help="override the field reduction polynomial (packed bits)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for the factorizer RNG")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for the factorizer RNG; count ignores it")
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
 
@@ -77,6 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first main() call."""
+    return build_parser()
+
+
 def _make_params(args) -> Params:
     return Params(args.m, args.n, args.k, args.lam, args.delta, args.alpha,
                   reduction=args.reduction)
@@ -96,6 +108,20 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _decimal(x: int, width: int = 0) -> str:
+    """Decimal digits of x >= 0, zero-padded to width.
+
+    str(x) refuses ints over sys.get_int_max_str_digits() digits (4300
+    by default); halving x by a power of ten keeps every str() call far
+    below that without touching the process-wide limit.
+    """
+    half = x.bit_length() * 3 // 20  # about half the digit count
+    if half < 1000:
+        return str(x).zfill(width)
+    hi, lo = divmod(x, 10**half)
+    return _decimal(hi, width - half) + _decimal(lo, half)
+
+
 def cmd_factor(args) -> int:
     params = _make_params(args)
     fd = build_factor_data(params, rng=random.Random(args.seed))
@@ -113,16 +139,18 @@ def cmd_factor(args) -> int:
 
 def cmd_count(args) -> int:
     params = _make_params(args)
-    fd = build_factor_data(params, rng=random.Random(args.seed))
+    # Sorted degrees list the factors in the order factor_xn_delta
+    # gives them, which is sorted by degree first.
+    degrees = factor_degrees(params.field, params.n, params.delta_root)
     # factor_counts raises ArithmeticError unless both count forms agree
     # on every factor, so the two totals are one product.
-    counts = en.factor_counts(params, fd)
-    total = str(math.prod(counts))
+    counts = en.factor_counts(params, degrees)
+    total = _decimal(math.prod(counts))
     doc = {
         "schema": SCHEMA,
         "params": params.as_dict(),
         "per_factor": [
-            {"degree": ent.degree, "count": str(c)} for ent, c in zip(fd.entries, counts)
+            {"degree": d, "count": _decimal(c)} for d, c in zip(degrees, counts)
         ],
         "count_sum_form": total,
         "count_closed_form": total,
@@ -147,7 +175,7 @@ def cmd_enumerate(args) -> int:
         if args.format == "csv":
             out.write("index,factor,family,s,t,h,size\n")
             for idx, code in enumerate(window, start=args.offset):
-                size = en.code_size(params, fd, code)
+                size = _decimal(en.code_size(params, fd, code))
                 for comp in code.components:
                     h = ";".join(str(x) for x in comp.h)
                     t = "" if comp.t is None else comp.t
@@ -158,7 +186,7 @@ def cmd_enumerate(args) -> int:
             % (
                 SCHEMA,
                 _dump(params.as_dict()),
-                total,
+                _decimal(total),
                 args.offset,
                 "null" if args.limit is None else str(args.limit),
             )
@@ -166,7 +194,7 @@ def cmd_enumerate(args) -> int:
         first = True
         for code in window:
             entry = {
-                "size": str(en.code_size(params, fd, code)),
+                "size": _decimal(en.code_size(params, fd, code)),
                 "components": [c.as_dict() for c in code.components],
             }
             if args.with_generators:
@@ -205,7 +233,7 @@ def cmd_oracle(args) -> int:
         "ideals": [
             {
                 "dim": i.dim,
-                "size": str(i.size),
+                "size": _decimal(i.size),
                 "generators": [hex(g) for g in amb.recover_generators(params, i)],
             }
             for i in ideals
@@ -225,7 +253,7 @@ def cmd_selfdual(args) -> int:
     all_ok = True
     for code in codes:
         entry = {
-            "size": str(en.code_size(params, fd, code)),
+            "size": _decimal(en.code_size(params, fd, code)),
             "components": [c.as_dict() for c in code.components],
         }
         if args.verify:
@@ -267,8 +295,7 @@ def _stdout_to_devnull() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         status = _DISPATCH[args.cmd](args)
         # Flush here so a closed pipe raises inside this try, not at exit.

@@ -120,17 +120,15 @@ def count_ideals(q: int, k: int, lam: int) -> int:
     return s
 
 
-def factor_counts(params: Params, factor_data: FactorData) -> list[int]:
-    """Number of ideals per factor: the radices of the code stream."""
-    return [
-        count_ideals(1 << (params.m * ent.degree), params.k, params.lam)
-        for ent in factor_data.entries
-    ]
+def factor_counts(params: Params, degrees: list[int]) -> list[int]:
+    """Number of ideals per factor, from the factor degrees: the radices
+    of the code stream."""
+    return [count_ideals(1 << (params.m * d), params.k, params.lam) for d in degrees]
 
 
 def count_codes(params: Params, factor_data: FactorData) -> int:
     """Total number of codes: product of per-factor ideal counts."""
-    return math.prod(factor_counts(params, factor_data))
+    return math.prod(factor_counts(params, [ent.degree for ent in factor_data.entries]))
 
 
 def count_submodules_length2(q: int, e: int) -> int:
@@ -320,8 +318,9 @@ def enumerate_codes(
         raise ValueError(f"start must be nonnegative, got {start}")
     if ctxs is None:
         ctxs = chain_contexts(params, factor_data)
+    degrees = [ent.degree for ent in factor_data.entries]
     indices = []
-    for radix in reversed(factor_counts(params, factor_data)):
+    for radix in reversed(factor_counts(params, degrees)):
         start, idx = divmod(start, radix)
         indices.append(idx)
     if start or not indices:

@@ -16,6 +16,15 @@ modulus M = (x^n + c)^e with e = 2^k * lam and the idempotents
 are built on first use and certified in linear size (see
 FactorData.idempotents); the tests keep the exhaustive pairwise check
 of eps_j^2 = eps_j and eps_j * eps_l = 0.
+
+Counting needs only the factor degrees, and factor_degrees finds them
+without factoring.  Let q = 2^m and t = ord(c).  The roots of x^n + c
+are zeta^b for a primitive (n*t)-th root of unity zeta and the n
+exponents b = 1 + t*j, 0 <= j < n.  The minimal polynomial of zeta^b
+has degree |{b * q^i mod n*t}|, the size of the q-cyclotomic coset of
+b, and q = 1 (mod t) keeps every such coset inside the set of the b.
+So the degrees are the sizes of the cosets that partition that set
+(Huffman and Pless, Fundamentals of Error-Correcting Codes, 4.1).
 """
 
 from __future__ import annotations
@@ -117,6 +126,38 @@ def factor_xn_delta(
     if prod != target:
         raise ArithmeticError("factor product does not reassemble the input")
     return [(f, pr.deg(f)) for f in factors]
+
+
+def factor_degrees(F: GF2m, n: int, c: int) -> list[int]:
+    """Degrees of the irreducible factors of x^n + c, sorted, from the
+    q-cyclotomic cosets of the exponents 1 + t*j modulo n*t, t = ord(c).
+
+    Integer arithmetic only: n coset steps after the order of c.  The
+    bookkeeping is indexed by j, so it has size n, not n*t.
+    """
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"n must be odd, got {n}")
+    if not 0 < c < F.order:
+        raise ValueError(f"c must be a nonzero element of GF(2^{F.m}), got {c}")
+    q = F.order
+    t = q - 1
+    for p in _factor_int(q - 1):
+        while t % p == 0 and F.pow(c, t // p) == 1:
+            t //= p
+    mod = n * t
+    seen = bytearray(n)
+    degrees = []
+    for j in range(n):
+        if seen[j]:
+            continue
+        d = 0
+        b = 1 + t * j
+        while not seen[(b - 1) // t]:
+            seen[(b - 1) // t] = 1
+            d += 1
+            b = b * q % mod
+        degrees.append(d)
+    return sorted(degrees)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from constacodes import cli
 from constacodes import enumerator as en
 from constacodes import factorizer
 from constacodes import polyring as pr
+from constacodes.params import Params
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -323,6 +324,12 @@ STDOUT_FINGERPRINTS = [
      "c5761bb6bc8a6093fbfc89340ca32b109859d416ada7fa03453ae697c7fa84d9"),
     ("enumerate --m 2 --n 7 --offset 18125645 --limit 10",
      "d459e71234814953f8e4c08249d604cf327c7933446ca7c67edf6aae5af3b258"),
+    # Counts from cyclotomic cosets; the first has 4934 digits.  Digests
+    # from the factorizing count, with Python's digit limit lifted.
+    ("count --m 1 --n 4095",
+     "03efc037f0e08537db1ad7e1692528775e3c07671def4d01cc3c69f313bcca03"),
+    ("count --m 8 --n 255 --delta 3",
+     "ca9d0ca7b3e6f72a40dea25e68a7cf07dd3e5be816e19df6651c2d2702234cea"),
 ]
 
 
@@ -351,3 +358,80 @@ def test_enumerate_offset_is_a_seek(monkeypatch, tmp_path):
     r = len(doc["codes"][0]["components"])
     assert len(doc["codes"]) == 10
     assert len(built) <= 10 + r
+
+
+def _unlimited_str(x):
+    """str(x) with Python's digit limit lifted for the call (3.10.7+)."""
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:
+        return str(x)
+    old = sys.get_int_max_str_digits()
+    setter(0)
+    try:
+        return str(x)
+    finally:
+        setter(old)
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+BIG = ["--m", "1", "--n", "127", "--k", "5", "--lambda", "8"]
+
+
+def test_count_over_digit_limit(tmp_path):
+    out = tmp_path / "count.json"
+    limit = _digit_limit()
+    assert cli.main(["count", *BIG, "--out", str(out)]) == 0
+    assert _digit_limit() == limit
+    params = Params(1, 127, 5, 8, 1, 1)
+    expect = _unlimited_str(en.count_codes(params, factorizer.build_factor_data(params)))
+    assert len(expect) > 4300
+    doc = json.loads(out.read_text())
+    assert doc["count"] == doc["count_sum_form"] == doc["count_closed_form"] == expect
+
+
+def test_enumerate_over_digit_limit(tmp_path):
+    out = tmp_path / "page.json"
+    limit = _digit_limit()
+    assert cli.main(["enumerate", *BIG, "--limit", "1", "--out", str(out)]) == 0
+    assert _digit_limit() == limit
+    doc = json.loads(out.read_text())
+    assert len(doc["total"]) > 4300
+    assert len(doc["codes"]) == 1
+    # the first code is family 1 with s = 0 on every factor: 2^(m*n*e) words
+    assert doc["codes"][0]["size"] == _unlimited_str(1 << (127 * 256))
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    # Usage lines wrap at the terminal width; pin it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    argvs = [
+        ["count", "--m", "1", "--n", "3"],
+        ["count", "--m", "1", "--threads", "2"],
+        ["enumerate", "--m", "1", "--n", "3", "--offset", "7", "--limit", "2"],
+        ["count", "--m", "1", "--delta", "0"],
+        ["count", "--n", "3"],
+        ["factor", "--m", "2", "--n", "3", "--delta", "2"],
+        ["count", "--m", "1", "--n", "3"],
+    ]
+    for argv in argvs:
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv, env_extra={"COLUMNS": "80"})
+        assert (status, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert len(built) == 1

@@ -1,12 +1,14 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
-from constacodes.gf2m import GF2m
+from constacodes.gf2m import GF2m, _factor_int
 from constacodes import polyring as pr
 from constacodes.factorizer import (
     build_factor_data,
+    factor_degrees,
     factor_xn_delta,
     is_irreducible,
 )
@@ -167,3 +169,83 @@ def test_certificate_rejects_corrupted_cofactor(corrupt, message):
     broken = dataclasses.replace(fd, entries=(bad,) + fd.entries[1:])
     with pytest.raises(ArithmeticError, match=message):
         broken.idempotents
+
+
+# ----------------------------------------------------------------------
+# Factor degrees from cyclotomic cosets, against the factorizer
+# ----------------------------------------------------------------------
+
+def _generator(F):
+    """A generator of the multiplicative group, found by its order."""
+    q1 = F.order - 1
+    return next(g for g in range(2, F.order)
+                if all(F.pow(g, q1 // p) != 1 for p in _factor_int(q1)))
+
+
+# n per m; the deltas are 1, 3, q - 1 and a generator (only 1 at m = 1).
+# n = 255 factors in 0.15-0.3 s at delta 1 but in up to 2 s at other
+# deltas, so it runs at delta 1 only.
+_DEGREE_GRID = {
+    1: (1, 3, 7, 9, 15, 17, 21, 31, 45, 63, 73, 127, 255),
+    2: (3, 5, 7, 9, 15, 21, 31, 63, 85),
+    3: (3, 7, 9, 21, 31, 63, 73),
+    4: (3, 5, 9, 15, 17, 51, 85),
+    5: (3, 11, 31, 33),
+    6: (3, 7, 9, 21, 63, 65),
+    7: (3, 5, 127),
+    8: (3, 5, 15, 17, 51),
+}
+
+
+def _degree_cases():
+    for m, ns in _DEGREE_GRID.items():
+        F = GF2m(m)
+        deltas = [1] if m == 1 else sorted({1, 3, F.order - 1, _generator(F)})
+        for n in ns:
+            for c in deltas:
+                yield F, n, c
+    for m in (3, 4, 8):
+        yield GF2m(m), 255, 1
+    # x^4 + x^3 + 1 instead of the built-in x^4 + x + 1
+    F16 = GF2m(4, reduction=25)
+    for n in (15, 51):
+        for c in (1, _generator(F16), 6):
+            yield F16, n, c
+    # No log tables at m = 13; 2^13 - 1 is prime, so 2 generates.
+    F13 = GF2m(13)
+    for n in (3, 5, 9):
+        yield F13, n, 2
+
+
+def test_factor_degrees_match_factorizer():
+    cases = 0
+    for F, n, c in _degree_cases():
+        expect = sorted(d for _, d in factor_xn_delta(F, n, c))
+        assert factor_degrees(F, n, c) == expect, (F, n, c)
+        cases += 1
+    assert cases == 180
+
+
+def test_factor_degrees_large_order_small_memory():
+    # t = ord(delta) = 65535 at m = 16, so n * t is about 2.7e8; the
+    # bookkeeping must stay of size n.
+    F = GF2m(16)
+    g = _generator(F)
+    tracemalloc.start()
+    try:
+        degrees = factor_degrees(F, 4095, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(degrees) == 4095
+    assert degrees == sorted(degrees)
+    assert peak < 1 << 20
+
+
+def test_factor_degrees_rejects_even_n_and_zero():
+    with pytest.raises(ValueError):
+        factor_degrees(F2, 4, 1)
+    with pytest.raises(ValueError):
+        factor_degrees(F4, 3, 0)
+    with pytest.raises(ValueError):
+        factor_degrees(F4, 3, 4)
