@@ -20,11 +20,10 @@ ints (D = m * 2*lam * N bits).  An ideal is then an xor-closed set
 stable under three linear operators: multiply-by-x (the constacyclic
 shift), multiply-by-u, and (for m > 1) multiply by a field generator.
 Duals of ideals come from the GF(2) trace form, also kept in matrix
-form.  brute_force_ideals finds every ideal of the word ring from scratch:
-close each single element under the operators, deduplicate by reduced
-echelon basis, then close the family under pairwise ideal sums.  It
-never consults the descriptor enumeration, which is what makes it an
-independent oracle.
+form.  brute_force_ideals walks up the ideal lattice from 0, from each
+ideal I to the closures of I + v for v outside I that the nilradical
+maps into I.  It never consults the descriptor enumeration, which makes
+it an independent oracle; brute_force_submodules walks K^2 the same way.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 import os
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import polyring as pr
 from .chainring import ChainCtx
@@ -51,7 +50,7 @@ RElem = tuple[int, ...]
 RPoly = tuple[RElem, ...]
 AmbientElem = tuple[Poly, Poly]
 
-DEFAULT_ORACLE_DIM_CAP = 16
+DEFAULT_ORACLE_DIM_CAP = 32
 DEFAULT_MAT_CAP = 1 << 24
 
 
@@ -316,23 +315,19 @@ def psi_inverse(params: Params, word: RPoly) -> AmbientElem:
 # ----------------------------------------------------------------------
 
 class BitSpace:
-    """The word ring as a GF(2) vector space of dimension m * 2*lam * N,
-    with the three multiplication operators in matrix form (ops) and the
-    Gram matrix of the trace form (form)."""
+    """Words of N coefficients, each w digits over F, as a GF(2) vector
+    space of dimension m * w * N.  ops holds, in matrix form, the maps
+    given plus multiply-by-u (the digit shift) and, for m > 1, multiply
+    by the field generator; form is the Gram matrix of the trace form."""
 
-    def __init__(self, params: Params) -> None:
-        F = params.field
-        m = self.m = params.m
-        w = self.w = params.u_exp
-        self.N = params.length
-        self.dim = m * w * self.N
-        ops = [
-            self._linearize(lambda v: rp_mul_x(params, v)),
-            self._linearize(lambda v: rp_mul_u(params, v)),
-        ]
+    def __init__(self, F: GF2m, w: int, N: int, maps: list[Callable]) -> None:
+        m = self.m = F.m
+        self.w, self.N = w, N
+        self.dim = m * w * N
+        maps = [*maps, lambda v: tuple(map(r_shift_u, v))]
         if m > 1:
-            ops.append(self._linearize(lambda v: rp_scale(params, v, 2)))
-        self.ops = ops
+            maps.append(lambda v: tuple(r_scale(F, c, 2) for c in v))
+        self.ops = [self.linearize(fn) for fn in maps]
         # B(x, y) = Tr(top u-digit of <x, y>): coefficient i pairs only
         # with itself, u-digit t only with w-1-t, and field bit a with
         # field bit b through Tr(y^a * y^b).
@@ -362,7 +357,8 @@ class BitSpace:
             out.append(tuple((v >> (base + t * m)) & mask for t in range(w)))
         return tuple(out)
 
-    def _linearize(self, fn) -> list[int]:
+    def linearize(self, fn) -> list[int]:
+        """The columns, as bit vectors, of a GF(2)-linear map on words."""
         return [self.to_bits(fn(self.from_bits(1 << b))) for b in range(self.dim)]
 
     def apply(self, op: list[int], v: int) -> int:
@@ -396,9 +392,10 @@ class BitSpace:
             self._insert(rows, v)
         return tuple(sorted(rows.values(), reverse=True))
 
-    def closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
-        """RREF basis of the smallest operator-stable subspace containing seeds."""
-        rows: dict[int, int] = {}
+    def closure(self, seeds: Iterable[int], basis: tuple[int, ...] = ()) -> tuple[int, ...]:
+        """RREF basis of the smallest operator-stable subspace holding seeds
+        and basis, the RREF basis of a stable subspace."""
+        rows = {b.bit_length() - 1: b for b in basis}
         stack = [v for v in seeds if v]
         ops = self.ops
         while stack:
@@ -411,6 +408,45 @@ class BitSpace:
     def is_invariant(self, basis: tuple[int, ...]) -> bool:
         """Whether the span of basis is operator-stable, i.e. an ideal."""
         return self.closure(basis) == self.rref(basis)
+
+    def colon(self, basis: tuple[int, ...], maps: list[list[int]]) -> list[int]:
+        """Basis of the v that each matrix in maps sends into the span of
+        basis (RREF).  One elimination of the rows (M_1 e_i || ... || M_r e_i
+        || e_i), with basis in each image slot, leaves the rows whose lead
+        is in the e_i slot with no image part: their span is the answer."""
+        dim = self.dim
+        rows = {
+            b.bit_length() - 1 + j * dim: b << (j * dim)
+            for j in range(1, len(maps) + 1) for b in basis
+        }
+        for i in range(dim):
+            v = 1 << i
+            for j, op in enumerate(maps, 1):
+                v |= op[i] << (j * dim)
+            self._insert(rows, v)
+        return [row for lead, row in rows.items() if lead < dim]
+
+    def lattice(self, rad: list[list[int]]) -> list[tuple[int, ...]]:
+        """RREF bases of all stable subspaces, walked up from 0: from each I
+        to the closure of I + v for every v outside I that rad maps into I.
+
+        rad holds matrices of multiplication by nilpotent ring elements.
+        Every stable J above I then holds a v outside I that rad maps into
+        I, so the walk is complete; it is small when rad generates the
+        whole nilradical."""
+        found = {(): None}
+        todo = [()]
+        while todo:
+            basis = todo.pop()
+            rows = {b.bit_length() - 1: b for b in basis}
+            fresh = [r for r in (self._insert(rows, v) for v in self.colon(basis, rad)) if r]
+            for v in self.span(tuple(fresh)):
+                if v:
+                    grown = self.closure((v,), basis)
+                    if grown not in found:
+                        found[grown] = None
+                        todo.append(grown)
+        return list(found)
 
     @staticmethod
     def span(basis: tuple[int, ...]) -> Iterator[int]:
@@ -425,7 +461,9 @@ class BitSpace:
 def bit_space(params: Params) -> BitSpace:
     tabs = _tables(params)
     if tabs["bitspace"] is None:
-        tabs["bitspace"] = BitSpace(params)
+        tabs["bitspace"] = BitSpace(
+            params.field, params.u_exp, params.length, [lambda v: rp_mul_x(params, v)]
+        )
     return tabs["bitspace"]
 
 
@@ -545,34 +583,30 @@ def materialize_code(
 def brute_force_ideals(params: Params, dim_cap: int | None = None) -> list[IdealSet]:
     """Every ideal of the word ring, found without the enumeration.
 
-    Single-element closures give all principal ideals; pairwise sums
-    close the family into the full ideal lattice (two generators always
-    suffice, so the fixpoint is reached and verified).
+    The nilradical is the kernel of v -> v^(2^t), 2^t > dim: squaring is
+    GF(2)-linear in characteristic 2, and no nilpotent element needs a
+    power above dim.  BitSpace.lattice walks with the multiplication maps
+    of its ideal generators, picked greedily from its basis.
     """
     cap = oracle_dim_cap() if dim_cap is None else dim_cap
-    bs = bit_space(params)
-    if bs.dim > cap:
+    dim = params.m * params.u_exp * params.length
+    if dim > cap:
         raise ValueError(
-            f"oracle dimension {bs.dim} exceeds the cap of {cap}; "
+            f"oracle dimension {dim} exceeds the cap of {cap}; "
             "raise CONSTACODES_ORACLE_DIM_CAP to override"
         )
-    found: dict[tuple[int, ...], None] = {(): None}
-    for v in range(1, 1 << bs.dim):
-        found.setdefault(bs.closure((v,)), None)
-
-    # Close under pairwise sums.
-    while True:
-        bases = list(found)
-        added = False
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                merged = bs.rref(bases[i] + bases[j])
-                if merged not in found:
-                    found[merged] = None
-                    added = True
-        if not added:
-            break
-    return [IdealSet(b) for b in sorted(found, key=lambda b: (len(b), b))]
+    bs = bit_space(params)
+    power = square = bs.linearize(lambda v: rp_mul(params, v, v))
+    for _ in range(dim.bit_length()):
+        power = [bs.apply(square, v) for v in power]
+    gens, radical = [], ()
+    for g in bs.colon((), [power]):
+        grown = bs.closure((g,), radical)
+        if grown != radical:
+            gens.append(bs.from_bits(g))
+            radical = grown
+    rad = [bs.linearize(lambda v, g=g: rp_mul(params, g, v)) for g in gens]
+    return [IdealSet(b) for b in sorted(bs.lattice(rad), key=lambda b: (len(b), b))]
 
 
 # Span vectors tried as a second generator before the greedy search gives up.
@@ -652,48 +686,12 @@ def dual_code(
 # Generic rank-2 submodule census over a small chain ring (oracle)
 # ----------------------------------------------------------------------
 
-def brute_force_submodules(field: GF2m, e: int, cap: int = 1 << 14) -> set[frozenset]:
-    """All submodules of K^2 for K = GF(q)[p]/<p^e>, by exhaustion.
-
-    Elements of K are digit tuples of length e; the census collects
-    every cyclic span and closes the family under pairwise sums.
-    """
+def brute_force_submodules(field: GF2m, e: int, cap: int = 1 << 14) -> list[tuple[int, ...]]:
+    """RREF bases of all submodules of K^2, K = GF(q)[p]/<p^e>, walked by
+    BitSpace.lattice: as words of 2 coefficients with e digits each, p
+    acts as the digit shift ops[0], and it generates the radical of K."""
     q = field.order
     if q ** (2 * e) > cap:
         raise ValueError(f"submodule census over {q**(2*e)} vectors exceeds the cap")
-
-    def k_mul(a, b):
-        out = [0] * e
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(e - i):
-                    if b[j]:
-                        out[i + j] ^= field.mul(ai, b[j])
-        return tuple(out)
-
-    elems = []
-    for packed in range(q**e):
-        elems.append(tuple((packed // q**i) % q for i in range(e)))
-
-    def vadd(x, y):
-        return (
-            tuple(a ^ b for a, b in zip(x[0], y[0])),
-            tuple(a ^ b for a, b in zip(x[1], y[1])),
-        )
-
-    subs: set[frozenset] = set()
-    vectors = [(a, b) for a in elems for b in elems]
-    for v in vectors:
-        subs.add(frozenset((k_mul(c, v[0]), k_mul(c, v[1])) for c in elems))
-
-    while True:
-        fresh = set()
-        sub_list = list(subs)
-        for i in range(len(sub_list)):
-            for j in range(i + 1, len(sub_list)):
-                s = frozenset(vadd(x, y) for x in sub_list[i] for y in sub_list[j])
-                if s not in subs:
-                    fresh.add(s)
-        if not fresh:
-            return subs
-        subs |= fresh
+    bs = BitSpace(field, e, 2, [])
+    return bs.lattice([bs.ops[0]])

@@ -8,9 +8,9 @@ internal certificate; 2 invalid input, including an --out path that
 cannot be opened, and an output (stdout or --out) that cannot be
 written.
 
-The oracle's dimension cap is --oracle-dim-cap or, without that flag,
-the environment variable CONSTACODES_ORACLE_DIM_CAP.  The library's
-materialization cap, CONSTACODES_MAT_CAP, has no flag.
+The oracle's dimension cap is the environment variable
+CONSTACODES_ORACLE_DIM_CAP, and the library's materialization cap is
+CONSTACODES_MAT_CAP; neither has a flag.
 
 `count` factors nothing: it reads the factor degrees off cyclotomic
 cosets (factorizer.factor_degrees).  Counts and sizes print in full,
@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="diff the enumeration against the brute-force oracle")
     _common(o)
-    o.add_argument("--oracle-dim-cap", type=int, default=None)
 
     s = sub.add_parser("selfdual", help="list the self-dual codes of length 4")
     _common(s)
@@ -210,9 +209,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_oracle(args) -> int:
     params = _make_params(args)
+    # First, so that a request over the cap is refused before any set-up.
+    ideals = amb.brute_force_ideals(params)
     fd = build_factor_data(params, rng=random.Random(args.seed))
     ctxs = en.chain_contexts(params, fd)
-    ideals = amb.brute_force_ideals(params, dim_cap=args.oracle_dim_cap)
     oracle_bases = {i.basis for i in ideals}
 
     enum_bases = set()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -267,7 +268,66 @@ def test_oracle_invariance(p1122, oracle_135):
 
 def test_oracle_dim_cap(p1322):
     with pytest.raises(ValueError):
-        amb.brute_force_ideals(p1322)  # dimension 48 > 16
+        amb.brute_force_ideals(p1322)  # dimension 48 > 32
+
+
+def _exhaustive_ideals(bs):
+    """The walk's reference: close every single vector, then add ideals
+    pairwise until nothing changes."""
+    found = {(): None}
+    for v in range(1, 1 << bs.dim):
+        found.setdefault(bs.closure((v,)), None)
+    while True:
+        bases = list(found)
+        for a, b in itertools.combinations(bases, 2):
+            found.setdefault(bs.rref(a + b), None)
+        if len(found) == len(bases):
+            return sorted(found, key=lambda b: (len(b), b))
+
+
+def test_walk_equals_exhaustive_closure(p1122, oracle_135):
+    assert _exhaustive_ideals(amb.bit_space(p1122)) == [i.basis for i in oracle_135]
+
+
+@functools.cache
+def _walk(point):
+    p = Params(*point, 1, 1)
+    return p, [i.basis for i in amb.brute_force_ideals(p)]
+
+
+# (m, n, k, lam) and the number of ideals there.
+WALK_POINTS = [((1, 1, 2, 3), 607), ((2, 1, 2, 2), 789), ((1, 1, 3, 2), 2519)]
+WALK_IDS = ["-".join(map(str, point)) for point, _ in WALK_POINTS]
+
+
+@pytest.mark.parametrize("point,count", WALK_POINTS, ids=WALK_IDS)
+def test_walk_equals_enumeration(point, count):
+    p, walked = _walk(point)
+    fd = build_factor_data(p)
+    ctxs = en.chain_contexts(p, fd)
+    enum_bases = {
+        amb.code_bit_basis(p, fd, code, ctxs).basis for code in en.enumerate_codes(p, fd, ctxs)
+    }
+    assert len(walked) == len(set(walked)) == count
+    assert enum_bases == set(walked)
+
+
+@pytest.mark.parametrize("point,count", WALK_POINTS, ids=WALK_IDS)
+def test_walk_closed_under_duals(point, count):
+    # The dual of a gamma-constacyclic code is gamma^(-1)-constacyclic:
+    # the duals are the ideals of the ring twisted by gamma^(-1) = sum of
+    # u^(2i), i < lam, walked here with the nilpotent maps u and x + 1.
+    # gamma = 1 + u^2 is its own inverse only at lam = 2.
+    p, walked = _walk(point)
+    F, w = p.field, p.u_exp
+    inv = tuple(1 - t % 2 for t in range(w))
+    twisted = amb.BitSpace(F, w, p.length, [lambda v: (amb.r_mul(F, inv, v[-1]),) + v[:-1]])
+    x_plus_1 = [col ^ (1 << i) for i, col in enumerate(twisted.ops[0])]
+    duals = [amb.dual_bit_basis(p, basis) for basis in walked]
+    assert all(len(b) + len(d) == twisted.dim for b, d in zip(walked, duals))
+    assert len(set(duals)) == count
+    assert set(duals) == set(twisted.lattice([twisted.ops[1], x_plus_1]))
+    assert (set(duals) == set(walked)) == (p.lam == 2)
 
 
 def test_recover_generators(p1122, oracle_135):

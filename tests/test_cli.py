@@ -86,6 +86,41 @@ def test_threads_flag_removed():
     assert res.returncode == 2
 
 
+def test_oracle_dim_cap_flag_removed():
+    res = run_cli("oracle", "--m", "1", "--n", "1", "--oracle-dim-cap", "8")
+    assert res.returncode == 2
+
+
+def test_oracle_cap_checked_before_setup(monkeypatch, capsys, tmp_path):
+    # A refused request builds neither the GF(2) space nor the factor data.
+    monkeypatch.delenv("CONSTACODES_ORACLE_DIM_CAP", raising=False)
+    spaces, factorings = [], []
+    real_fd = cli.build_factor_data
+
+    class CountedSpace(amb.BitSpace):
+        def __init__(self, *args):
+            spaces.append(args)
+            super().__init__(*args)
+
+    def counted_fd(*args, **kwargs):
+        factorings.append(args)
+        return real_fd(*args, **kwargs)
+
+    monkeypatch.setattr(amb, "BitSpace", CountedSpace)
+    monkeypatch.setattr(cli, "build_factor_data", counted_fd)
+    for argv, dim in [("--m 2 --n 31 --lambda 3", 1488),
+                      ("--m 1 --n 127 --k 5 --lambda 8", 65024)]:
+        assert cli.main(["oracle", *argv.split()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: oracle dimension {dim} exceeds the cap of 32; "
+                                "raise CONSTACODES_ORACLE_DIM_CAP to override\n")
+    assert spaces == [] and factorings == []
+    # The counters see an accepted request.
+    assert cli.main(["oracle", "--m", "1", "--n", "1", "--out", str(tmp_path / "o")]) == 0
+    assert len(spaces) == len(factorings) == 1
+
+
 def test_reduction_override():
     # x^4 + x^3 + 1 instead of the built-in x^4 + x + 1
     res = run_cli("count", "--m", "4", "--reduction", "25", "--n", "1")
@@ -330,6 +365,9 @@ STDOUT_FINGERPRINTS = [
      "03efc037f0e08537db1ad7e1692528775e3c07671def4d01cc3c69f313bcca03"),
     ("count --m 8 --n 255 --delta 3",
      "ca9d0ca7b3e6f72a40dea25e68a7cf07dd3e5be816e19df6651c2d2702234cea"),
+    # Digest from the exhaustive oracle that the lattice walk replaced.
+    ("oracle --m 1 --n 1",
+     "8989ae508b93ffbf3c84833dd397aff791afeb2c5ac99923e2a9440a87e8f61e"),
 ]
 
 

@@ -55,10 +55,12 @@ def test_count_submodules_values():
     assert en.count_submodules_length2(4, 2) == 33
 
 
-@pytest.mark.parametrize("m,e", [(1, 1), (1, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize(
+    "m,e", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 4), (3, 3), (1, 8), (4, 2)]
+)
 def test_count_submodules_against_census(m, e):
     F = GF2m(m)
-    subs = brute_force_submodules(F, e)
+    subs = brute_force_submodules(F, e, cap=F.order ** (2 * e))
     assert len(subs) == en.count_submodules_length2(F.order, e)
 
 
