@@ -110,6 +110,9 @@ _TABLES: weakref.WeakKeyDictionary[Params, dict] = weakref.WeakKeyDictionary()
 
 
 def _tables(params: Params) -> dict:
+    """Per-parameter tables: gamma_pows[l] = gamma^l for l < lam, whose
+    u-digit 2j is zero for j > l and digit 2l is alpha^l (the structure
+    map is triangular), and the lazily built BitSpace."""
     got = _TABLES.get(params)
     if got is not None:
         return got
@@ -121,28 +124,9 @@ def _tables(params: Params) -> dict:
     pows = [tuple(1 if i == 0 else 0 for i in range(w))]
     for _ in range(params.lam - 1):
         pows.append(r_mul(F, pows[-1], gamma))
-    # Even u-digit j of gamma^l is row j, column l of the chunk matrix.
-    lam = params.lam
-    mat = [[pows[l][2 * j] if 2 * j < w else 0 for l in range(lam)] for j in range(lam)]
-    minv = _matrix_inverse(F, mat)
-    got = {"gamma_pows": pows, "minv": minv, "bitspace": None}
+    got = {"gamma_pows": pows, "bitspace": None}
     _TABLES[params] = got
     return got
-
-
-def _matrix_inverse(F: GF2m, mat: list[list[int]]) -> list[list[int]]:
-    n = len(mat)
-    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = F.inv(a[col][col])
-        a[col] = [F.mul(x, inv) for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                c = a[r][col]
-                a[r] = [x ^ F.mul(c, y) for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 # ----------------------------------------------------------------------
@@ -265,49 +249,45 @@ def psi_lift(params: Params, amb: AmbientElem) -> RPoly:
     """
     F = params.field
     N = params.length
-    lam = params.lam
     w = params.u_exp
-    pows = _tables(params)["gamma_pows"]
+    rows = [[(t, g) for t, g in enumerate(gp) if g] for gp in _tables(params)["gamma_pows"]]
+    u_rows = [[(t + 1, g) for t, g in row] for row in rows]
     acc = [[0] * w for _ in range(N)]
-    for part, xi in enumerate(amb):
+    for part_rows, xi in zip((rows, u_rows), amb):
         for idx, c in enumerate(xi):
-            if c == 0:
-                continue
-            l, i = divmod(idx, N)
-            gp = pows[l]
-            row = acc[i]
-            if part == 0:
-                for t in range(w):
-                    if gp[t]:
-                        row[t] ^= F.mul(gp[t], c)
-            else:
-                for t in range(w - 1):
-                    if gp[t]:
-                        row[t + 1] ^= F.mul(gp[t], c)
-    return tuple(tuple(row) for row in acc)
+            if c:
+                l, i = divmod(idx, N)
+                coeff = acc[i]
+                for t, g in part_rows[l]:
+                    coeff[t] ^= F.mul(g, c)
+    return tuple(tuple(coeff) for coeff in acc)
 
 
 def psi_inverse(params: Params, word: RPoly) -> AmbientElem:
-    """Inverse of psi_lift: per coefficient, the u-digit planes of fixed
-    parity are an invertible triangular image of the chunk values."""
+    """Inverse of psi_lift by back-substitution.  Per coefficient, the
+    even u-digits carry the a0 chunks and the odd ones the a1 chunks,
+    through gamma^l, whose digit 2l is alpha^l and whose higher digits
+    are zero.  So from the top chunk down, chunk l is its digit times
+    alpha^(-l), and that multiple of gamma^l comes off the lower digits
+    of the same parity."""
     F = params.field
     N = params.length
     lam = params.lam
-    minv = _tables(params)["minv"]
-    xi0 = [0] * (lam * N)
-    xi1 = [0] * (lam * N)
+    pows = _tables(params)["gamma_pows"]
+    lead_inv = [F.inv(pows[l][2 * l]) for l in range(lam)]
+    xi = ([0] * (lam * N), [0] * (lam * N))
     for i, coeff in enumerate(word):
-        for l in range(lam):
-            v0 = 0
-            v1 = 0
-            for j in range(lam):
-                mj = minv[l][j]
-                if mj:
-                    v0 ^= F.mul(mj, coeff[2 * j])
-                    v1 ^= F.mul(mj, coeff[2 * j + 1])
-            xi0[l * N + i] = v0
-            xi1[l * N + i] = v1
-    return pr.normalize(xi0), pr.normalize(xi1)
+        for part, chunks in enumerate(xi):
+            digits = list(coeff[part::2])
+            for l in range(lam - 1, -1, -1):
+                c = F.mul(digits[l], lead_inv[l])
+                if c:
+                    chunks[l * N + i] = c
+                    gp = pows[l]
+                    for j in range(l):
+                        if gp[2 * j]:
+                            digits[j] ^= F.mul(c, gp[2 * j])
+    return pr.normalize(xi[0]), pr.normalize(xi[1])
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ import itertools
 import json
 import math
 import os
-import random
 import sys
 from typing import ContextManager, IO
 
@@ -49,7 +48,7 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--reduction", type=int, default=None,
                         help="override the field reduction polynomial (packed bits)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the factorizer RNG; count ignores it")
+                        help="ignored; accepted so that existing invocations keep working")
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
 
@@ -123,7 +122,7 @@ def _decimal(x: int, width: int = 0) -> str:
 
 def cmd_factor(args) -> int:
     params = _make_params(args)
-    fd = build_factor_data(params, rng=random.Random(args.seed))
+    fd = build_factor_data(params)
     doc = {
         "schema": SCHEMA,
         "params": params.as_dict(),
@@ -164,7 +163,7 @@ def cmd_enumerate(args) -> int:
     if args.offset < 0 or (args.limit is not None and args.limit < 0):
         raise ValueError("--offset and --limit must be nonnegative")
     params = _make_params(args)
-    fd = build_factor_data(params, rng=random.Random(args.seed))
+    fd = build_factor_data(params)
     ctxs = en.chain_contexts(params, fd)
     total = en.count_codes(params, fd)
     stream = en.enumerate_codes(params, fd, ctxs, start=args.offset)
@@ -211,21 +210,22 @@ def cmd_oracle(args) -> int:
     params = _make_params(args)
     # First, so that a request over the cap is refused before any set-up.
     ideals = amb.brute_force_ideals(params)
-    fd = build_factor_data(params, rng=random.Random(args.seed))
+    fd = build_factor_data(params)
     ctxs = en.chain_contexts(params, fd)
     oracle_bases = {i.basis for i in ideals}
 
-    enum_bases = set()
-    for code in en.enumerate_codes(params, fd, ctxs):
-        enum_bases.add(amb.code_bit_basis(params, fd, code, ctxs).basis)
+    # A list, not a set: a code enumerated twice must fail the run.
+    enum_list = [amb.code_bit_basis(params, fd, code, ctxs).basis
+                 for code in en.enumerate_codes(params, fd, ctxs)]
+    enum_bases = set(enum_list)
 
     missing = sorted(oracle_bases - enum_bases)
     extra = sorted(enum_bases - oracle_bases)
-    status = "PASS" if not missing and not extra and len(enum_bases) == len(oracle_bases) else "FAIL"
+    status = "PASS" if not missing and not extra and len(enum_list) == len(oracle_bases) else "FAIL"
     doc = {
         "schema": SCHEMA,
         "params": params.as_dict(),
-        "enumerated": len(enum_bases),
+        "enumerated": len(enum_list),
         "oracle": len(oracle_bases),
         "status": status,
         "missing": [[hex(r) for r in b] for b in missing],
@@ -247,7 +247,7 @@ def cmd_oracle(args) -> int:
 def cmd_selfdual(args) -> int:
     params = _make_params(args)
     codes = en.list_self_dual_length4(params)
-    fd = build_factor_data(params, rng=random.Random(args.seed))
+    fd = build_factor_data(params)
     ctxs = en.chain_contexts(params, fd)
     entries = []
     all_ok = True

@@ -38,8 +38,6 @@ from . import polyring as pr
 from .polyring import Poly
 from .params import Params
 
-_DEFAULT_SEED = 0
-
 
 def is_irreducible(F: GF2m, f: Poly) -> bool:
     """Rabin test over GF(2^m)."""
@@ -83,23 +81,19 @@ def _equal_degree(F: GF2m, g: Poly, d: int, rng: random.Random) -> list[Poly]:
     return _equal_degree(F, w1, d, rng) + _equal_degree(F, w2, d, rng)
 
 
-def factor_xn_delta(
-    F: GF2m,
-    n: int,
-    delta0: int,
-    rng: random.Random | None = None,
-) -> list[tuple[Poly, int]]:
+def factor_xn_delta(F: GF2m, n: int, delta0: int) -> list[tuple[Poly, int]]:
     """Distinct monic irreducible factors of x^n + delta0, with degrees.
 
-    Output is sorted by (degree, coefficient tuple) so identical inputs
-    give identical factor ordering across runs.
+    Output is sorted by (degree, coefficient tuple), so it does not depend
+    on the random splits; those draw from a fixed seed, so that the time
+    a call takes does not vary either.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd, got {n}")
     if delta0 == 0:
         raise ValueError("delta0 must be nonzero")
     target = pr.normalize((delta0,) + (0,) * (n - 1) + (1,))
-    rng = rng if rng is not None else random.Random(_DEFAULT_SEED)
+    rng = random.Random(0)
 
     factors: list[Poly] = []
     rem = target
@@ -214,12 +208,12 @@ class FactorData:
         return tuple(out)
 
 
-def build_factor_data(params: Params, rng: random.Random | None = None) -> FactorData:
+def build_factor_data(params: Params) -> FactorData:
     """Factor the core polynomial and divide out each factor's cofactor."""
     F = params.field
     base = params.base_poly
     entries = []
-    for f, d in factor_xn_delta(F, params.n, params.delta_root, rng=rng):
+    for f, d in factor_xn_delta(F, params.n, params.delta_root):
         cof, rem = pr.p_divmod(F, base, f)
         if rem:
             raise ArithmeticError(f"factor {f} does not divide the core polynomial")

@@ -18,9 +18,6 @@ P_ZERO: Poly = ()
 P_ONE: Poly = (1,)
 P_X: Poly = (0, 1)
 
-# Schoolbook multiplication below this operand length, Karatsuba above.
-_KARATSUBA_CUTOFF = 65
-
 
 def normalize(coeffs) -> Poly:
     """Strip trailing zeros and return a tuple."""
@@ -55,7 +52,15 @@ def p_scale(F: GF2m, a: Poly, c: int) -> Poly:
     return normalize(F.mul(x, c) for x in a)
 
 
-def _mul_school(F: GF2m, a: Poly, b: Poly) -> list[int]:
+def p_mul(F: GF2m, a: Poly, b: Poly) -> Poly:
+    """Schoolbook product that skips zero coefficients: the large operands
+    here are mostly 2^j-th powers, nonzero only at multiples of 2^j."""
+    if not a or not b:
+        return P_ZERO
+    if len(a) == 1:
+        return p_scale(F, b, a[0])
+    if len(b) == 1:
+        return p_scale(F, a, b[0])
     out = [0] * (len(a) + len(b) - 1)
     mul = F.mul
     for i, ai in enumerate(a):
@@ -69,51 +74,7 @@ def _mul_school(F: GF2m, a: Poly, b: Poly) -> list[int]:
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] ^= mul(ai, bj)
-    return out
-
-
-def _lxor(u: list[int], v: list[int]) -> list[int]:
-    if len(u) < len(v):
-        u, v = v, u
-    out = list(u)
-    for i, c in enumerate(v):
-        out[i] ^= c
-    return out
-
-
-def _mul_kara(F: GF2m, a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    if min(len(a), len(b)) < _KARATSUBA_CUTOFF:
-        if not a or not b:
-            return []
-        return _mul_school(F, tuple(a), tuple(b))
-    h = n // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _mul_kara(F, a0, b0)
-    z2 = _mul_kara(F, a1, b1)
-    z1 = _mul_kara(F, _lxor(a0, a1), _lxor(b0, b1))
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] ^= c
-    for i, c in enumerate(z2):
-        out[i + 2 * h] ^= c
-    mid = _lxor(_lxor(z1, z0), z2)
-    for i, c in enumerate(mid):
-        out[i + h] ^= c
-    return out
-
-
-def p_mul(F: GF2m, a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return P_ZERO
-    if len(a) == 1:
-        return p_scale(F, b, a[0])
-    if len(b) == 1:
-        return p_scale(F, a, b[0])
-    if min(len(a), len(b)) >= _KARATSUBA_CUTOFF:
-        return normalize(_mul_kara(F, list(a), list(b)))
-    return normalize(_mul_school(F, a, b))
+    return normalize(out)
 
 
 def p_sqr(F: GF2m, a: Poly) -> Poly:
@@ -156,14 +117,6 @@ def p_divmod(F: GF2m, a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 def p_mod(F: GF2m, a: Poly, b: Poly) -> Poly:
     return p_divmod(F, a, b)[1]
-
-
-def p_eval(F: GF2m, p: Poly, x0: int) -> int:
-    """Horner evaluation."""
-    acc = 0
-    for c in reversed(p):
-        acc = F.mul(acc, x0) ^ c
-    return acc
 
 
 def monic(F: GF2m, p: Poly) -> Poly:

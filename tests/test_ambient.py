@@ -47,10 +47,14 @@ def test_inverse_of_u_squared(p1122):
     assert amb.psi_inverse(p1122, amb.rp_zero(p1122)) == ((), ())
 
 
-@pytest.mark.parametrize("mp", [(1, 1), (1, 3), (2, 1)])
+@pytest.mark.parametrize("mp", [
+    (1, 1, 2, 2, 1, 1), (1, 3, 2, 2, 1, 1), (2, 1, 2, 2, 1, 1),
+    # lam >= 4 with delta, alpha != 1: gamma^l has several nonzero digits,
+    # so psi_inverse's back-substitution runs through every chunk.
+    (3, 1, 2, 4, 5, 6), (2, 3, 3, 3, 2, 3), (4, 1, 2, 5, 7, 9),
+])
 def test_roundtrip_random(mp):
-    m, n = mp
-    p = Params(m, n, 2, 2, 1, 1)
+    p = Params(*mp)
     rng = random.Random(17)
     for _ in range(1000):
         a = rand_amb(p, rng)

@@ -243,8 +243,8 @@ def test_selfdual_rejects_covered_case_violation():
 def test_failed_certificate_exit_1(monkeypatch, capsys):
     real = cli.build_factor_data
 
-    def corrupted(params, rng=None):
-        fd = real(params, rng=rng)
+    def corrupted(params):
+        fd = real(params)
         first = fd.entries[0]
         bad = dataclasses.replace(
             first, cofactor=pr.p_add(params.field, first.cofactor, (0, 1, 1)))
@@ -368,6 +368,18 @@ STDOUT_FINGERPRINTS = [
     # Digest from the exhaustive oracle that the lattice walk replaced.
     ("oracle --m 1 --n 1",
      "8989ae508b93ffbf3c84833dd397aff791afeb2c5ac99923e2a9440a87e8f61e"),
+    # --seed is accepted and ignored: each digest is that of the same
+    # invocation without it, above.
+    ("factor --m 4 --n 21 --seed 12345",
+     "6d69ad66710932b48d3f92587d336a55ae15cab7db55498ebf1244ea855a125b"),
+    ("count --m 5 --n 31 --seed 4",
+     "0c3ac925a446ed55a143950ccc84df2e69a620ae8dae7cdf4e98a6e3bef1c657"),
+    ("enumerate --m 2 --n 7 --limit 50 --with-generators --seed 99",
+     "237b694c23a3d42c1b9acb99de2e580df764629caa12137c1176473113fef3ef"),
+    ("selfdual --m 3 --alpha 5 --seed 3",
+     "d609afdce6df3706a1eac3b0e4c0cd70d8f186ed64d258facc96d6393ecd101a"),
+    ("oracle --m 1 --n 1 --seed 5",
+     "8989ae508b93ffbf3c84833dd397aff791afeb2c5ac99923e2a9440a87e8f61e"),
 ]
 
 
@@ -473,3 +485,24 @@ def test_parser_built_once(monkeypatch, capsys):
         assert (status, captured.out, captured.err) == (
             fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert len(built) == 1
+
+
+def test_oracle_fails_on_repeated_code(monkeypatch, tmp_path):
+    # The stream yields its first code twice: the set of bases is still
+    # the oracle's, but the enumeration is not "all distinct".
+    real = en.enumerate_codes
+
+    def repeating(*args, **kwargs):
+        stream = real(*args, **kwargs)
+        first = next(stream)
+        yield first
+        yield first
+        yield from stream
+
+    monkeypatch.setattr(en, "enumerate_codes", repeating)
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle", "--m", "1", "--n", "1", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "FAIL"
+    assert doc["enumerated"] == 136 and doc["oracle"] == 135
+    assert doc["missing"] == doc["extra"] == []

@@ -26,11 +26,10 @@ def test_mul_example_f2():
     assert pr.p_mul(F2, (1, 1), (1, 1, 1)) == (1, 0, 0, 1)
 
 
-def test_divmod_self_and_eval():
+def test_divmod_self():
     a = (1, 0, 1, 1)
     q, r = pr.p_divmod(F2, a, a)
     assert q == (1,) and r == ()
-    assert pr.p_eval(F2, (1, 0, 0, 1), 1) == 0  # 1 is a root of x^3+1
 
 
 def test_divmod_by_zero():
@@ -112,17 +111,6 @@ def test_frobenius_fixed_point_for_irreducible(F, f):
     # x^(q^d) = x mod f for irreducible f of degree d
     d = pr.deg(f)
     assert pr.p_powmod(F, (0, 1), F.order**d, f) == pr.p_mod(F, (0, 1), f)
-
-
-def test_karatsuba_matches_schoolbook():
-    rng = random.Random(99)
-    for F in (F2, F8):
-        for _ in range(20):
-            a = rand_poly(F, rng, 150)
-            b = rand_poly(F, rng, 130)
-            fast = pr.p_mul(F, a, b)
-            slow = pr.normalize(pr._mul_school(F, a, b)) if a and b else ()
-            assert fast == slow
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 13])
