@@ -24,6 +24,13 @@ and <f^t1> is the ideal of second coordinates paired with 0.  Both
 rows are intrinsic to the module, which is what makes the form
 canonical; rows with pivot exponent e (i.e. zero) are omitted.
 
+The form serves two jobs.  Equality of forms certifies that two
+generator sets span the same module, which keeps the enumerated codes
+distinct.  Reduction against a form decides membership
+(module_contains), and membership decides u-stability: the u-action is
+K-linear, so the span is u-stable iff the u-multiple of each generator
+lies in it (satisfies_u_closure).
+
 iter_h is the one residue iterator: every module that walks residues
 mod f^l (the ideal enumeration, the submodule lattice walk and the
 materialization oracle) goes through it.  It yields residues ordered
@@ -34,7 +41,7 @@ value (coefficient i of the digit in bits m*i .. m*i+m-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import xor
 from typing import Iterator
@@ -55,7 +62,6 @@ class ChainCtx:
     e: int
     modulus: Poly                 # f^e
     f_pows: tuple[Poly, ...]      # f^0 .. f^e
-    k: int | None = None          # present when built for a u-extension
     u2_unit: Poly | None = None   # the unit w with u^2 = w^2 * f^(2^k)
     u_squared: Poly | None = None
 
@@ -118,17 +124,7 @@ def make_chain_ctx(params: Params, f: Poly, cofactor: Poly) -> ChainCtx:
     expect = pr.p_mod(F, params.u_squared_poly, base.modulus)
     if u2 != expect:
         raise ArithmeticError("u^2 congruence failed; upstream factorization is broken")
-    return ChainCtx(
-        field=F,
-        f=f,
-        d=base.d,
-        e=e,
-        modulus=base.modulus,
-        f_pows=base.f_pows,
-        k=params.k,
-        u2_unit=w,
-        u_squared=u2,
-    )
+    return replace(base, u2_unit=w, u_squared=u2)
 
 
 # ----------------------------------------------------------------------
@@ -137,10 +133,6 @@ def make_chain_ctx(params: Params, f: Poly, cofactor: Poly) -> ChainCtx:
 
 def c_reduce(ctx: ChainCtx, a: Poly) -> Poly:
     return pr.p_mod(ctx.field, a, ctx.modulus)
-
-
-def c_add(ctx: ChainCtx, a: Poly, b: Poly) -> Poly:
-    return pr.p_add(ctx.field, a, b)
 
 
 def c_mul(ctx: ChainCtx, a: Poly, b: Poly) -> Poly:
@@ -195,24 +187,13 @@ def ext_mul(ctx: ChainCtx, a: Vec2, b: Vec2) -> Vec2:
     if ctx.u_squared is None:
         raise ValueError("context carries no u-extension")
     F = ctx.field
-    lo = c_add(
-        ctx,
+    lo = pr.p_add(
+        F,
         c_mul(ctx, a[0], b[0]),
         c_mul(ctx, ctx.u_squared, c_mul(ctx, a[1], b[1])),
     )
-    hi = c_add(ctx, c_mul(ctx, a[0], b[1]), c_mul(ctx, a[1], b[0]))
+    hi = pr.p_add(F, c_mul(ctx, a[0], b[1]), c_mul(ctx, a[1], b[0]))
     return lo, hi
-
-
-def mul_by_u_action(ctx: ChainCtx, v: Vec2) -> Vec2:
-    """Image of a module vector under multiplication of the ideal by u.
-
-    Reading (a0, a1) as the ring element a0 + u*a1, multiplying by u
-    gives u^2*a1 + u*a0, i.e. the vector (u^2 * a1, a0).
-    """
-    if ctx.u_squared is None:
-        raise ValueError("context carries no u-extension")
-    return c_mul(ctx, ctx.u_squared, v[1]), v[0]
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +226,7 @@ def canonical_module_form(ctx: ChainCtx, gens) -> CanonForm:
             if i == isel:
                 continue
             qfac = pr.p_divmod(F, g[0], ctx.f_pows[t0])[0]  # exact by minimality of t0
-            second_gens.append(c_add(ctx, g[1], c_mul(ctx, qfac, lead[1])))
+            second_gens.append(pr.p_add(F, g[1], c_mul(ctx, qfac, lead[1])))
         # u-multiples of lead that kill the first coordinate.
         second_gens.append(c_mul(ctx, ctx.f_pows[e - t0], lead[1]))
     else:
@@ -261,13 +242,14 @@ def canonical_module_form(ctx: ChainCtx, gens) -> CanonForm:
 
 
 def form_pivot_exponents(ctx: ChainCtx, form: CanonForm) -> tuple[int, int]:
-    """(t0, t1) pivot exponents of a canonical form; absent rows give e."""
+    """(t0, t1) pivot exponents of a canonical form, read off the degree
+    t*d of each pivot f^t; absent rows give e."""
     t0 = t1 = ctx.e
     for row in form:
         if row[0]:
-            t0 = pi_degree(ctx, row[0])
+            t0 = pr.deg(row[0]) // ctx.d
         else:
-            t1 = pi_degree(ctx, row[1])
+            t1 = pr.deg(row[1]) // ctx.d
     return t0, t1
 
 
@@ -278,6 +260,13 @@ def module_size(ctx: ChainCtx, form: CanonForm) -> int:
 
 
 def module_contains(ctx: ChainCtx, form: CanonForm, v: Vec2) -> bool:
+    """Whether v lies in the module whose canonical form is form.
+
+    form must be canonical (from canonical_module_form or
+    enumerate_all_submodules).  v = (c*f^t0, b) is reduced by c times
+    the first row; c is fixed only modulo f^(e-t0), and only in a
+    canonical form does every choice leave the same remainder mod f^t1.
+    """
     F = ctx.field
     t0, t1 = form_pivot_exponents(ctx, form)
     a0, a1 = v
@@ -287,7 +276,7 @@ def module_contains(ctx: ChainCtx, form: CanonForm, v: Vec2) -> bool:
     if a0:
         qfac = pr.p_divmod(F, a0, ctx.f_pows[t0])[0]
         lead = next(row for row in form if row[0])
-        rem = c_add(ctx, a1, c_mul(ctx, qfac, lead[1]))
+        rem = pr.p_add(F, a1, c_mul(ctx, qfac, lead[1]))
     return pi_degree(ctx, rem) >= t1
 
 
@@ -295,12 +284,14 @@ def satisfies_u_closure(ctx: ChainCtx, gens) -> bool:
     """Whether the K-span of gens is stable under the u-action.
 
     Stability is exactly the condition for the span, read through
-    (a0, a1) -> a0 + u*a1, to be an ideal of K + uK.
+    (a0, a1) -> a0 + u*a1, to be an ideal of K + uK.  Multiplication by
+    u is K-linear, so the span is stable iff u*g lies in it for every
+    generator g; each u*g is tested against the one canonical form.
     """
     gens = list(gens)
     form = canonical_module_form(ctx, gens)
-    extended = gens + [mul_by_u_action(ctx, g) for g in gens]
-    return canonical_module_form(ctx, extended) == form
+    u = (pr.P_ZERO, pr.P_ONE)
+    return all(module_contains(ctx, form, ext_mul(ctx, u, g)) for g in gens)
 
 
 def materialize_submodule(ctx: ChainCtx, gens, cap: int = 1 << 20) -> frozenset:

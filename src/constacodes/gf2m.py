@@ -144,6 +144,8 @@ class GF2m:
             raise ValueError(f"extension degree m={m} outside supported range 1..16")
         if reduction is None:
             reduction = _REDUCTION[m]
+        if reduction < 0:
+            raise ValueError(f"reduction polynomial must be nonnegative, got {reduction}")
         if _bp_deg(reduction) != m:
             raise ValueError(
                 f"reduction polynomial has degree {_bp_deg(reduction)}, expected {m}"

@@ -51,7 +51,8 @@ class Params:
         self.alpha = alpha
         self.delta_root = field.root_2k(delta, k)
         self.alpha_root = field.sqrt(field.inv(alpha))
-        assert field.mul(field.mul(self.alpha_root, self.alpha_root), alpha) == 1
+        if field.mul(field.mul(self.alpha_root, self.alpha_root), alpha) != 1:
+            raise ArithmeticError("alpha_root postcondition failed")
 
     def __repr__(self) -> str:
         return (

@@ -4,6 +4,7 @@ import pytest
 
 from constacodes.gf2m import GF2m
 from constacodes import chainring as cr
+from constacodes import enumerator as en
 from constacodes import polyring as pr
 from constacodes.factorizer import build_factor_data
 from constacodes.params import Params
@@ -321,18 +322,19 @@ def test_canonical_form_e8_sample_against_materialization():
 
 
 def test_module_contains_and_size():
-    ctx = plain8()
+    # deg f = 1 and deg f = 2: the pivot exponents are read as deg // d
     rng = random.Random(55)
-    for _ in range(40):
-        rows = _random_shape_module(ctx, rng)
-        form = cr.canonical_module_form(ctx, rows)
-        made = cr.materialize_submodule(ctx, rows, cap=1 << 17)
-        assert cr.module_size(ctx, form) == len(made)
-        for v in rng.sample(sorted(made), min(10, len(made))):
-            assert cr.module_contains(ctx, form, v)
-        for _ in range(10):
-            v = (rand_elem(ctx, rng), rand_elem(ctx, rng))
-            assert cr.module_contains(ctx, form, v) == (v in made)
+    for ctx in (plain8(), cr.make_plain_ctx(F2, (1, 1, 1), 3)):
+        for _ in range(40):
+            rows = _random_shape_module(ctx, rng)
+            form = cr.canonical_module_form(ctx, rows)
+            made = cr.materialize_submodule(ctx, rows, cap=1 << 17)
+            assert cr.module_size(ctx, form) == len(made)
+            for v in rng.sample(sorted(made), min(10, len(made))):
+                assert cr.module_contains(ctx, form, v)
+            for _ in range(10):
+                v = (rand_elem(ctx, rng), rand_elem(ctx, rng))
+                assert cr.module_contains(ctx, form, v) == (v in made)
 
 
 def test_size_law_from_row_degrees():
@@ -367,3 +369,56 @@ def test_u_closure_examples(p1122, fd1122, ctx1122):
     for _ in range(20):
         a = rand_elem(ctx, rng)
         assert not cr.satisfies_u_closure(ctx, [((1,), a)])
+
+
+def _u_closure_by_two_forms(ctx, gens):
+    """The u-closure test as first written: the span is u-stable iff
+    adding the u-multiples (u^2*a1, a0) of the generators leaves the
+    canonical form unchanged."""
+    gens = list(gens)
+    u_images = [(cr.c_mul(ctx, ctx.u_squared, g[1]), g[0]) for g in gens]
+    return (cr.canonical_module_form(ctx, gens + u_images)
+            == cr.canonical_module_form(ctx, gens))
+
+
+@pytest.mark.parametrize("n,degree", [(1, 1), (3, 2), (7, 3)])
+def test_u_closure_matches_two_form_definition(n, degree):
+    # ideals, their perturbed twins and random generator sets, at a
+    # factor of degree 1, 2 and 3
+    p = Params(1, n, 2, 2, 1, 1)
+    fd = build_factor_data(p)
+    j = next(i for i, ent in enumerate(fd.entries, start=1) if ent.degree == degree)
+    ctx = en.chain_contexts(p, fd)[j - 1]
+    rng = random.Random(1000 + n)
+    descs = list(en.enumerate_ideals(p, ctx, j))
+    cases = []
+    for d in rng.sample(descs, 60):
+        rows = en.descriptor_module_rows(p, ctx, d)
+        cases.append(rows)
+        i = rng.randrange(len(rows))
+        twin = list(rows)
+        twin[i] = (twin[i][0], pr.p_add(F2, twin[i][1], cr.c_mul(
+            ctx, ctx.f_pows[rng.randrange(ctx.e)], rand_elem(ctx, rng))))
+        cases.append(twin)
+    for _ in range(60):
+        cases.append([(rand_elem(ctx, rng), rand_elem(ctx, rng))
+                      for _ in range(rng.randrange(1, 4))])
+    verdicts = [cr.satisfies_u_closure(ctx, rows) for rows in cases]
+    assert verdicts == [_u_closure_by_two_forms(ctx, rows) for rows in cases]
+    assert all(verdicts[0:120:2])
+    assert 20 <= verdicts.count(False) <= 160
+
+
+def test_membership_check_builds_one_form(monkeypatch, p1122, ctx1122):
+    calls = []
+    real = cr.canonical_module_form
+
+    def counting(ctx, gens):
+        calls.append(1)
+        return real(ctx, gens)
+
+    monkeypatch.setattr(cr, "canonical_module_form", counting)
+    for d in list(en.enumerate_ideals(p1122, ctx1122, 1))[::10]:
+        calls.clear()
+        assert en.ideal_membership_check(p1122, ctx1122, d)
+        assert len(calls) == 1

@@ -12,6 +12,7 @@ from constacodes import ambient as amb
 from constacodes import cli
 from constacodes import enumerator as en
 from constacodes import factorizer
+from constacodes.gf2m import GF2m
 from constacodes import polyring as pr
 from constacodes.params import Params
 
@@ -27,12 +28,13 @@ def cli_env(env_extra=None):
     return env
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "constacodes.cli", *args],
         capture_output=True,
         text=True,
         env=cli_env(env_extra),
+        timeout=timeout,
     )
 
 
@@ -129,6 +131,18 @@ def test_reduction_override():
     # reducible override rejected
     bad = run_cli("count", "--m", "4", "--reduction", "21", "--n", "1")
     assert bad.returncode == 2
+
+
+@pytest.mark.parametrize("m,reduction", [(2, "-7"), (1, "-3")])
+def test_negative_reduction_exit_2(m, reduction):
+    # -7 has the bit length of a degree-2 polynomial; the irreducibility
+    # test never ends on it.  -3 used to build a field.
+    res = run_cli("count", "--m", str(m), "--reduction", reduction, timeout=20)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: reduction polynomial must be nonnegative")
+    assert len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.stderr
 
 
 def test_enumerate_pagination_and_determinism(tmp_path):
@@ -255,6 +269,15 @@ def test_failed_certificate_exit_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: idempotents do not sum to 1")
+
+
+def test_failed_alpha_root_certificate_exit_1(monkeypatch, capsys):
+    real = GF2m.sqrt
+    monkeypatch.setattr(GF2m, "sqrt", lambda self, a: real(self, a) ^ 1)
+    assert cli.main(["count", "--m", "2", "--alpha", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: alpha_root postcondition failed")
 
 
 def test_unopenable_out_exit_2(tmp_path):

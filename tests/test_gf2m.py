@@ -39,6 +39,8 @@ def test_rejects_bad_degree_and_range():
         GF2m(0)
     with pytest.raises(ValueError):
         GF2m(17)
+    with pytest.raises(ValueError):
+        GF2m(2, reduction=-7)             # same bit length as 7, negative
 
 
 def test_reducible_rejected_explicitly():

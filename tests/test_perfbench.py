@@ -1,5 +1,6 @@
 """The benchmark's tracer patches package functions by name; a name it
-cannot resolve makes `perfbench/run.py --trace 1` fail at install."""
+cannot resolve makes `perfbench/run.py --trace 1` fail at install.  The
+verify workload's own requests and checks also run here, on a sample."""
 
 import importlib
 import importlib.util
@@ -8,15 +9,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
 def test_tracer_targets_resolve():
-    targets = _load_tracer().TARGETS
+    targets = _load_perfbench("tracer").TARGETS
     assert targets
     for name, modname, path, _kind in targets:
         owner = importlib.import_module(f"constacodes.{modname}")
@@ -24,3 +25,20 @@ def test_tracer_targets_resolve():
             assert hasattr(owner, attr), f"{name}: constacodes.{modname}.{path}"
             owner = getattr(owner, attr)
         assert callable(owner), name
+
+
+def test_verify_workload_sample():
+    # the benchmark's verify path with its own checks, on every 25th
+    # request; the package is the one already imported, not reloaded
+    cold_setup = _load_perfbench("cold_setup")
+    workloads = _load_perfbench("workloads")
+    cc = cold_setup.Package(
+        importlib.import_module("constacodes"),
+        {name: importlib.import_module(f"constacodes.{name}") for name in cold_setup.MODULES},
+    )
+    wl = workloads.Verify(None)
+    state = wl.setup(cc, 7)
+    reqs, problems = wl.requests(cc, 7, state)
+    assert problems == []
+    for req in reqs[::25]:
+        assert wl.check(state, req, wl.execute(cc, state, req)) is workloads.OK, req
