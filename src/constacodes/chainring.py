@@ -31,6 +31,12 @@ distinct.  Reduction against a form decides membership
 K-linear, so the span is u-stable iff the u-multiple of each generator
 lies in it (satisfies_u_closure).
 
+The certificate runs on packed ints (see polyring) from entry to
+verdict: the context carries f^0 .. f^e packed as divisors
+(packed_pows), the valuation pi_degree is the largest t with f^t | a,
+found by binary search over them, the form is computed on the packed
+rows, and each u-multiple is reduced against it without unpacking.
+
 iter_h is the one residue iterator: every module that walks residues
 mod f^l (the ideal enumeration, the submodule lattice walk and the
 materialization oracle) goes through it.  It yields residues ordered
@@ -86,6 +92,12 @@ class ChainCtx:
             ]
         return out
 
+    @cached_property
+    def packed_pows(self) -> tuple[pr.Divisor, ...]:
+        """f^0 .. f^e packed (see polyring) as divisors; rows[0] is f^t."""
+        F = self.field
+        return tuple(pr.k_divisor(F, pr.pack(F, p)) for p in self.f_pows)
+
 
 def make_plain_ctx(field: GF2m, f: Poly, e: int) -> ChainCtx:
     """Chain ring context without the u-extension (no unit attached)."""
@@ -116,7 +128,7 @@ def make_chain_ctx(params: Params, f: Poly, cofactor: Poly) -> ChainCtx:
     base = make_plain_ctx(F, f, e)
     w = pr.p_powmod(F, cofactor, 1 << (params.k - 1), base.modulus)
     w = pr.p_mod(F, pr.p_scale(F, w, params.alpha_root), base.modulus)
-    if pi_degree(base, w) != 0:
+    if not pr.p_mod(F, w, f):  # digit 0 of w vanishes
         raise ArithmeticError("u^2 unit is not invertible; cofactor shares a root with f")
     u2 = pr.p_mod(
         F, pr.p_mul(F, pr.p_mul(F, w, w), base.f_pows[1 << params.k]), base.modulus
@@ -132,21 +144,35 @@ def make_chain_ctx(params: Params, f: Poly, cofactor: Poly) -> ChainCtx:
 # ----------------------------------------------------------------------
 
 def c_reduce(ctx: ChainCtx, a: Poly) -> Poly:
-    return pr.p_mod(ctx.field, a, ctx.modulus)
+    if len(a) < len(ctx.modulus):
+        return a
+    F = ctx.field
+    return pr.unpack(F, pr.k_mod(F, pr.pack(F, a), ctx.packed_pows[ctx.e]))
 
 
 def c_mul(ctx: ChainCtx, a: Poly, b: Poly) -> Poly:
-    return pr.p_mod(ctx.field, pr.p_mul(ctx.field, a, b), ctx.modulus)
+    return c_reduce(ctx, pr.p_mul(ctx.field, a, b))
 
 
 def c_inv(ctx: ChainCtx, a: Poly) -> Poly:
-    """Inverse of a unit, via the extended gcd with f^e."""
-    if pi_degree(ctx, a) != 0:
+    """Inverse of a unit."""
+    packed = pr.pack(ctx.field, a)
+    if _valuation(ctx, packed) != 0:
         raise ZeroDivisionError("element is not a unit (digit 0 vanishes)")
-    g, s, _ = pr.p_xgcd(ctx.field, a, ctx.modulus)
-    if g != pr.P_ONE:
-        raise ZeroDivisionError("element is not a unit")
-    return c_reduce(ctx, s)
+    return pr.unpack(ctx.field, _unit_inverse(ctx, packed))
+
+
+def _unit_inverse(ctx: ChainCtx, w: int) -> int:
+    """Inverse of a packed unit: the inverse modulo f from the extended
+    gcd, lifted by x -> w*x^2 modulo f^(2k).  In characteristic 2, if
+    w*x = 1 + h with f^k dividing h, then w*(w*x^2) = (1 + h)^2 = 1 + h^2."""
+    F, pows = ctx.field, ctx.packed_pows
+    _, x, _ = pr.k_xgcd(F, pr.k_mod(F, w, pows[1]), pows[1].rows[0])
+    k = 1
+    while k < ctx.e:
+        k = min(2 * k, ctx.e)
+        x = pr.k_mod(F, pr.k_mul(F, w, pr.k_mul(F, x, x)), pows[k])
+    return x
 
 
 def adic_digits(ctx: ChainCtx, a: Poly) -> tuple[Poly, ...]:
@@ -167,16 +193,23 @@ def adic_compose(ctx: ChainCtx, digits) -> Poly:
 
 
 def pi_degree(ctx: ChainCtx, a: Poly) -> int:
-    """Index of the first nonzero f-adic digit; e for the zero element."""
-    if not a:
-        return ctx.e
-    t = 0
-    while True:
-        q, rem = pr.p_divmod(ctx.field, a, ctx.f)
-        if rem:
-            return t
-        a = q
-        t += 1
+    """Index of the first nonzero f-adic digit of a reduced element; e
+    for the zero element."""
+    return _valuation(ctx, pr.pack(ctx.field, a))
+
+
+def _valuation(ctx: ChainCtx, a: int) -> int:
+    """The largest t <= e with f^t dividing the packed element a, by
+    binary search: f^t divides a for every t up to it and none above."""
+    F, pows = ctx.field, ctx.packed_pows
+    lo, hi = 0, ctx.e
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if pr.k_mod(F, a, pows[mid]):
+            hi = mid - 1
+        else:
+            lo = mid
+    return lo
 
 
 # ----------------------------------------------------------------------
@@ -204,38 +237,38 @@ CanonForm = tuple[Vec2, ...]
 
 
 def canonical_module_form(ctx: ChainCtx, gens) -> CanonForm:
-    """Howell-style normal form identifying the K-span of gens in K^2."""
-    rows = [(g[0], g[1]) for g in gens if g[0] or g[1]]
+    """Howell-style normal form identifying the K-span of gens in K^2,
+    computed on the packed rows; only its at most two rows are unpacked."""
+    F, e, pows = ctx.field, ctx.e, ctx.packed_pows
+    rows = [(pr.pack(F, g[0]), pr.pack(F, g[1])) for g in gens if g[0] or g[1]]
     if not rows:
         return ()
-    F = ctx.field
-    e = ctx.e
+    modulus = pows[e]
 
     # Pivot for column 0: smallest pi-degree among first coordinates.
-    degs = [pi_degree(ctx, g[0]) for g in rows]
+    degs = [_valuation(ctx, g0) for g0, _ in rows]
     t0 = min(degs)
-    second_gens: list[Poly] = []
-    lead: Vec2 | None = None
+    second_gens: list[int] = []
+    lead = None
     if t0 < e:
         isel = degs.index(t0)
-        gsel = rows[isel]
-        w = pr.p_divmod(F, gsel[0], ctx.f_pows[t0])[0]  # exact, w a unit
-        winv = c_inv(ctx, w)
-        lead = (ctx.f_pows[t0], c_mul(ctx, winv, gsel[1]))
-        for i, g in enumerate(rows):
+        g0, g1 = rows[isel]
+        w = pr.k_divmod(F, g0, pows[t0])[0]  # exact, w a unit
+        lead = pr.k_mod(F, pr.k_mul(F, _unit_inverse(ctx, w), g1), modulus)
+        for i, (a0, a1) in enumerate(rows):
             if i == isel:
                 continue
-            qfac = pr.p_divmod(F, g[0], ctx.f_pows[t0])[0]  # exact by minimality of t0
-            second_gens.append(pr.p_add(F, g[1], c_mul(ctx, qfac, lead[1])))
+            qfac = pr.k_divmod(F, a0, pows[t0])[0]  # exact by minimality of t0
+            second_gens.append(a1 ^ pr.k_mod(F, pr.k_mul(F, qfac, lead), modulus))
         # u-multiples of lead that kill the first coordinate.
-        second_gens.append(c_mul(ctx, ctx.f_pows[e - t0], lead[1]))
+        second_gens.append(pr.k_mod(F, pr.k_mul(F, pows[e - t0].rows[0], lead), modulus))
     else:
-        second_gens.extend(g[1] for g in rows)
+        second_gens.extend(g1 for _, g1 in rows)
 
-    t1 = min((pi_degree(ctx, b) for b in second_gens), default=e)
+    t1 = min((_valuation(ctx, b) for b in second_gens), default=e)
     out: list[Vec2] = []
     if lead is not None:
-        out.append((ctx.f_pows[t0], pr.p_mod(F, lead[1], ctx.f_pows[t1])))
+        out.append((ctx.f_pows[t0], pr.unpack(F, pr.k_mod(F, lead, pows[t1]))))
     if t1 < e:
         out.append((pr.P_ZERO, ctx.f_pows[t1]))
     return tuple(out)
@@ -268,16 +301,22 @@ def module_contains(ctx: ChainCtx, form: CanonForm, v: Vec2) -> bool:
     canonical form does every choice leave the same remainder mod f^t1.
     """
     F = ctx.field
+    return _contains(ctx, _packed_form(ctx, form), pr.pack(F, v[0]), pr.pack(F, v[1]))
+
+
+def _packed_form(ctx: ChainCtx, form: CanonForm) -> tuple[int, int, int]:
+    """Pivot exponents t0, t1 and packed a of the row (f^t0, a) (0 if none)."""
     t0, t1 = form_pivot_exponents(ctx, form)
-    a0, a1 = v
-    if pi_degree(ctx, a0) < t0:
-        return False
-    rem = a1
-    if a0:
-        qfac = pr.p_divmod(F, a0, ctx.f_pows[t0])[0]
-        lead = next(row for row in form if row[0])
-        rem = pr.p_add(F, a1, c_mul(ctx, qfac, lead[1]))
-    return pi_degree(ctx, rem) >= t1
+    lead = next((row[1] for row in form if row[0]), pr.P_ZERO)
+    return t0, t1, pr.pack(ctx.field, lead)
+
+
+def _contains(ctx: ChainCtx, packed_form: tuple[int, int, int], v0: int, v1: int) -> bool:
+    """module_contains on packed ints: f^t0 | v0 and f^t1 | v1 - (v0/f^t0)*a."""
+    F, pows = ctx.field, ctx.packed_pows
+    t0, t1, lead = packed_form
+    qfac, rem = pr.k_divmod(F, v0, pows[t0])
+    return not rem and not pr.k_mod(F, v1 ^ pr.k_mul(F, qfac, lead), pows[t1])
 
 
 def satisfies_u_closure(ctx: ChainCtx, gens) -> bool:
@@ -286,12 +325,19 @@ def satisfies_u_closure(ctx: ChainCtx, gens) -> bool:
     Stability is exactly the condition for the span, read through
     (a0, a1) -> a0 + u*a1, to be an ideal of K + uK.  Multiplication by
     u is K-linear, so the span is stable iff u*g lies in it for every
-    generator g; each u*g is tested against the one canonical form.
+    generator g; each u*g = (u^2*a1, a0) is tested, on packed ints,
+    against the one canonical form.
     """
+    if ctx.u_squared is None:
+        raise ValueError("context carries no u-extension")
     gens = list(gens)
-    form = canonical_module_form(ctx, gens)
-    u = (pr.P_ZERO, pr.P_ONE)
-    return all(module_contains(ctx, form, ext_mul(ctx, u, g)) for g in gens)
+    form = _packed_form(ctx, canonical_module_form(ctx, gens))
+    F, modulus = ctx.field, ctx.packed_pows[ctx.e]
+    u2 = pr.pack(F, ctx.u_squared)
+    return all(
+        _contains(ctx, form, pr.k_mod(F, pr.k_mul(F, u2, pr.pack(F, a1)), modulus), pr.pack(F, a0))
+        for a0, a1 in gens
+    )
 
 
 def materialize_submodule(ctx: ChainCtx, gens, cap: int = 1 << 20) -> frozenset:

@@ -60,16 +60,16 @@ def is_irreducible(F: GF2m, f: Poly) -> bool:
 def _trace_split(F: GF2m, g: Poly, d: int, rng: random.Random) -> tuple[Poly, Poly]:
     """Split a product g of degree-d irreducibles into two proper parts."""
     bits = F.m * d
+    dv = pr.k_divisor(F, pr.pack(F, g))
     while True:
         h = pr.normalize(rng.randrange(F.order) for _ in range(pr.deg(g)))
         if not h:
             continue
-        tr = h
-        acc = h
+        tr = acc = pr.pack(F, h)
         for _ in range(bits - 1):
-            acc = pr.p_mod(F, pr.p_sqr(F, acc), g)
-            tr = pr.p_add(F, tr, acc)
-        w = pr.p_gcd(F, tr, g) if tr else pr.P_ZERO
+            acc = pr.k_mod(F, pr.k_sqr(F, acc), dv)
+            tr ^= acc
+        w = pr.p_gcd(F, pr.unpack(F, tr), g) if tr else pr.P_ZERO
         if w and 0 < pr.deg(w) < pr.deg(g):
             return w, pr.p_divmod(F, g, w)[0]
 

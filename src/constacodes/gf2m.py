@@ -155,6 +155,8 @@ class GF2m:
         self.m = m
         self.reduction = reduction
         self.order = 1 << m
+        # lane width of packed polynomials: 2m-1 bits in 8, 16 or 32
+        self.lane = next(w for w in (8, 16, 32) if w >= 2 * m - 1)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         if m <= _TABLE_LIMIT:

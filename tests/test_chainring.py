@@ -71,6 +71,18 @@ def test_adic_roundtrip_random(field, f, e, seed):
         assert cr.adic_compose(ctx, digits) == a
 
 
+def _pi_degree_by_division(ctx, a):
+    """The valuation as first written: divide by f until a remainder."""
+    if not a:
+        return ctx.e
+    t = 0
+    while True:
+        a, rem = pr.p_divmod(ctx.field, a, ctx.f)
+        if rem:
+            return t
+        t += 1
+
+
 def test_pi_degree():
     ctx = plain8()
     assert cr.pi_degree(ctx, ()) == 8
@@ -83,6 +95,17 @@ def test_pi_degree():
                 continue
             a = cr.c_mul(ctx, ctx.f_pows[s], w)
             assert cr.pi_degree(ctx, a) == s
+    # the binary search against repeated division, at deg f = 1, 2 and
+    # 3: every t in 0..e, f^(e-1) times a unit, and the zero element
+    for ctx in (plain8(), cr.make_plain_ctx(F2, (1, 1, 1), 5),
+                cr.make_plain_ctx(F2, (1, 1, 0, 1), 4), cr.make_plain_ctx(F4, (2, 1), 7)):
+        for t in range(ctx.e + 1):
+            for _ in range(6):
+                a = cr.c_mul(ctx, ctx.f_pows[t], _unit(ctx, rng))
+                assert cr.pi_degree(ctx, a) == _pi_degree_by_division(ctx, a) == t
+        for _ in range(30):
+            a = rand_elem(ctx, rng)
+            assert cr.pi_degree(ctx, a) == _pi_degree_by_division(ctx, a)
 
 
 # ----------------------------------------------------------------------

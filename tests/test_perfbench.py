@@ -1,6 +1,7 @@
 """The benchmark's tracer patches package functions by name; a name it
 cannot resolve makes `perfbench/run.py --trace 1` fail at install.  The
-verify workload's own requests and checks also run here, on a sample."""
+verify workload's own requests and checks also run here, on a sample,
+plain and with the tracer installed."""
 
 import importlib
 import importlib.util
@@ -27,9 +28,10 @@ def test_tracer_targets_resolve():
         assert callable(owner), name
 
 
-def test_verify_workload_sample():
-    # the benchmark's verify path with its own checks, on every 25th
-    # request; the package is the one already imported, not reloaded
+def _verify_workload():
+    """The benchmark's verify workload at seed 7 over the package already
+    imported, not reloaded: (workloads module, package, workload, state,
+    requests)."""
     cold_setup = _load_perfbench("cold_setup")
     workloads = _load_perfbench("workloads")
     cc = cold_setup.Package(
@@ -40,5 +42,31 @@ def test_verify_workload_sample():
     state = wl.setup(cc, 7)
     reqs, problems = wl.requests(cc, 7, state)
     assert problems == []
+    return workloads, cc, wl, state, reqs
+
+
+def test_verify_workload_sample():
+    # the benchmark's verify path with its own checks, on every 25th request
+    workloads, cc, wl, state, reqs = _verify_workload()
     for req in reqs[::25]:
         assert wl.check(state, req, wl.execute(cc, state, req)) is workloads.OK, req
+
+
+def test_tracer_runs_over_packed_kernel():
+    # the tracer wraps the tuple API by name and counts p_mul's products
+    # by len(); the package must still call those bindings, and
+    # uninstall must put the originals back
+    tracer = _load_perfbench("tracer").Tracer()
+    _, cc, wl, state, reqs = _verify_workload()
+    p_mul, form = cc.polyring.p_mul, cc.chainring.canonical_module_form
+    tracer.install()
+    try:
+        for req in reqs[::50]:
+            before = tracer.calls_of("chainring.canonical_module_form")
+            assert tracer.request(wl.execute, cc, state, req) is True, req
+            assert tracer.calls_of("chainring.canonical_module_form") == before + 1
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["coeff_products"] > 0
+    assert cc.polyring.p_mul is p_mul
+    assert cc.chainring.canonical_module_form is form

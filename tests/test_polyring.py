@@ -9,9 +9,68 @@ F2 = GF2m(1)
 F4 = GF2m(2)
 F8 = GF2m(3)
 
+# every lane width (8 bits up to m = 4, 16 up to 8, 32 above), the
+# table-free fields m >= 13, and one reduction other than the default
+KERNEL_FIELDS = [GF2m(m) for m in (1, 2, 3, 4, 5, 8, 9, 13, 16)] + [GF2m(8, 0x11B)]
+
 
 def rand_poly(F, rng, max_deg):
     return pr.normalize(rng.randrange(F.order) for _ in range(max_deg + 1))
+
+
+# ----------------------------------------------------------------------
+# The schoolbook loops the lane kernel replaced, kept as its reference
+# ----------------------------------------------------------------------
+
+def school_mul(F, a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] ^= F.mul(ai, bj)
+    return pr.normalize(out)
+
+
+def school_divmod(F, a, b):
+    inv_lead = F.inv(b[-1])
+    rem = list(a)
+    db = len(b) - 1
+    quot = [0] * max(len(a) - db, 0)
+    for top in range(len(a) - 1, db - 1, -1):
+        q = F.mul(rem[top], inv_lead)
+        quot[top - db] = q
+        for j, bj in enumerate(b):
+            rem[top - db + j] ^= F.mul(q, bj)
+    return pr.normalize(quot), pr.normalize(rem[:db])
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=repr)
+def test_kernel_matches_schoolbook(F):
+    # degrees up to 90, so products outgrow any mask sized for the
+    # operands; divisors are not monic; zero and constants included
+    rng = random.Random(F.reduction)
+    cases = [((), (3 % F.order, 1)), ((1,), (F.order - 1,)), ((F.order - 1,), (0, 1))]
+    for _ in range(3 if F.m >= 13 else 25):
+        cases.append((rand_poly(F, rng, rng.randrange(91)), rand_poly(F, rng, rng.randrange(91))))
+    for a, b in cases:
+        assert pr.p_mul(F, a, b) == school_mul(F, a, b)
+        assert pr.p_sqr(F, a) == school_mul(F, a, a)
+        for x, y in ((a, b), (b, a)):
+            if y:
+                assert pr.p_divmod(F, x, y) == school_divmod(F, x, y)
+                assert pr.p_mod(F, x, y) == school_divmod(F, x, y)[1]
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=repr)
+def test_powmod_matches_repeated_products(F):
+    rng = random.Random(F.m)
+    for _ in range(2 if F.m >= 13 else 6):
+        low = tuple(rng.randrange(F.order) for _ in range(rng.randrange(1, 40)))
+        modulus = low + (rng.randrange(1, F.order),)  # nonconstant, not monic
+        base = rand_poly(F, rng, 60)
+        acc = school_divmod(F, (1,), modulus)[1]
+        for e in range(12):
+            assert pr.p_powmod(F, base, e, modulus) == acc
+            acc = school_divmod(F, school_mul(F, acc, base), modulus)[1]
 
 
 def test_normalization_and_degree():
@@ -73,16 +132,19 @@ def test_gcd_examples():
         pr.p_gcd(F2, (), ())
 
 
-@pytest.mark.parametrize("F,seed", [(F2, 21), (F4, 22), (F8, 23)])
+@pytest.mark.parametrize(
+    "F,seed", [(F2, 21), (F4, 22), (F8, 23), (GF2m(5), 24), (GF2m(9), 25), (GF2m(13), 26)]
+)
 def test_xgcd_recombination_random(F, seed):
+    # the Bezout identity, with products by the schoolbook reference
     rng = random.Random(seed)
-    for _ in range(1000):
-        a = rand_poly(F, rng, 7)
-        b = rand_poly(F, rng, 5)
+    for i in range(300 if F.m >= 9 else 1000):
+        a = rand_poly(F, rng, 40 if i % 20 == 0 else 7)
+        b = rand_poly(F, rng, 30 if i % 20 == 0 else 5)
         if not a and not b:
             continue
         g, s, t = pr.p_xgcd(F, a, b)
-        assert pr.p_add(F, pr.p_mul(F, s, a), pr.p_mul(F, t, b)) == g
+        assert pr.p_add(F, school_mul(F, s, a), school_mul(F, t, b)) == g
         assert not g or g[-1] == 1
         if a:
             assert pr.p_mod(F, a, g) == ()
@@ -121,7 +183,7 @@ def test_sqr_matches_mul(m):
     assert pr.p_sqr(F, ()) == ()
     for max_deg in (0, 1, 5, 40, 150):
         a = rand_poly(F, rng, max_deg)
-        assert pr.p_sqr(F, a) == pr.p_mul(F, a, a)
+        assert pr.p_sqr(F, a) == pr.p_mul(F, a, a) == school_mul(F, a, a)
 
 
 def test_pow_small():
