@@ -13,7 +13,9 @@ Two isomorphic pictures of the same ring are maintained:
 
 psi_lift / psi_inverse realize the structure map between the sides; it
 is linear by construction and its multiplicativity is property-tested,
-not assumed.
+not assumed.  By the CRT split a code is a sum of one ideal per factor,
+so its generators are its components' words eps_j * g mod M, which
+component_generators builds for one factor and descriptor at a time.
 
 For oracle work the word side is flattened to GF(2) vectors packed in
 ints (D = m * 2*lam * N bits).  An ideal is then an xor-closed set
@@ -37,6 +39,7 @@ from . import polyring as pr
 from .chainring import ChainCtx
 from .enumerator import (
     CodeDescriptor,
+    IdealDescriptor,
     chain_contexts,
     code_size,
     descriptor_generators,
@@ -466,23 +469,21 @@ class IdealSet:
 # Enumerated codes, materialized
 # ----------------------------------------------------------------------
 
-def _component_generators(
+def component_generators(
     params: Params,
     factor_data: FactorData,
-    code: CodeDescriptor,
-    ctxs: list[ChainCtx] | None,
-) -> list[list[AmbientElem]]:
-    """Per component j, eps_j * g mod M for each of its generators g."""
-    if ctxs is None:
-        ctxs = chain_contexts(params, factor_data)
+    j: int,
+    desc: IdealDescriptor,
+    ctx: ChainCtx,
+) -> list[AmbientElem]:
+    """eps_j * g mod M for each generator g of desc, an ideal of factor j
+    (0-based): what the code's component j adds to its generators."""
     F = params.field
-    M = factor_data.modulus
+    dv = factor_data.modulus_divisor
+    eps = pr.pack(F, factor_data.idempotents[j])
     return [
-        [
-            tuple(pr.p_mod(F, pr.p_mul(F, eps, part), M) for part in g)
-            for g in descriptor_generators(params, ctx, desc)
-        ]
-        for eps, ctx, desc in zip(factor_data.idempotents, ctxs, code.components)
+        tuple(pr.unpack(F, pr.k_mod(F, pr.k_mul(F, eps, pr.pack(F, part)), dv)) for part in g)
+        for g in descriptor_generators(params, ctx, desc)
     ]
 
 
@@ -493,8 +494,13 @@ def code_ambient_generators(
     ctxs: list[ChainCtx] | None = None,
 ) -> list[AmbientElem]:
     """Idempotent-scaled generators of a code on the plain side."""
-    comps = _component_generators(params, factor_data, code, ctxs)
-    return [g for comp in comps for g in comp]
+    if ctxs is None:
+        ctxs = chain_contexts(params, factor_data)
+    return [
+        g
+        for j, (ctx, desc) in enumerate(zip(ctxs, code.components))
+        for g in component_generators(params, factor_data, j, desc, ctx)
+    ]
 
 
 def code_generators(
@@ -509,14 +515,15 @@ def code_generators(
     generator; components with one generator contribute zero to the
     second slot.
     """
-    comps = _component_generators(params, factor_data, code, ctxs)
-    out = []
-    for slot in range(max(len(comp) for comp in comps)):
-        acc = (pr.P_ZERO, pr.P_ZERO)
-        for comp in comps:
-            if slot < len(comp):
-                acc = amb_add(params, acc, comp[slot])
-        out.append(acc)
+    if ctxs is None:
+        ctxs = chain_contexts(params, factor_data)
+    out: list[AmbientElem] = []
+    for j, (ctx, desc) in enumerate(zip(ctxs, code.components)):
+        for slot, g in enumerate(component_generators(params, factor_data, j, desc, ctx)):
+            if slot == len(out):
+                out.append(g)
+            else:
+                out[slot] = amb_add(params, out[slot], g)
     return out
 
 

@@ -15,6 +15,11 @@ CONSTACODES_MAT_CAP; neither has a flag.
 `count` factors nothing: it reads the factor degrees off cyclotomic
 cosets (factorizer.factor_degrees).  Counts and sizes print in full,
 however many digits they have.
+
+`enumerate` writes a JSON page from per-factor fragments.  The stream
+is an odometer whose last factor moves fastest, so a factor's
+descriptor JSON and lifted-word JSON are built when its descriptor
+changes and reused by the codes that follow.
 """
 
 from __future__ import annotations
@@ -162,6 +167,8 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.offset < 0 or (args.limit is not None and args.limit < 0):
         raise ValueError("--offset and --limit must be nonnegative")
+    if args.with_generators and args.format == "csv":
+        raise ValueError("--with-generators needs --format json")
     params = _make_params(args)
     fd = build_factor_data(params)
     ctxs = en.chain_contexts(params, fd)
@@ -189,19 +196,20 @@ def cmd_enumerate(args) -> int:
                 "null" if args.limit is None else str(args.limit),
             )
         )
-        first = True
-        for code in window:
-            entry = {
-                "size": _decimal(en.code_size(params, fd, code)),
-                "components": [c.as_dict() for c in code.components],
-            }
+        # Per factor: (descriptor, its JSON, its lifted words' JSON).
+        slots = [(None, "", "")] * fd.r
+        for i, code in enumerate(window):
+            for j, desc in enumerate(code.components):
+                if slots[j][0] != desc:
+                    gens = (amb.component_generators(params, fd, j, desc, ctxs[j])
+                            if args.with_generators else ())
+                    lifted = ",".join(_dump(amb.psi_lift(params, g)) for g in gens)
+                    slots[j] = (desc, _dump(desc.as_dict()), lifted)
+            entry = '{"size":"%s","components":[%s]' % (
+                _decimal(en.code_size(params, fd, code)), ",".join(slot[1] for slot in slots))
             if args.with_generators:
-                gens = amb.code_ambient_generators(params, fd, code, ctxs)
-                entry["generators_lifted"] = [
-                    [list(digits) for digits in amb.psi_lift(params, g)] for g in gens
-                ]
-            out.write(("" if first else ",") + _dump(entry))
-            first = False
+                entry += ',"generators_lifted":[%s]' % ",".join(slot[2] for slot in slots)
+            out.write(("," if i else "") + entry + "}")
         out.write("]}\n")
     return 0
 

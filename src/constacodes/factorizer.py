@@ -207,6 +207,12 @@ class FactorData:
             raise ArithmeticError("idempotents do not sum to 1")
         return tuple(out)
 
+    @cached_property
+    def modulus_divisor(self) -> pr.Divisor:
+        """M packed and prepared for long division, built on first use."""
+        F = self.params.field
+        return pr.k_divisor(F, pr.pack(F, self.modulus))
+
 
 def build_factor_data(params: Params) -> FactorData:
     """Factor the core polynomial and divide out each factor's cofactor."""

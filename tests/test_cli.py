@@ -382,6 +382,19 @@ STDOUT_FINGERPRINTS = [
      "c5761bb6bc8a6093fbfc89340ca32b109859d416ada7fa03453ae697c7fa84d9"),
     ("enumerate --m 2 --n 7 --offset 18125645 --limit 10",
      "d459e71234814953f8e4c08249d604cf327c7933446ca7c67edf6aae5af3b258"),
+    # Windows where enumerate reuses unchanged factors' JSON: in the
+    # first, factor 3 wraps and factor 2 steps; the second has r = 1, so
+    # every component changes; the fourth has 32-bit lanes.
+    ("enumerate --m 2 --n 7 --offset 18125645 --limit 10 --with-generators",
+     "5586d1b984ea80dd7c6721747b148c48f98376ed810f30c201339a62c66c5c5c"),
+    ("enumerate --m 1 --n 1 --with-generators",
+     "bc15b0fe107d107ed9db981b674d4a606c075a8b1c497f10cb4533f4e2a600e1"),
+    ("enumerate --m 3 --n 1 --lambda 3 --alpha 5 --limit 40 --with-generators",
+     "2bd2f96e08e71a2984d71b0531a435548e508041a44d32dc3f8672db687cf2e4"),
+    ("enumerate --m 9 --n 1 --delta 7 --alpha 300 --limit 5 --with-generators",
+     "40618b8c40427e94832d55a9f07431a099b548968f4078ac1714fe1e937675c8"),
+    ("enumerate --m 1 --n 7 --k 3 --offset 100000 --limit 20 --with-generators",
+     "e63b1dd515488f09e41a738b07c6cf6a2fa53ed1e90a13a813942eae56636fe5"),
     # Counts from cyclotomic cosets; the first has 4934 digits.  Digests
     # from the factorizing count, with Python's digit limit lifted.
     ("count --m 1 --n 4095",
@@ -431,6 +444,41 @@ def test_enumerate_offset_is_a_seek(monkeypatch, tmp_path):
     r = len(doc["codes"][0]["components"])
     assert len(doc["codes"]) == 10
     assert len(built) <= 10 + r
+
+
+@pytest.mark.parametrize("offset, limit, with_gens, calls", [
+    # the first code builds all three components, each later one the last
+    (0, 50, True, 50 + 2),
+    # factor 3 wraps once inside the window, and factor 2 steps with it
+    (18125645, 10, True, 10 + 2 + 1),
+    (0, 50, False, 0),
+])
+def test_enumerate_builds_each_component_once(monkeypatch, tmp_path, offset, limit,
+                                              with_gens, calls):
+    built = []
+    real = amb.component_generators
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(amb, "component_generators", counted)
+    out = tmp_path / "page.json"
+    argv = ["enumerate", "--m", "2", "--n", "7", "--offset", str(offset),
+            "--limit", str(limit), "--out", str(out)]
+    assert cli.main(argv + ["--with-generators"] * with_gens) == 0
+    assert len(json.loads(out.read_text())["codes"]) == limit
+    assert len(built) == calls
+
+
+def test_enumerate_csv_with_generators_exit_2(tmp_path):
+    out = tmp_path / "codes.csv"
+    res = run_cli("enumerate", "--m", "1", "--n", "1", "--format", "csv",
+                  "--with-generators", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: --with-generators")
+    assert res.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def _unlimited_str(x):
