@@ -13,9 +13,17 @@ Two isomorphic pictures of the same ring are maintained:
 
 psi_lift / psi_inverse realize the structure map between the sides; it
 is linear by construction and its multiplicativity is property-tested,
-not assumed.  By the CRT split a code is a sum of one ideal per factor,
-so its generators are its components' words eps_j * g mod M, which
-component_generators builds for one factor and descriptor at a time.
+not assumed.  It is the ring map x -> x, u -> u from GF(2^m)[x], which
+sends M = (x^N + delta)^lam to (alpha*u^2)^lam = 0, so lift_lanes, the
+one lift, takes packed parts whether or not they are reduced mod M and
+lifts a whole chunk of N lanes at a time; psi_lift is lift_lanes on
+tuples, reshaped into a word.
+
+By the CRT split a code is a sum of one ideal per factor, so its
+generators are its components' words eps_j * g, which
+component_generators builds packed and unreduced for one factor and
+descriptor at a time: the lift needs no reduction mod M, and the plain
+side's callers reduce through FactorData.modulus_divisor.
 
 For oracle work the word side is flattened to GF(2) vectors packed in
 ints (D = m * 2*lam * N bits).  An ideal is then an xor-closed set
@@ -113,9 +121,12 @@ _TABLES: weakref.WeakKeyDictionary[Params, dict] = weakref.WeakKeyDictionary()
 
 
 def _tables(params: Params) -> dict:
-    """Per-parameter tables: gamma_pows[l] = gamma^l for l < lam, whose
-    u-digit 2j is zero for j > l and digit 2l is alpha^l (the structure
-    map is triangular), and the lazily built BitSpace."""
+    """Per-parameter tables: gamma_pows[l] = gamma^l for l < 2*lam, whose
+    u-digit 2j is zero for j > l and digit 2l is alpha^l for l < lam (the
+    structure map is triangular); lift_rows[l], a pair (t, planes) for
+    each nonzero digit t of gamma^l, planes being None if the digit is 1
+    and else its products with y^b, b < m; lane_ones, 1 in each of N
+    lanes; and the lazily built BitSpace."""
     got = _TABLES.get(params)
     if got is not None:
         return got
@@ -125,9 +136,15 @@ def _tables(params: Params) -> dict:
         params.delta if i == 0 else (params.alpha if i == 2 else 0) for i in range(w)
     )
     pows = [tuple(1 if i == 0 else 0 for i in range(w))]
-    for _ in range(params.lam - 1):
+    for _ in range(w - 1):
         pows.append(r_mul(F, pows[-1], gamma))
-    got = {"gamma_pows": pows, "bitspace": None}
+    rows = [
+        [(t, None if g == 1 else [F.mul(g, 1 << b) for b in range(F.m)])
+         for t, g in enumerate(gp) if g]
+        for gp in pows
+    ]
+    ones = ((1 << (F.lane * params.length)) - 1) // ((1 << F.lane) - 1)
+    got = {"gamma_pows": pows, "lift_rows": rows, "lane_ones": ones, "bitspace": None}
     _TABLES[params] = got
     return got
 
@@ -243,27 +260,57 @@ def inner_product(params: Params, a: RPoly, b: RPoly) -> RElem:
 # The structure map between the two sides
 # ----------------------------------------------------------------------
 
-def psi_lift(params: Params, amb: AmbientElem) -> RPoly:
-    """Map a0 + u*a1 to the word ring.
+def lift_lanes(params: Params, parts: tuple[int, int]) -> list[int]:
+    """psi(a0 + u*a1) from the packed a0 and a1, as the flat u-digits of
+    the word: coefficient i, digit t at index i * 2*lam + t.
 
-    Each polynomial is split into lam chunks of length N, chunk l being
-    the coefficient block of x^(N*l); chunk l lands on gamma^l (times u
-    for the a1 part).
+    The parts need not be reduced mod M, since psi(M) = 0, but must be
+    below degree 2 * deg M = 2*lam*N, as a product of two reduced
+    polynomials is: chunk l < 2*lam lands on gamma^l (times u for a1),
+    and digits at or above 2*lam drop out with u^(2*lam) = 0.
+
+    A chunk is scaled by a digit g plane by plane: bit b of every lane,
+    moved to bit 0, times the field element y^b * g.  Each lane then
+    holds 0 or y^b * g, which fits in it, so the int products never
+    carry between lanes and need no fold.  The accumulator of digit t
+    holds that digit of every coefficient, one per lane, and goes into
+    the flat list by one strided slice.
     """
     F = params.field
-    N = params.length
     w = params.u_exp
-    rows = [[(t, g) for t, g in enumerate(gp) if g] for gp in _tables(params)["gamma_pows"]]
-    u_rows = [[(t + 1, g) for t, g in row] for row in rows]
-    acc = [[0] * w for _ in range(N)]
-    for part_rows, xi in zip((rows, u_rows), amb):
-        for idx, c in enumerate(xi):
-            if c:
-                l, i = divmod(idx, N)
-                coeff = acc[i]
-                for t, g in part_rows[l]:
-                    coeff[t] ^= F.mul(g, c)
-    return tuple(tuple(coeff) for coeff in acc)
+    tabs = _tables(params)
+    rows, ones = tabs["lift_rows"], tabs["lane_ones"]
+    span = params.length * F.lane
+    mask = (1 << span) - 1
+    acc = [0] * w
+    for up, part in enumerate(parts):
+        l = 0
+        while part:
+            chunk = part & mask
+            if chunk:
+                for t, planes in rows[l]:
+                    t += up
+                    if t < w:
+                        if planes is None:  # the digit is 1
+                            acc[t] ^= chunk
+                        else:
+                            for b, c in enumerate(planes):
+                                acc[t] ^= ((chunk >> b) & ones) * c
+            part >>= span
+            l += 1
+    flat = [0] * (w * params.length)
+    for t, digit in enumerate(acc):
+        col = pr.unpack(F, digit)  # its top zero lanes dropped
+        flat[t:t + w * len(col):w] = col
+    return flat
+
+
+def psi_lift(params: Params, amb: AmbientElem) -> RPoly:
+    """Map a0 + u*a1 to the word ring: lift_lanes, reshaped into N
+    coefficients of 2*lam u-digits."""
+    F = params.field
+    flat = lift_lanes(params, (pr.pack(F, amb[0]), pr.pack(F, amb[1])))
+    return tuple(zip(*[iter(flat)] * params.u_exp))
 
 
 def psi_inverse(params: Params, word: RPoly) -> AmbientElem:
@@ -475,16 +522,23 @@ def component_generators(
     j: int,
     desc: IdealDescriptor,
     ctx: ChainCtx,
-) -> list[AmbientElem]:
-    """eps_j * g mod M for each generator g of desc, an ideal of factor j
-    (0-based): what the code's component j adds to its generators."""
+) -> list[tuple[int, int]]:
+    """eps_j * g for each generator g of desc, an ideal of factor j
+    (0-based), packed and not reduced mod M: what the code's component j
+    adds to its generators, ready for lift_lanes."""
     F = params.field
-    dv = factor_data.modulus_divisor
     eps = pr.pack(F, factor_data.idempotents[j])
     return [
-        tuple(pr.unpack(F, pr.k_mod(F, pr.k_mul(F, eps, pr.pack(F, part)), dv)) for part in g)
+        tuple(pr.k_mul(F, eps, pr.pack(F, part)) for part in g)
         for g in descriptor_generators(params, ctx, desc)
     ]
+
+
+def _reduced(params: Params, factor_data: FactorData, g: tuple[int, int]) -> AmbientElem:
+    """A packed, unreduced plain element reduced mod M, as tuples."""
+    F = params.field
+    dv = factor_data.modulus_divisor
+    return tuple(pr.unpack(F, pr.k_mod(F, x, dv)) for x in g)
 
 
 def code_ambient_generators(
@@ -497,7 +551,7 @@ def code_ambient_generators(
     if ctxs is None:
         ctxs = chain_contexts(params, factor_data)
     return [
-        g
+        _reduced(params, factor_data, g)
         for j, (ctx, desc) in enumerate(zip(ctxs, code.components))
         for g in component_generators(params, factor_data, j, desc, ctx)
     ]
@@ -517,14 +571,14 @@ def code_generators(
     """
     if ctxs is None:
         ctxs = chain_contexts(params, factor_data)
-    out: list[AmbientElem] = []
+    slots: list[tuple[int, int]] = []
     for j, (ctx, desc) in enumerate(zip(ctxs, code.components)):
         for slot, g in enumerate(component_generators(params, factor_data, j, desc, ctx)):
-            if slot == len(out):
-                out.append(g)
+            if slot == len(slots):
+                slots.append(g)
             else:
-                out[slot] = amb_add(params, out[slot], g)
-    return out
+                slots[slot] = (slots[slot][0] ^ g[0], slots[slot][1] ^ g[1])
+    return [_reduced(params, factor_data, g) for g in slots]
 
 
 def code_bit_basis(

@@ -18,8 +18,11 @@ however many digits they have.
 
 `enumerate` writes a JSON page from per-factor fragments.  The stream
 is an odometer whose last factor moves fastest, so a factor's
-descriptor JSON and lifted-word JSON are built when its descriptor
-changes and reused by the codes that follow.
+descriptor JSON, ideal size and lifted-word JSON are built when its
+descriptor changes and reused by the codes that follow.  Lifted words
+come from ambient.lift_lanes as flat u-digits and are written through
+one format string per request, built for its word length and u-digit
+count.
 """
 
 from __future__ import annotations
@@ -42,6 +45,14 @@ from .params import Params
 SCHEMA = 1
 
 
+def _int_literal(text: str) -> int:
+    """An int written as a Python integer literal: 283, 0x11b, 0b111."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+
+
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=int, required=True, help="field extension degree")
     parser.add_argument("--n", type=int, default=1, help="odd length factor (default 1)")
@@ -50,8 +61,9 @@ def _common(parser: argparse.ArgumentParser) -> None:
                         help="half the u-nilpotency (default 2)")
     parser.add_argument("--delta", type=int, default=1, help="shift constant delta (default 1)")
     parser.add_argument("--alpha", type=int, default=1, help="shift constant alpha (default 1)")
-    parser.add_argument("--reduction", type=int, default=None,
-                        help="override the field reduction polynomial (packed bits)")
+    parser.add_argument("--reduction", type=_int_literal, default=None,
+                        help="override the field reduction polynomial (packed bits; "
+                             "decimal, or 0x, 0o or 0b prefixed)")
     parser.add_argument("--seed", type=int, default=0,
                         help="ignored; accepted so that existing invocations keep working")
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
@@ -196,19 +208,23 @@ def cmd_enumerate(args) -> int:
                 "null" if args.limit is None else str(args.limit),
             )
         )
-        # Per factor: (descriptor, its JSON, its lifted words' JSON).
-        slots = [(None, "", "")] * fd.r
+        # Each lifted word: N coefficients of 2*lam u-digits.
+        word = "[%s]" % ",".join(["[%s]" % ",".join(["%d"] * params.u_exp)] * params.length)
+        # Per factor: (descriptor, its JSON, its ideal size, its lifted words' JSON).
+        slots = [(None, "", 1, "")] * fd.r
         for i, code in enumerate(window):
             for j, desc in enumerate(code.components):
                 if slots[j][0] != desc:
                     gens = (amb.component_generators(params, fd, j, desc, ctxs[j])
                             if args.with_generators else ())
-                    lifted = ",".join(_dump(amb.psi_lift(params, g)) for g in gens)
-                    slots[j] = (desc, _dump(desc.as_dict()), lifted)
+                    lifted = ",".join(word % tuple(amb.lift_lanes(params, g)) for g in gens)
+                    size = en.ideal_size(params, fd.entries[j].degree, desc)
+                    slots[j] = (desc, _dump(desc.as_dict()), size, lifted)
             entry = '{"size":"%s","components":[%s]' % (
-                _decimal(en.code_size(params, fd, code)), ",".join(slot[1] for slot in slots))
+                _decimal(math.prod(slot[2] for slot in slots)),
+                ",".join(slot[1] for slot in slots))
             if args.with_generators:
-                entry += ',"generators_lifted":[%s]' % ",".join(slot[2] for slot in slots)
+                entry += ',"generators_lifted":[%s]' % ",".join(slot[3] for slot in slots)
             out.write(("," if i else "") + entry + "}")
         out.write("]}\n")
     return 0

@@ -113,6 +113,94 @@ def test_roundtrip_and_hom_wider_u_space():
         assert amb.psi_lift(p, amb.amb_mul(p, a, b)) == amb.rp_mul(p, la, lb)
 
 
+def reference_lift(params, amb_elem):
+    """The structure map one coefficient at a time: coefficient x^(N*l + i)
+    of a0 adds c * gamma^l to word coefficient i, and of a1 adds
+    c * u * gamma^l.  gamma^l is taken for every l the parts reach, so
+    unreduced parts lift too."""
+    F = params.field
+    N = params.length
+    w = params.u_exp
+    gamma = tuple(params.delta if i == 0 else (params.alpha if i == 2 else 0)
+                  for i in range(w))
+    chunks = max(len(x) for x in amb_elem) // N + 1
+    pows = [(1,) + (0,) * (w - 1)]
+    while len(pows) < chunks:
+        pows.append(amb.r_mul(F, pows[-1], gamma))
+    rows = [[(t, g) for t, g in enumerate(gp) if g] for gp in pows]
+    u_rows = [[(t + 1, g) for t, g in row if t + 1 < w] for row in rows]
+    acc = [[0] * w for _ in range(N)]
+    for part_rows, xi in zip((rows, u_rows), amb_elem):
+        for idx, c in enumerate(xi):
+            if c:
+                l, i = divmod(idx, N)
+                coeff = acc[i]
+                for t, g in part_rows[l]:
+                    coeff[t] ^= F.mul(g, c)
+    return tuple(tuple(coeff) for coeff in acc)
+
+
+# (m, n, k, lam, delta, alpha): 8-bit lanes at m = 1, 2; 16 at m = 5;
+# 32 at m = 9, 16.
+LIFT_POINTS = [
+    (1, 1, 2, 2, 1, 1), (1, 5, 3, 3, 1, 1), (2, 3, 2, 4, 2, 3), (2, 5, 3, 2, 3, 2),
+    (5, 3, 2, 3, 7, 9), (5, 1, 3, 4, 19, 30), (9, 1, 2, 2, 300, 7),
+    (9, 3, 3, 3, 5, 411), (16, 1, 2, 4, 4097, 3), (16, 5, 2, 2, 40000, 12345),
+]
+
+
+@pytest.mark.parametrize("mp", LIFT_POINTS)
+def test_lane_lift_matches_reference(mp):
+    p = Params(*mp)
+    F = p.field
+    rng = random.Random(str(mp))
+    width = p.lam * p.length
+
+    def rand_part(length):
+        return pr.normalize([rng.randrange(F.order) for _ in range(length - 1)]
+                            + [rng.randrange(1, F.order)])
+
+    full = rand_part(width)
+    cases = [((), ()), (full, ()), ((), full), (full, rand_part(width)),
+             ((1,), ()), ((), (1,))]
+    cases += [rand_amb(p, rng) for _ in range(20)]
+    for a in cases:
+        want = reference_lift(p, a)
+        assert amb.psi_lift(p, a) == want
+        assert tuple(amb.lift_lanes(p, (pr.pack(F, a[0]), pr.pack(F, a[1])))) == sum(want, ())
+    # Unreduced parts up to degree 2 * deg M - 1, as products of two
+    # reduced ones reach.
+    for _ in range(10):
+        a = (rand_part(2 * width), rand_part(rng.randrange(1, 2 * width)))
+        flat = amb.lift_lanes(p, (pr.pack(F, a[0]), pr.pack(F, a[1])))
+        assert tuple(flat) == sum(reference_lift(p, a), ())
+
+
+def test_lift_needs_no_reduction_mod_m():
+    # psi(M) = 0, so the unreduced eps_j * g of every factor j lifts to the
+    # same word as eps_j * g mod M.
+    p = Params(2, 7, 2, 3, 2, 3)
+    F = p.field
+    fd = build_factor_data(p)
+    ctxs = en.chain_contexts(p, fd)
+    assert fd.r > 2
+    dv = fd.modulus_divisor
+    rng = random.Random(47)
+    above = 0
+    for j, ctx in enumerate(ctxs):
+        total = en.count_ideals(ctx.q, p.k, p.lam)
+        for start in rng.sample(range(total), 15):
+            desc = next(en.enumerate_ideals(p, ctx, j + 1, start))
+            for g in amb.component_generators(p, fd, j, desc, ctx):
+                reduced = tuple(pr.k_mod(F, x, dv) for x in g)
+                above += reduced != g
+                assert amb.lift_lanes(p, g) == amb.lift_lanes(p, reduced)
+                plain = tuple(pr.unpack(F, x) for x in g)
+                assert reference_lift(p, plain) == amb.psi_lift(
+                    p, tuple(pr.unpack(F, x) for x in reduced))
+    assert above > 0
+
+
 def test_dual_rank_law_multifactor(p1322, fd1322, ctxs1322):
     # No materialization at dimension 48.  Every dual row is R-orthogonal
     # to every code row, so the dual lies in the orthogonal complement;

@@ -133,6 +133,25 @@ def test_reduction_override():
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("m, literal, decimal", [(8, "0x11b", "283"), (2, "0b111", "7")])
+def test_reduction_accepts_prefixed_literals(tmp_path, m, literal, decimal):
+    outs = []
+    for text in (literal, decimal):
+        out = tmp_path / f"{text}.json"
+        assert cli.main(["count", "--m", str(m), "--reduction", text, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_reduction_not_a_number_exit_2():
+    res = run_cli("count", "--m", "8", "--reduction", "0x11g")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert [line for line in res.stderr.splitlines() if "error" in line] == [
+        "constacodes count: error: argument --reduction: invalid integer: '0x11g'"]
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("m,reduction", [(2, "-7"), (1, "-3")])
 def test_negative_reduction_exit_2(m, reduction):
     # -7 has the bit length of a degree-2 polynomial; the irreducibility
@@ -395,6 +414,16 @@ STDOUT_FINGERPRINTS = [
      "40618b8c40427e94832d55a9f07431a099b548968f4078ac1714fe1e937675c8"),
     ("enumerate --m 1 --n 7 --k 3 --offset 100000 --limit 20 --with-generators",
      "e63b1dd515488f09e41a738b07c6cf6a2fa53ed1e90a13a813942eae56636fe5"),
+    # Lifted words at more lane widths and u-digit counts: 16-bit lanes
+    # with lam = 3; lam = 4, where an unreduced eps_j * g spans 7 chunks
+    # of N lanes; 32-bit lanes at the largest m.
+    ("enumerate --m 5 --n 3 --lambda 3 --delta 7 --alpha 9 --limit 20 --with-generators",
+     "6afb3fa6e1d9b18de7c5e8a966779db81581a71545c7e361e3dc1f9ebbbd4b4a"),
+    ("enumerate --m 2 --n 5 --lambda 4 --delta 2 --alpha 3 --offset 777 --limit 20 "
+     "--with-generators",
+     "d51ff47ab73b6f93bbba1c76de8876d8758f8430ad4c1c9bad20e61f52dde426"),
+    ("enumerate --m 16 --n 1 --delta 4097 --alpha 3 --limit 5 --with-generators",
+     "f530e1d4c69cbf0d4e5a8d98caffce8f6475212d6510389c6d499da932c50aca"),
     # Counts from cyclotomic cosets; the first has 4934 digits.  Digests
     # from the factorizing count, with Python's digit limit lifted.
     ("count --m 1 --n 4095",
