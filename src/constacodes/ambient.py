@@ -7,17 +7,19 @@ Two isomorphic pictures of the same ring are maintained:
     reduced polynomials (a0, a1) meaning a0 + u*a1;
 
   * the "word" side R[x]/<x^N - g>, N = 2^k * n, g = delta + alpha*u^2,
-    over R = GF(2^m)[u]/<u^(2*lam)>; an element (RPoly) is a tuple of N
-    coefficients, each a tuple of 2*lam u-digits (field ints).  Ideals
-    of this ring are exactly the codes being enumerated.
+    over R = GF(2^m)[u]/<u^(2*lam)>.  A word is one int: field bit b of
+    u-digit t of coefficient i is bit (i * 2*lam + t) * m + b, the
+    layout oracle prints in hex.  BitSpace holds the ring operations,
+    each on whole ints.  Ideals of this ring are exactly the codes being
+    enumerated.
 
 psi_lift / psi_inverse realize the structure map between the sides; it
 is linear by construction and its multiplicativity is property-tested,
 not assumed.  It is the ring map x -> x, u -> u from GF(2^m)[x], which
 sends M = (x^N + delta)^lam to (alpha*u^2)^lam = 0, so lift_lanes, the
 one lift, takes packed parts whether or not they are reduced mod M and
-lifts a whole chunk of N lanes at a time; psi_lift is lift_lanes on
-tuples, reshaped into a word.
+lifts a whole chunk of N lanes at a time; psi_lift returns its digits
+placed in the word.
 
 By the CRT split a code is a sum of one ideal per factor, so its
 generators are its components' words eps_j * g, which
@@ -25,15 +27,15 @@ component_generators builds packed and unreduced for one factor and
 descriptor at a time: the lift needs no reduction mod M, and the plain
 side's callers reduce through FactorData.modulus_divisor.
 
-For oracle work the word side is flattened to GF(2) vectors packed in
-ints (D = m * 2*lam * N bits).  An ideal is then an xor-closed set
-stable under three linear operators: multiply-by-x (the constacyclic
-shift), multiply-by-u, and (for m > 1) multiply by a field generator.
-Duals of ideals come from the GF(2) trace form, also kept in matrix
-form.  brute_force_ideals walks up the ideal lattice from 0, from each
-ideal I to the closures of I + v for v outside I that the nilradical
-maps into I.  It never consults the descriptor enumeration, which makes
-it an independent oracle; brute_force_submodules walks K^2 the same way.
+For oracle work a word is a GF(2) vector of D = m * 2*lam * N bits.
+An ideal is then an xor-closed set stable under three linear operators:
+multiply-by-x (the constacyclic shift), multiply-by-u, and (for m > 1)
+multiply by a field generator.  Duals of ideals come from the GF(2)
+trace form, also kept in matrix form.  brute_force_ideals walks up the
+ideal lattice from 0, from each ideal I to the closures of I + v for v
+outside I that the nilradical maps into I.  It never consults the
+descriptor enumeration, which makes it an independent oracle;
+brute_force_submodules walks K^2 the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import os
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import polyring as pr
 from .chainring import ChainCtx
@@ -57,8 +59,6 @@ from .gf2m import GF2m
 from .params import Params
 from .polyring import Poly
 
-RElem = tuple[int, ...]
-RPoly = tuple[RElem, ...]
 AmbientElem = tuple[Poly, Poly]
 
 DEFAULT_ORACLE_DIM_CAP = 32
@@ -84,35 +84,6 @@ def materialization_cap() -> int:
 
 
 # ----------------------------------------------------------------------
-# R = GF(2^m)[u]/<u^(2*lam)>: elements are tuples of 2*lam u-digits.
-# ----------------------------------------------------------------------
-
-def r_add(a: RElem, b: RElem) -> RElem:
-    return tuple(x ^ y for x, y in zip(a, b))
-
-def r_scale(F: GF2m, a: RElem, c: int) -> RElem:
-    if c == 0:
-        return (0,) * len(a)
-    if c == 1:
-        return a
-    return tuple(F.mul(x, c) for x in a)
-
-def r_mul(F: GF2m, a: RElem, b: RElem) -> RElem:
-    w = len(a)
-    out = [0] * w
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(w - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] ^= F.mul(ai, bj)
-    return tuple(out)
-
-def r_shift_u(a: RElem) -> RElem:
-    return (0,) + a[:-1]
-
-
-# ----------------------------------------------------------------------
 # Per-parameter cached tables
 # ----------------------------------------------------------------------
 
@@ -132,12 +103,13 @@ def _tables(params: Params) -> dict:
         return got
     F = params.field
     w = params.u_exp
-    gamma = tuple(
-        params.delta if i == 0 else (params.alpha if i == 2 else 0) for i in range(w)
-    )
-    pows = [tuple(1 if i == 0 else 0 for i in range(w))]
-    for _ in range(w - 1):
-        pows.append(r_mul(F, pows[-1], gamma))
+    # gamma^l = sum of binom(l, j) * delta^(l-j) * alpha^j * u^(2j), and
+    # binom(l, j) is odd exactly when j & l == j (Lucas).
+    pows = [[0] * w for _ in range(w)]
+    for l, gp in enumerate(pows):
+        for j in range(params.lam):
+            if j & l == j:
+                gp[2 * j] = F.mul(F.pow(params.delta, l - j), F.pow(params.alpha, j))
     rows = [
         [(t, None if g == 1 else [F.mul(g, 1 << b) for b in range(F.m)])
          for t, g in enumerate(gp) if g]
@@ -174,87 +146,6 @@ def amb_mul(params: Params, a: AmbientElem, b: AmbientElem) -> AmbientElem:
     )
     return lo, hi
 
-
-# ----------------------------------------------------------------------
-# The word side R[x]/<x^N - gamma>
-# ----------------------------------------------------------------------
-
-def rp_zero(params: Params) -> RPoly:
-    return ((0,) * params.u_exp,) * params.length
-
-def rp_one(params: Params) -> RPoly:
-    z = (0,) * params.u_exp
-    one = (1,) + (0,) * (params.u_exp - 1)
-    return (one,) + (z,) * (params.length - 1)
-
-def rp_add(a: RPoly, b: RPoly) -> RPoly:
-    return tuple(r_add(x, y) for x, y in zip(a, b))
-
-def rp_mul(params: Params, a: RPoly, b: RPoly) -> RPoly:
-    F = params.field
-    N = params.length
-    gamma = _tables(params)["gamma_pows"][1]
-    w = params.u_exp
-    acc = [[0] * w for _ in range(N)]
-    zero = (0,) * w
-    for i, ai in enumerate(a):
-        if ai == zero:
-            continue
-        for j, bj in enumerate(b):
-            if bj == zero:
-                continue
-            prod = r_mul(F, ai, bj)
-            p = i + j
-            if p >= N:
-                p -= N
-                prod = r_mul(F, gamma, prod)
-            row = acc[p]
-            for t, dig in enumerate(prod):
-                row[t] ^= dig
-    return tuple(tuple(row) for row in acc)
-
-def rp_mul_x(params: Params, a: RPoly) -> RPoly:
-    """The constacyclic shift: multiply by x, folding x^N to gamma."""
-    F = params.field
-    gamma = _tables(params)["gamma_pows"][1]
-    return (r_mul(F, gamma, a[-1]),) + a[:-1]
-
-def rp_mul_u(params: Params, a: RPoly) -> RPoly:
-    return tuple(r_shift_u(c) for c in a)
-
-def rp_scale(params: Params, a: RPoly, c: int) -> RPoly:
-    F = params.field
-    return tuple(r_scale(F, x, c) for x in a)
-
-def rp_from_poly(params: Params, p: Poly) -> RPoly:
-    """Embed a field polynomial, folding x^N to gamma (Horner)."""
-    acc = rp_zero(params)
-    w = params.u_exp
-    for c in reversed(p):
-        acc = rp_mul_x(params, acc) if acc != rp_zero(params) else acc
-        if c:
-            first = (acc[0][0] ^ c,) + acc[0][1:]
-            acc = (first,) + acc[1:]
-    return acc
-
-def rp_pow(params: Params, a: RPoly, e: int) -> RPoly:
-    r = rp_one(params)
-    while e:
-        if e & 1:
-            r = rp_mul(params, r, a)
-        e >>= 1
-        if e:
-            a = rp_mul(params, a, a)
-    return r
-
-def inner_product(params: Params, a: RPoly, b: RPoly) -> RElem:
-    """R-valued Euclidean inner product of two words (the tests' reference
-    for dual_bit_basis, which works from the trace form)."""
-    F = params.field
-    acc = (0,) * params.u_exp
-    for x, y in zip(a, b):
-        acc = r_add(acc, r_mul(F, x, y))
-    return acc
 
 # ----------------------------------------------------------------------
 # The structure map between the two sides
@@ -305,15 +196,16 @@ def lift_lanes(params: Params, parts: tuple[int, int]) -> list[int]:
     return flat
 
 
-def psi_lift(params: Params, amb: AmbientElem) -> RPoly:
-    """Map a0 + u*a1 to the word ring: lift_lanes, reshaped into N
-    coefficients of 2*lam u-digits."""
+def psi_lift(params: Params, amb: AmbientElem) -> int:
+    """Map a0 + u*a1 to its word: flat digit k of lift_lanes at bit k*m."""
     F = params.field
-    flat = lift_lanes(params, (pr.pack(F, amb[0]), pr.pack(F, amb[1])))
-    return tuple(zip(*[iter(flat)] * params.u_exp))
+    word = 0
+    for digit in reversed(lift_lanes(params, (pr.pack(F, amb[0]), pr.pack(F, amb[1])))):
+        word = word << F.m | digit
+    return word
 
 
-def psi_inverse(params: Params, word: RPoly) -> AmbientElem:
+def psi_inverse(params: Params, word: int) -> AmbientElem:
     """Inverse of psi_lift by back-substitution.  Per coefficient, the
     even u-digits carry the a0 chunks and the odd ones the a1 chunks,
     through gamma^l, whose digit 2l is alpha^l and whose higher digits
@@ -325,10 +217,13 @@ def psi_inverse(params: Params, word: RPoly) -> AmbientElem:
     lam = params.lam
     pows = _tables(params)["gamma_pows"]
     lead_inv = [F.inv(pows[l][2 * l]) for l in range(lam)]
+    m, w = F.m, params.u_exp
+    mask = (1 << m) - 1
     xi = ([0] * (lam * N), [0] * (lam * N))
-    for i, coeff in enumerate(word):
+    for i in range(N):
+        coeff = word >> (i * w * m)
         for part, chunks in enumerate(xi):
-            digits = list(coeff[part::2])
+            digits = [coeff >> (t * m) & mask for t in range(part, w, 2)]
             for l in range(lam - 1, -1, -1):
                 c = F.mul(digits[l], lead_inv[l])
                 if c:
@@ -345,18 +240,28 @@ def psi_inverse(params: Params, word: RPoly) -> AmbientElem:
 # ----------------------------------------------------------------------
 
 class BitSpace:
-    """Words of N coefficients, each w digits over F, as a GF(2) vector
-    space of dimension m * w * N.  ops holds, in matrix form, the maps
-    given plus multiply-by-u (the digit shift) and, for m > 1, multiply
-    by the field generator; form is the Gram matrix of the trace form."""
+    """Words of N coefficients, each w digits over F, as ints: bit
+    (i*w + t)*m + b holds field bit b of digit t of coefficient i.  A
+    word is also a vector of the GF(2) space of dimension m * w * N.
 
-    def __init__(self, F: GF2m, w: int, N: int, maps: list[Callable]) -> None:
+    The ring operations act on whole ints.  The twist, a w-digit int,
+    is x^N; without one there is no multiply-by-x.  ops holds, in
+    matrix form, multiply-by-x if there is a twist, multiply-by-u and,
+    for m > 1, multiply by the field generator; form is the Gram matrix
+    of the trace form."""
+
+    def __init__(self, F: GF2m, w: int, N: int, twist: int | None = None) -> None:
         m = self.m = F.m
-        self.w, self.N = w, N
+        self.F, self.w, self.N, self.twist = F, w, N, twist
         self.dim = m * w * N
-        maps = [*maps, lambda v: tuple(map(r_shift_u, v))]
+        # 1 in bit 0 of every digit; every bit of every digit but the top
+        # one of its coefficient.
+        self._ones = ((1 << self.dim) - 1) // ((1 << m) - 1)
+        self._low = ((1 << self.dim) - 1) // ((1 << (m * w)) - 1) * ((1 << (m * w - m)) - 1)
+        maps = [self.mul_x] if twist is not None else []
+        maps.append(self.mul_u)
         if m > 1:
-            maps.append(lambda v: tuple(r_scale(F, c, 2) for c in v))
+            maps.append(lambda v: self.scale(v, 2))
         self.ops = [self.linearize(fn) for fn in maps]
         # B(x, y) = Tr(top u-digit of <x, y>): coefficient i pairs only
         # with itself, u-digit t only with w-1-t, and field bit a with
@@ -367,29 +272,48 @@ class BitSpace:
             for i in range(self.N) for t in range(w) for a in range(m)
         ]
 
-    # bit layout: bit (i*w + t)*m + b  <=>  coefficient i, u-digit t, field bit b
-    def to_bits(self, word: RPoly) -> int:
-        acc = 0
-        m, w = self.m, self.w
-        for i, coeff in enumerate(word):
-            base = i * w * m
-            for t, dig in enumerate(coeff):
-                if dig:
-                    acc |= dig << (base + t * m)
-        return acc
+    # -- the ring operations ------------------------------------------
 
-    def from_bits(self, v: int) -> RPoly:
-        m, w = self.m, self.w
-        mask = (1 << m) - 1
-        out = []
-        for i in range(self.N):
-            base = i * w * m
-            out.append(tuple((v >> (base + t * m)) & mask for t in range(w)))
-        return tuple(out)
+    def scale(self, v: int, c: int) -> int:
+        """Every digit of v times the field element c.  Bit b of each
+        digit, moved to bit 0, times y^b * c fits in the digit, so the
+        int products never carry between digits."""
+        out = 0
+        for b in range(self.m):
+            out ^= ((v >> b) & self._ones) * self.F.mul(1 << b, c)
+        return out
+
+    def mul_u(self, v: int) -> int:
+        """u * v: the digits of each coefficient move up one, and its top
+        digit drops out (u^w = 0)."""
+        return (v & self._low) << self.m
+
+    def mul_x(self, v: int, i: int = 1) -> int:
+        """x^i * v for 0 <= i <= N: the coefficients move up i places,
+        and the i of them that pass x^N come back times the twist."""
+        cut = (self.N - i) * self.m * self.w
+        hi = v >> cut
+        v = (v & ((1 << cut) - 1)) << (i * self.m * self.w)
+        return v ^ self.mul(hi, self.twist) if hi else v
+
+    def mul(self, a: int, b: int) -> int:
+        """a * b: digit t of coefficient i of b adds x^i * u^t * a times
+        that digit."""
+        out, mask = 0, (1 << self.m) - 1
+        while b:
+            au = a
+            for _ in range(self.w):
+                if b & mask:
+                    out ^= self.scale(au, b & mask)
+                b >>= self.m
+                au = self.mul_u(au)
+            if b:
+                a = self.mul_x(a)
+        return out
 
     def linearize(self, fn) -> list[int]:
         """The columns, as bit vectors, of a GF(2)-linear map on words."""
-        return [self.to_bits(fn(self.from_bits(1 << b))) for b in range(self.dim)]
+        return [fn(1 << b) for b in range(self.dim)]
 
     def apply(self, op: list[int], v: int) -> int:
         res = 0
@@ -491,10 +415,23 @@ class BitSpace:
 def bit_space(params: Params) -> BitSpace:
     tabs = _tables(params)
     if tabs["bitspace"] is None:
-        tabs["bitspace"] = BitSpace(
-            params.field, params.u_exp, params.length, [lambda v: rp_mul_x(params, v)]
-        )
+        # gamma = delta + alpha*u^2
+        tabs["bitspace"] = BitSpace(params.field, params.u_exp, params.length,
+                                    params.delta | params.alpha << (2 * params.m))
     return tabs["bitspace"]
+
+
+def inner_product(params: Params, a: int, b: int) -> int:
+    """R-valued Euclidean inner product of two words, as a w-digit int
+    (the tests' reference for dual_bit_basis, which works from the trace
+    form): the sum of the products of their coefficients."""
+    bs = bit_space(params)
+    width = bs.m * bs.w
+    mask = (1 << width) - 1
+    acc = 0
+    for i in range(0, bs.dim, width):
+        acc ^= bs.mul(a >> i & mask, b >> i & mask)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -590,8 +527,7 @@ def code_bit_basis(
     """RREF basis of the code in the flattened word space."""
     bs = bit_space(params)
     gens = code_ambient_generators(params, factor_data, code, ctxs)
-    vecs = [bs.to_bits(psi_lift(params, g)) for g in gens]
-    return IdealSet(bs.closure(vecs))
+    return IdealSet(bs.closure([psi_lift(params, g) for g in gens]))
 
 
 def materialize_code(
@@ -600,7 +536,7 @@ def materialize_code(
     code: CodeDescriptor,
     ctxs: list[ChainCtx] | None = None,
     cap: int | None = None,
-) -> set[RPoly]:
+) -> set[int]:
     """The full codeword set; refuses (never truncates) above the cap."""
     cap = materialization_cap() if cap is None else cap
     predicted = code_size(params, factor_data, code)
@@ -613,8 +549,7 @@ def materialize_code(
         raise ArithmeticError(
             f"materialized size 2^{ideal.dim} != predicted {predicted}"
         )
-    bs = bit_space(params)
-    return {bs.from_bits(v) for v in bs.span(ideal.basis)}
+    return set(BitSpace.span(ideal.basis))
 
 
 # ----------------------------------------------------------------------
@@ -637,16 +572,16 @@ def brute_force_ideals(params: Params, dim_cap: int | None = None) -> list[Ideal
             "raise CONSTACODES_ORACLE_DIM_CAP to override"
         )
     bs = bit_space(params)
-    power = square = bs.linearize(lambda v: rp_mul(params, v, v))
+    power = square = bs.linearize(lambda v: bs.mul(v, v))
     for _ in range(dim.bit_length()):
         power = [bs.apply(square, v) for v in power]
     gens, radical = [], ()
     for g in bs.colon((), [power]):
         grown = bs.closure((g,), radical)
         if grown != radical:
-            gens.append(bs.from_bits(g))
+            gens.append(g)
             radical = grown
-    rad = [bs.linearize(lambda v, g=g: rp_mul(params, g, v)) for g in gens]
+    rad = [bs.linearize(lambda v, g=g: bs.mul(g, v)) for g in gens]
     return [IdealSet(b) for b in sorted(bs.lattice(rad), key=lambda b: (len(b), b))]
 
 
@@ -709,18 +644,18 @@ def dual_bit_basis(params: Params, code_basis: tuple[int, ...]) -> tuple[int, ..
 
 
 def dual_code(
-    params: Params, codewords: Iterable[RPoly], cap: int | None = None
-) -> set[RPoly]:
+    params: Params, codewords: Iterable[int], cap: int | None = None
+) -> set[int]:
     """All words orthogonal to the given ideal, with the size law checked."""
     cap = materialization_cap() if cap is None else cap
     bs = bit_space(params)
-    code_basis = bs.rref(bs.to_bits(w) for w in codewords)
+    code_basis = bs.rref(codewords)
     dual_basis = dual_bit_basis(params, code_basis)
     if (1 << len(dual_basis)) > cap:
         raise ValueError("dual materialization exceeds the cap")
     if len(code_basis) + len(dual_basis) != bs.dim:
         raise ArithmeticError("duality size law |C|*|C_perp| = |R|^N failed")
-    return {bs.from_bits(v) for v in bs.span(dual_basis)}
+    return set(bs.span(dual_basis))
 
 
 # ----------------------------------------------------------------------
@@ -734,5 +669,5 @@ def brute_force_submodules(field: GF2m, e: int, cap: int = 1 << 14) -> list[tupl
     q = field.order
     if q ** (2 * e) > cap:
         raise ValueError(f"submodule census over {q**(2*e)} vectors exceeds the cap")
-    bs = BitSpace(field, e, 2, [])
+    bs = BitSpace(field, e, 2)
     return bs.lattice([bs.ops[0]])

@@ -16,10 +16,11 @@ CONSTACODES_MAT_CAP; neither has a flag.
 cosets (factorizer.factor_degrees).  Counts and sizes print in full,
 however many digits they have.
 
-`enumerate` writes a JSON page from per-factor fragments.  The stream
-is an odometer whose last factor moves fastest, so a factor's
-descriptor JSON, ideal size and lifted-word JSON are built when its
-descriptor changes and reused by the codes that follow.  Lifted words
+`enumerate` writes a JSON or CSV page from per-factor fragments.  The
+stream is an odometer whose last factor moves fastest, so a factor's
+descriptor text (JSON, or CSV fields), ideal size and lifted-word JSON
+are built when its descriptor changes and reused by the codes that
+follow.  Lifted words
 come from ambient.lift_lanes as flat u-digits and are written through
 one format string per request, built for its word length and u-digit
 count.
@@ -188,29 +189,18 @@ def cmd_enumerate(args) -> int:
     stream = en.enumerate_codes(params, fd, ctxs, start=args.offset)
     window = itertools.islice(stream, args.limit)
 
+    csv = args.format == "csv"
     with _open_out(args) as out:
-        if args.format == "csv":
+        if csv:
             out.write("index,factor,family,s,t,h,size\n")
-            for idx, code in enumerate(window, start=args.offset):
-                size = _decimal(en.code_size(params, fd, code))
-                for comp in code.components:
-                    h = ";".join(str(x) for x in comp.h)
-                    t = "" if comp.t is None else comp.t
-                    out.write(f"{idx},{comp.factor},{comp.family},{comp.s},{t},{h},{size}\n")
-            return 0
-        out.write(
-            '{"schema":%d,"params":%s,"total":"%s","offset":%d,"limit":%s,"codes":['
-            % (
-                SCHEMA,
-                _dump(params.as_dict()),
-                _decimal(total),
-                args.offset,
-                "null" if args.limit is None else str(args.limit),
-            )
-        )
+        else:
+            limit = "null" if args.limit is None else str(args.limit)
+            out.write('{"schema":%d,"params":%s,"total":"%s","offset":%d,"limit":%s,"codes":['
+                      % (SCHEMA, _dump(params.as_dict()), _decimal(total), args.offset, limit))
         # Each lifted word: N coefficients of 2*lam u-digits.
         word = "[%s]" % ",".join(["[%s]" % ",".join(["%d"] * params.u_exp)] * params.length)
-        # Per factor: (descriptor, its JSON, its ideal size, its lifted words' JSON).
+        # Per factor: (descriptor, its CSV fields or JSON, its ideal size,
+        # its lifted words' JSON).
         slots = [(None, "", 1, "")] * fd.r
         for i, code in enumerate(window):
             for j, desc in enumerate(code.components):
@@ -219,14 +209,20 @@ def cmd_enumerate(args) -> int:
                             if args.with_generators else ())
                     lifted = ",".join(word % tuple(amb.lift_lanes(params, g)) for g in gens)
                     size = en.ideal_size(params, fd.entries[j].degree, desc)
-                    slots[j] = (desc, _dump(desc.as_dict()), size, lifted)
-            entry = '{"size":"%s","components":[%s]' % (
-                _decimal(math.prod(slot[2] for slot in slots)),
-                ",".join(slot[1] for slot in slots))
+                    text = (f"{desc.factor},{desc.family},{desc.s},"
+                            f"{'' if desc.t is None else desc.t},{';'.join(map(str, desc.h))}"
+                            if csv else _dump(desc.as_dict()))
+                    slots[j] = (desc, text, size, lifted)
+            size = _decimal(math.prod(slot[2] for slot in slots))
+            if csv:
+                out.write("".join(f"{args.offset + i},{slot[1]},{size}\n" for slot in slots))
+                continue
+            entry = '{"size":"%s","components":[%s]' % (size, ",".join(slot[1] for slot in slots))
             if args.with_generators:
                 entry += ',"generators_lifted":[%s]' % ",".join(slot[3] for slot in slots)
             out.write(("," if i else "") + entry + "}")
-        out.write("]}\n")
+        if not csv:
+            out.write("]}\n")
     return 0
 
 

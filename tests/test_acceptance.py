@@ -5,6 +5,7 @@ Criteria with stated runtime budgets assert wall-clock bounds.
 """
 
 import json
+import operator
 import os
 import random
 import subprocess
@@ -161,14 +162,12 @@ def test_criterion_4_corrected_count(oracle_135):
 # ----------------------------------------------------------------------
 
 def _word_gen_terms(p):
-    """Generator words for the m=1 reference list."""
-    F = p.field
-    u = list(amb.rp_zero(p))
-    u[0] = (0, 1, 0, 0)
-    u = tuple(u)
-    u2 = amb.rp_mul(p, u, u)
-    x = amb.rp_from_poly(p, (0, 1))
-    y = amb.rp_from_poly(p, (1, 1))
+    """Generator words for the m=1 reference list: digit t of coefficient
+    i is bit 4i + t."""
+    u = 0b10
+    u2 = amb.bit_space(p).mul(u, u)
+    x = 1 << 4
+    y = 1 | x
     return u, u2, x, y
 
 
@@ -188,10 +187,10 @@ def test_criterion_5_self_dual(p1122, fd1122, ctx1122, oracle_135):
     # the reference list, one generator set per code (word-ring side)
     p = p1122
     u, u2, x, y = _word_gen_terms(p)
-    mul, add, pw = (lambda a, b: amb.rp_mul(p, a, b)), amb.rp_add, (
-        lambda a, e: amb.rp_pow(p, a, e)
-    )
-    y2, y3 = pw(y, 2), pw(y, 3)
+    bs = amb.bit_space(p)
+    mul, add = bs.mul, operator.xor
+    y2 = mul(y, y)
+    y3 = mul(y2, y)
     x2 = mul(x, x)
     reference = [
         [u2],
@@ -204,11 +203,10 @@ def test_criterion_5_self_dual(p1122, fd1122, ctx1122, oracle_135):
         [add(add(y3, u2), mul(u, y)), mul(u2, y3)],
         [add(add(y3, mul(u2, x)), mul(u, y)), mul(u2, y3)],
         [add(add(y3, mul(u2, x2)), mul(u, y)), mul(u2, y3)],
-        [add(add(y3, mul(u2, add(add(amb.rp_one(p), x), x2))), mul(u, y)), mul(u2, y3)],
+        [add(add(y3, mul(u2, add(add(1, x), x2))), mul(u, y)), mul(u2, y3)],
     ]
-    bs = amb.bit_space(p)
     reference_bases = {
-        bs.closure([bs.to_bits(g) for g in gens]) for gens in reference
+        bs.closure(gens) for gens in reference
     }
     assert reference_bases == listed_bases
 
@@ -274,6 +272,7 @@ def test_criterion_7_structure_map():
     rng = random.Random(2024)
     for m, n in [(1, 1), (1, 3)]:
         p = Params(m, n, 2, 2, 1, 1)
+        bs = amb.bit_space(p)
         width = p.lam * p.length
 
         def rand_amb():
@@ -285,31 +284,33 @@ def test_criterion_7_structure_map():
         for _ in range(1000):
             a, b = rand_amb(), rand_amb()
             la, lb = amb.psi_lift(p, a), amb.psi_lift(p, b)
-            assert amb.psi_lift(p, amb.amb_add(p, a, b)) == amb.rp_add(la, lb)
-            assert amb.psi_lift(p, amb.amb_mul(p, a, b)) == amb.rp_mul(p, la, lb)
+            assert amb.psi_lift(p, amb.amb_add(p, a, b)) == la ^ lb
+            assert amb.psi_lift(p, amb.amb_mul(p, a, b)) == bs.mul(la, lb)
             assert amb.psi_inverse(p, la) == a
 
         # sampled images of powers of the core polynomial; the exponent
         # steps by 2^k per u^2 factor (at n=1 that equals the word length)
         N = p.length
         step = 1 << p.k
-        base_word = amb.rp_from_poly(p, p.base_poly)
+        # x^n + d0, one field digit per coefficient, at bit 4i
+        base_word = sum(c << (4 * i) for i, c in enumerate(p.base_poly))
         for i, l in [(0, 1), (1, 1), (N - 1, 1), (2, 0), (N - 1, p.lam - 1)]:
             lhs_poly = pr.p_mod(p.field, pr.p_pow(p.field, p.base_poly, i + l * step),
                                 p.a_modulus)
             lhs = amb.psi_lift(p, (lhs_poly, ()))
-            rhs = amb.rp_pow(p, base_word, i)
+            rhs = 1
+            for _ in range(i):
+                rhs = bs.mul(rhs, base_word)
             for _ in range(2 * l):
-                rhs = amb.rp_mul_u(p, rhs)
-            rhs = amb.rp_scale(p, rhs, p.field.pow(p.alpha, l))
+                rhs = bs.mul_u(rhs)
+            rhs = bs.scale(rhs, p.field.pow(p.alpha, l))
             assert lhs == rhs
 
     # the pinned fourth-power identity at k=2, n=1
     p = Params(1, 1, 2, 2, 1, 1)
     f4 = pr.p_pow(p.field, p.base_poly, 4)
-    want = list(amb.rp_zero(p))
-    want[0] = (0, 0, 1, 0)
-    assert amb.psi_lift(p, (f4, ())) == tuple(want)
+    want = 0b0100  # u^2: digit 2 of coefficient 0
+    assert amb.psi_lift(p, (f4, ())) == want
     print("\nACCEPTANCE 7: PASS  additivity+multiplicativity on 1000 pairs at two "
           "parameter sets; power identities and round-trips exact")
 

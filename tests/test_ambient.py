@@ -12,6 +12,76 @@ from constacodes.factorizer import build_factor_data
 from constacodes.params import Params
 
 
+def r_mul(F, a, b):
+    """The product in R of two tuples of u-digits: the tuple body that
+    the int word ring replaced, kept as its reference."""
+    w = len(a)
+    out = [0] * w
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(w - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] ^= F.mul(ai, bj)
+    return tuple(out)
+
+
+def gamma_digits(params):
+    """gamma = delta + alpha*u^2 as a tuple of u-digits."""
+    return tuple(params.delta if i == 0 else (params.alpha if i == 2 else 0)
+                 for i in range(params.u_exp))
+
+
+def rp_mul(params, a, b):
+    """The product of two tuple words (N coefficients of u-digit tuples),
+    x^N folding to gamma: the reference for BitSpace.mul."""
+    F = params.field
+    N = params.length
+    gamma = gamma_digits(params)
+    w = params.u_exp
+    acc = [[0] * w for _ in range(N)]
+    zero = (0,) * w
+    for i, ai in enumerate(a):
+        if ai == zero:
+            continue
+        for j, bj in enumerate(b):
+            if bj == zero:
+                continue
+            prod = r_mul(F, ai, bj)
+            p = i + j
+            if p >= N:
+                p -= N
+                prod = r_mul(F, gamma, prod)
+            row = acc[p]
+            for t, dig in enumerate(prod):
+                row[t] ^= dig
+    return tuple(tuple(row) for row in acc)
+
+
+def to_int(params, word):
+    """The int word of a tuple word: digit t of coefficient i at bit
+    (i*w + t)*m."""
+    m, w = params.m, params.u_exp
+    return sum(d << ((i * w + t) * m)
+               for i, coeff in enumerate(word) for t, d in enumerate(coeff))
+
+
+def to_tuple(params, v):
+    """The tuple word of an int word."""
+    m, w = params.m, params.u_exp
+    mask = (1 << m) - 1
+    return tuple(tuple(v >> ((i * w + t) * m) & mask for t in range(w))
+                 for i in range(params.length))
+
+
+def word_pow(bs, a, e):
+    """a^e by repeated products."""
+    r = 1
+    for _ in range(e):
+        r = bs.mul(r, a)
+    return r
+
+
 def rand_amb(params, rng):
     width = params.lam * params.length
     return (
@@ -25,7 +95,7 @@ def rand_amb(params, rng):
 # ----------------------------------------------------------------------
 
 def test_lift_of_one(p1122):
-    assert amb.psi_lift(p1122, ((1,), ())) == amb.rp_one(p1122)
+    assert amb.psi_lift(p1122, ((1,), ())) == 1
 
 
 def test_lift_core_fourth_power_is_alpha_u_squared():
@@ -34,17 +104,16 @@ def test_lift_core_fourth_power_is_alpha_u_squared():
         p = Params(m, 1, 2, 2, delta, alpha)
         f4 = pr.p_pow(p.field, p.base_poly, 4)
         got = amb.psi_lift(p, (f4, ()))
-        want = list(amb.rp_zero(p))
-        want[0] = tuple(alpha if i == 2 else 0 for i in range(p.u_exp))
-        assert got == tuple(want)
+        # digit 2 of coefficient 0
+        want = alpha << (2 * m)
+        assert got == want
 
 
 def test_inverse_of_u_squared(p1122):
-    word = list(amb.rp_zero(p1122))
-    word[0] = (0, 0, 1, 0)
-    xi = amb.psi_inverse(p1122, tuple(word))
+    word = 0b0100  # u^2: digit 2 of coefficient 0
+    xi = amb.psi_inverse(p1122, word)
     assert xi == (p1122.u_squared_poly, ())
-    assert amb.psi_inverse(p1122, amb.rp_zero(p1122)) == ((), ())
+    assert amb.psi_inverse(p1122, 0) == ((), ())
 
 
 @pytest.mark.parametrize("mp", [
@@ -59,23 +128,23 @@ def test_roundtrip_random(mp):
     for _ in range(1000):
         a = rand_amb(p, rng)
         assert amb.psi_inverse(p, amb.psi_lift(p, a)) == a
-    rp = amb.rp_one(p)
-    assert amb.psi_lift(p, amb.psi_inverse(p, rp)) == rp
+    assert amb.psi_lift(p, amb.psi_inverse(p, 1)) == 1
 
 
 @pytest.mark.parametrize("mp", [(1, 1), (1, 3)])
 def test_ring_isomorphism_random(mp):
     m, n = mp
     p = Params(m, n, 2, 2, 1, 1)
+    bs = amb.bit_space(p)
     rng = random.Random(23)
     for _ in range(1000):
         a = rand_amb(p, rng)
         b = rand_amb(p, rng)
-        assert amb.psi_lift(p, amb.amb_add(p, a, b)) == amb.rp_add(
-            amb.psi_lift(p, a), amb.psi_lift(p, b)
+        assert amb.psi_lift(p, amb.amb_add(p, a, b)) == (
+            amb.psi_lift(p, a) ^ amb.psi_lift(p, b)
         )
-        assert amb.psi_lift(p, amb.amb_mul(p, a, b)) == amb.rp_mul(
-            p, amb.psi_lift(p, a), amb.psi_lift(p, b)
+        assert amb.psi_lift(p, amb.amb_mul(p, a, b)) == bs.mul(
+            amb.psi_lift(p, a), amb.psi_lift(p, b)
         )
 
 
@@ -88,29 +157,31 @@ def test_core_power_images(mp):
     p = Params(m, n, 2, 2, 1, 1)
     F = p.field
     N = p.length
+    bs = amb.bit_space(p)
     step = 1 << p.k
     rng = random.Random(29)
-    base_word = amb.rp_from_poly(p, p.base_poly)
+    base_word = to_int(p, [(c,) + (0,) * (p.u_exp - 1) for c in p.base_poly])
     samples = [(i, l) for i in range(N) for l in range(p.lam)]
     for i, l in rng.sample(samples, min(12, len(samples))):
         lhs_poly = pr.p_mod(F, pr.p_pow(F, p.base_poly, i + l * step), p.a_modulus)
         lhs = amb.psi_lift(p, (lhs_poly, ()))
-        rhs = amb.rp_pow(p, base_word, i)
+        rhs = word_pow(bs, base_word, i)
         for _ in range(2 * l):
-            rhs = amb.rp_mul_u(p, rhs)
-        rhs = amb.rp_scale(p, rhs, F.pow(p.alpha, l))
+            rhs = bs.mul_u(rhs)
+        rhs = bs.scale(rhs, F.pow(p.alpha, l))
         assert lhs == rhs
 
 
 def test_roundtrip_and_hom_wider_u_space():
     # lam=3: six u-digits per coefficient
     p = Params(1, 1, 2, 3, 1, 1)
+    bs = amb.bit_space(p)
     rng = random.Random(19)
     for _ in range(300):
         a, b = rand_amb(p, rng), rand_amb(p, rng)
         la, lb = amb.psi_lift(p, a), amb.psi_lift(p, b)
         assert amb.psi_inverse(p, la) == a
-        assert amb.psi_lift(p, amb.amb_mul(p, a, b)) == amb.rp_mul(p, la, lb)
+        assert amb.psi_lift(p, amb.amb_mul(p, a, b)) == bs.mul(la, lb)
 
 
 def reference_lift(params, amb_elem):
@@ -121,12 +192,11 @@ def reference_lift(params, amb_elem):
     F = params.field
     N = params.length
     w = params.u_exp
-    gamma = tuple(params.delta if i == 0 else (params.alpha if i == 2 else 0)
-                  for i in range(w))
+    gamma = gamma_digits(params)
     chunks = max(len(x) for x in amb_elem) // N + 1
     pows = [(1,) + (0,) * (w - 1)]
     while len(pows) < chunks:
-        pows.append(amb.r_mul(F, pows[-1], gamma))
+        pows.append(r_mul(F, pows[-1], gamma))
     rows = [[(t, g) for t, g in enumerate(gp) if g] for gp in pows]
     u_rows = [[(t + 1, g) for t, g in row if t + 1 < w] for row in rows]
     acc = [[0] * w for _ in range(N)]
@@ -166,7 +236,7 @@ def test_lane_lift_matches_reference(mp):
     cases += [rand_amb(p, rng) for _ in range(20)]
     for a in cases:
         want = reference_lift(p, a)
-        assert amb.psi_lift(p, a) == want
+        assert amb.psi_lift(p, a) == to_int(p, want)
         assert tuple(amb.lift_lanes(p, (pr.pack(F, a[0]), pr.pack(F, a[1])))) == sum(want, ())
     # Unreduced parts up to degree 2 * deg M - 1, as products of two
     # reduced ones reach.
@@ -174,6 +244,41 @@ def test_lane_lift_matches_reference(mp):
         a = (rand_part(2 * width), rand_part(rng.randrange(1, 2 * width)))
         flat = amb.lift_lanes(p, (pr.pack(F, a[0]), pr.pack(F, a[1])))
         assert tuple(flat) == sum(reference_lift(p, a), ())
+
+
+@pytest.mark.parametrize("mp", LIFT_POINTS)
+def test_word_ring_matches_tuple_reference(mp):
+    # Each ring operation on int words against its tuple reference, on 0,
+    # 1, the all-ones word and random words; and the gamma^l table
+    # against repeated products.
+    p = Params(*mp)
+    F, N, w = p.field, p.length, p.u_exp
+    bs = amb.bit_space(p)
+    gamma = gamma_digits(p)
+    pows = [(1,) + (0,) * (w - 1)]
+    while len(pows) < w:
+        pows.append(r_mul(F, pows[-1], gamma))
+    assert [tuple(gp) for gp in amb._tables(p)["gamma_pows"]] == pows
+    rng = random.Random(str(mp))
+    words = [0, 1, (1 << bs.dim) - 1, rng.getrandbits(bs.dim), rng.getrandbits(bs.dim)]
+    scalars = {1, F.order - 1, rng.randrange(1, F.order)}
+    for a in words:
+        ta = to_tuple(p, a)
+        assert to_int(p, ta) == a
+        for c in scalars:
+            assert bs.scale(a, c) == to_int(p, [[F.mul(d, c) for d in x] for x in ta])
+        assert bs.mul_u(a) == to_int(p, [(0,) + x[:-1] for x in ta])
+        shifted = ta
+        for i in range(N + 1):
+            assert bs.mul_x(a, i) == to_int(p, shifted)
+            shifted = (r_mul(F, gamma, shifted[-1]),) + shifted[:-1]
+        for b in words[2:]:
+            tb = to_tuple(p, b)
+            assert bs.mul(a, b) == to_int(p, rp_mul(p, ta, tb))
+            inner = [0] * w
+            for x, y in zip(ta, tb):
+                inner = [s ^ d for s, d in zip(inner, r_mul(F, x, y))]
+            assert amb.inner_product(p, a, b) == to_int(p, [inner])
 
 
 def test_lift_needs_no_reduction_mod_m():
@@ -196,7 +301,7 @@ def test_lift_needs_no_reduction_mod_m():
                 above += reduced != g
                 assert amb.lift_lanes(p, g) == amb.lift_lanes(p, reduced)
                 plain = tuple(pr.unpack(F, x) for x in g)
-                assert reference_lift(p, plain) == amb.psi_lift(
+                assert to_int(p, reference_lift(p, plain)) == amb.psi_lift(
                     p, tuple(pr.unpack(F, x) for x in reduced))
     assert above > 0
 
@@ -211,16 +316,13 @@ def test_dual_rank_law_multifactor(p1322, fd1322, ctxs1322):
     rng = random.Random(61)
     for p, fd, ctxs in cases:
         bs = amb.bit_space(p)
-        zero = (0,) * p.u_exp
         codes = list(itertools.islice(en.enumerate_codes(p, fd, ctxs), 2000))
         for code in rng.sample(codes, 8):
             basis = amb.code_bit_basis(p, fd, code, ctxs).basis
             dual = amb.dual_bit_basis(p, basis)
             assert len(basis) + len(dual) == bs.dim
-            code_words = [bs.from_bits(c) for c in basis]
             for d in dual:
-                w = bs.from_bits(d)
-                assert all(amb.inner_product(p, w, c) == zero for c in code_words)
+                assert all(amb.inner_product(p, d, c) == 0 for c in basis)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 1), (1, 3)])
@@ -234,7 +336,7 @@ def test_trace_form_matches_inner_product(m, n):
     for _ in range(200):
         x, y = rng.getrandbits(bs.dim), rng.getrandbits(bs.dim)
         bit = bin(bs.apply(bs.form, x) & y).count("1") & 1
-        top = amb.inner_product(p, bs.from_bits(x), bs.from_bits(y))[-1]
+        top = amb.inner_product(p, x, y) >> ((p.u_exp - 1) * m)
         assert bit == F.trace(top)
 
 
@@ -243,18 +345,18 @@ def test_dual_rejects_non_ideal(p1122):
     with pytest.raises(ValueError, match="not an ideal"):
         amb.dual_bit_basis(p1122, bs.rref([1]))
     with pytest.raises(ValueError, match="not an ideal"):
-        amb.dual_code(p1122, [amb.rp_zero(p1122), bs.from_bits(1)])
+        amb.dual_code(p1122, [0, 1])
 
 
 def test_mul_x_wraps_with_gamma(p1122):
     # the shift rotates with the gamma twist on the wrapped coefficient
-    w = amb.rp_one(p1122)
+    bs = amb.bit_space(p1122)
+    w = 1
     for _ in range(p1122.length):
-        w = amb.rp_mul_x(p1122, w)
-    # x^N = gamma = delta + alpha*u^2
-    expect = list(amb.rp_zero(p1122))
-    expect[0] = (1, 0, 1, 0)
-    assert w == tuple(expect)
+        w = bs.mul_x(w)
+    # x^N = gamma = delta + alpha*u^2: digits 0 and 2 of coefficient 0
+    expect = 0b0101
+    assert w == expect
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +367,7 @@ def test_materialize_zero_and_full(p1122, fd1122):
     e = p1122.nilpotency
     zero = en.CodeDescriptor((en.IdealDescriptor(1, 3, e),))
     full = en.CodeDescriptor((en.IdealDescriptor(1, 3, 0),))
-    assert amb.materialize_code(p1122, fd1122, zero) == {amb.rp_zero(p1122)}
+    assert amb.materialize_code(p1122, fd1122, zero) == {0}
     words = amb.materialize_code(p1122, fd1122, full)
     assert len(words) == 1 << 16
 
@@ -283,14 +385,15 @@ def test_materialize_cap_refusal(p1122, fd1122):
 
 
 def test_materialized_codes_are_shift_closed(p1122, fd1122, ctx1122):
+    bs = amb.bit_space(p1122)
     rng = random.Random(37)
     descs = list(en.enumerate_ideals(p1122, ctx1122, 1))
     for d in rng.sample(descs, 12):
         words = amb.materialize_code(p1122, fd1122, en.CodeDescriptor((d,)))
         sample = rng.sample(sorted(words), min(20, len(words)))
         for w in sample:
-            assert amb.rp_mul_x(p1122, w) in words
-            assert amb.rp_mul_u(p1122, w) in words
+            assert bs.mul_x(w) in words
+            assert bs.mul_u(w) in words
 
 
 def test_code_bit_basis_rank_matches_size_multifactor(p1322, fd1322, ctxs1322):
@@ -310,7 +413,7 @@ def test_two_combined_generators_generate(p1322, fd1322, ctxs1322):
     for code in rng.sample(codes, 15):
         gens = amb.code_generators(p1322, fd1322, code, ctxs1322)
         assert len(gens) <= 2
-        vecs = [bs.to_bits(amb.psi_lift(p1322, g)) for g in gens]
+        vecs = [amb.psi_lift(p1322, g) for g in gens]
         assert bs.closure(vecs) == amb.code_bit_basis(p1322, fd1322, code, ctxs1322).basis
 
 
@@ -412,8 +515,8 @@ def test_walk_closed_under_duals(point, count):
     # gamma = 1 + u^2 is its own inverse only at lam = 2.
     p, walked = _walk(point)
     F, w = p.field, p.u_exp
-    inv = tuple(1 - t % 2 for t in range(w))
-    twisted = amb.BitSpace(F, w, p.length, [lambda v: (amb.r_mul(F, inv, v[-1]),) + v[:-1]])
+    inv = sum(1 << (2 * i * p.m) for i in range(p.lam))
+    twisted = amb.BitSpace(F, w, p.length, inv)
     x_plus_1 = [col ^ (1 << i) for i, col in enumerate(twisted.ops[0])]
     duals = [amb.dual_bit_basis(p, basis) for basis in walked]
     assert all(len(b) + len(d) == twisted.dim for b, d in zip(walked, duals))
@@ -436,7 +539,7 @@ def test_recover_generators(p1122, oracle_135):
 # ----------------------------------------------------------------------
 
 def test_dual_of_zero_is_full(p1122, fd1122):
-    zero = {amb.rp_zero(p1122)}
+    zero = {0}
     dual = amb.dual_code(p1122, zero)
     assert len(dual) == 1 << 16
 
@@ -450,7 +553,7 @@ def test_dual_size_law(p1122, fd1122, ctx1122):
         assert len(code) * len(dual) == 1 << 16
         w = next(iter(dual))
         assert all(
-            amb.inner_product(p1122, w, c) == (0,) * p1122.u_exp for c in code
+            amb.inner_product(p1122, w, c) == 0 for c in code
         )
 
 

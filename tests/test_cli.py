@@ -389,6 +389,11 @@ STDOUT_FINGERPRINTS = [
      "1bb72045f5d406c14d026c17b2820bfbd3bc5274703574f14ade4aaeeb9541f1"),
     ("enumerate --m 2 --n 1 --format csv",
      "2975cbe6175115f006ac8b2bca32fee4dd3b2106729018987ecc0febae23de04"),
+    # CSV pages: in the first, factor 3 wraps and factor 2 steps.
+    ("enumerate --m 2 --n 7 --offset 18125645 --limit 10 --format csv",
+     "9fb11177ddd5d53ecacf859ba1096717503651b1061caaf650de2b3d75b5403d"),
+    ("enumerate --m 2 --n 7 --delta 3 --offset 3000 --limit 100 --format csv",
+     "deea7357787e82ed9f3c6567a6e17d05f20be9565a9d60e038b9ef15f74d27ce"),
     ("selfdual --m 2 --alpha 2",
      "50f0ce5d63da73f2fddfa0e0eb2a57f4e60bb7cd9e29a60f2b1124872841a9bb"),
     ("selfdual --m 3",
@@ -498,6 +503,25 @@ def test_enumerate_builds_each_component_once(monkeypatch, tmp_path, offset, lim
     assert cli.main(argv + ["--with-generators"] * with_gens) == 0
     assert len(json.loads(out.read_text())["codes"]) == limit
     assert len(built) == calls
+
+
+def test_enumerate_csv_sizes_each_component_once(monkeypatch, tmp_path):
+    # 100 codes of three components: the first code sizes all three, each
+    # later one only its last, the one component that changed.
+    sized = []
+    real = en.ideal_size
+
+    def counted(*args):
+        sized.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(en, "ideal_size", counted)
+    out = tmp_path / "page.csv"
+    argv = ["enumerate", "--m", "2", "--n", "7", "--delta", "3", "--offset", "3000",
+            "--limit", "100", "--format", "csv", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3 * 100
+    assert len(sized) == 102
 
 
 def test_enumerate_csv_with_generators_exit_2(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                           re.MULTILINE | re.DOTALL)
+
+
+def _run(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
 
 
 def test_six_demos():
@@ -15,9 +25,18 @@ def test_six_demos():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    res = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                         env=env, timeout=300)
+    res = _run([str(demo)])
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+
+
+def test_readme_has_python_blocks():
+    assert len(README_BLOCKS) == 2
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_block_runs(block):
+    res = _run(["-c", block])
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
