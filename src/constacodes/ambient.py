@@ -196,13 +196,19 @@ def lift_lanes(params: Params, parts: tuple[int, int]) -> list[int]:
     return flat
 
 
-def psi_lift(params: Params, amb: AmbientElem) -> int:
-    """Map a0 + u*a1 to its word: flat digit k of lift_lanes at bit k*m."""
-    F = params.field
+def _word(params: Params, parts: tuple[int, int]) -> int:
+    """The word of packed parts: flat digit k of lift_lanes at bit k*m."""
+    m = params.field.m
     word = 0
-    for digit in reversed(lift_lanes(params, (pr.pack(F, amb[0]), pr.pack(F, amb[1])))):
-        word = word << F.m | digit
+    for digit in reversed(lift_lanes(params, parts)):
+        word = word << m | digit
     return word
+
+
+def psi_lift(params: Params, amb: AmbientElem) -> int:
+    """Map a0 + u*a1 to its word."""
+    F = params.field
+    return _word(params, (pr.pack(F, amb[0]), pr.pack(F, amb[1])))
 
 
 def psi_inverse(params: Params, word: int) -> AmbientElem:
@@ -471,27 +477,18 @@ def component_generators(
     ]
 
 
-def _reduced(params: Params, factor_data: FactorData, g: tuple[int, int]) -> AmbientElem:
-    """A packed, unreduced plain element reduced mod M, as tuples."""
-    F = params.field
-    dv = factor_data.modulus_divisor
-    return tuple(pr.unpack(F, pr.k_mod(F, x, dv)) for x in g)
-
-
 def code_ambient_generators(
     params: Params,
     factor_data: FactorData,
     code: CodeDescriptor,
     ctxs: list[ChainCtx] | None = None,
-) -> list[AmbientElem]:
-    """Idempotent-scaled generators of a code on the plain side."""
+) -> list[tuple[int, int]]:
+    """Idempotent-scaled generators of a code on the plain side, packed
+    and not reduced mod M, as lift_lanes takes them."""
     if ctxs is None:
         ctxs = chain_contexts(params, factor_data)
-    return [
-        _reduced(params, factor_data, g)
-        for j, (ctx, desc) in enumerate(zip(ctxs, code.components))
-        for g in component_generators(params, factor_data, j, desc, ctx)
-    ]
+    return [g for j, (ctx, desc) in enumerate(zip(ctxs, code.components))
+            for g in component_generators(params, factor_data, j, desc, ctx)]
 
 
 def code_generators(
@@ -515,7 +512,9 @@ def code_generators(
                 slots.append(g)
             else:
                 slots[slot] = (slots[slot][0] ^ g[0], slots[slot][1] ^ g[1])
-    return [_reduced(params, factor_data, g) for g in slots]
+    F = params.field
+    dv = factor_data.modulus_divisor
+    return [tuple(pr.unpack(F, pr.k_mod(F, x, dv)) for x in g) for g in slots]
 
 
 def code_bit_basis(
@@ -527,7 +526,7 @@ def code_bit_basis(
     """RREF basis of the code in the flattened word space."""
     bs = bit_space(params)
     gens = code_ambient_generators(params, factor_data, code, ctxs)
-    return IdealSet(bs.closure([psi_lift(params, g) for g in gens]))
+    return IdealSet(bs.closure([_word(params, g) for g in gens]))
 
 
 def materialize_code(

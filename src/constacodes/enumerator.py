@@ -1,9 +1,18 @@
 """Enumerate and count the ideal families of the u-extended chain rings.
 
-For one irreducible factor f of degree d, with e = 2^k * lam and
-half = 2^(k-1) * lam, every ideal of K + uK falls in exactly one of six
-families.  With w the context unit (u^2 = w^2 * f^(2^k)) and h ranging
-over residues mod a power of f, the families are:
+For one irreducible factor f of degree d, with e = 2^k * lam and w the
+context unit (u^2 = w^2 * f^(2^k)), every ideal of K + uK has one shape
+
+    <a + u*f^s, f^(s+t)>,   a = [w*f^(2^(k-1)+s)] + f^(s+ceil(t/2))*h,
+
+for s + t <= e, h a residue mod f^(floor(t/2)), and the w-term present
+exactly when the gap t exceeds 2^k.  Gap 0 is <f^s>, and at s + t = e
+the second generator f^e is zero.  The ideal has 2^(m*d*(2e-2s-t))
+codewords, the pi-degree size law for rows of degrees s and s + t.
+Gap t has e - t + 1 values of s, each with q^(floor(t/2)) ideals, so
+the gaps 2j and 2j+1 give the term (1+4i) * q^(half-i) of the paper's
+sum form, i = half - j, half = e/2.  The printed labels are the
+paper's six families, which split the shape by gap:
 
   1. <w*f^(2^(k-1)+s) + f^(half+ceil(s/2))*h + u*f^s>,
          0 <= s <= 2^k*(lam-1)-1,      h mod f^(half-ceil(s/2))
@@ -16,17 +25,13 @@ over residues mod a power of f, the families are:
   6. <w*f^(2^(k-1)+s) + f^(s+ceil(t/2))*h + u*f^s, f^(s+t)>,
          2^k+1 <= t <= e-1,  0 <= s <= e-1-t,   h mod f^(floor(t/2))
 
-The family 1/2 boundary 2^k*(lam-1) is where f^(2^k+s) becomes zero:
-below it the u-action forces the w-term, at and above it the w-term
-would be redundant.  (For lam = 2 the boundary coincides with half.)
-The u-closure check below certifies every emitted descriptor, so a
-wrong boundary cannot pass the test suite.
-
-Codeword counts: families 1-2 give 2^(m*d*(e-s)); family 3 gives
-2^(m*d*(2e-2s)); family 4 gives 2^(m*d*(2e-2s-1)); families 5-6 give
-2^(m*d*(2e-2s-t)).  The family-5 exponent follows the pi-degree size
-law for the two generator rows (degrees s and s+t); the materialization
-oracle in the test suite pins it down independently.
+Families 1-2 have gap e - s, family 3 gap 0, families 4-6 gap t; _gap
+is the one place they are told apart.  For t <= 2^k the w-term is a
+multiple of f^(s+ceil(t/2)) and would only relabel h within its block;
+for t > 2^k the u-action needs it.  So families 1 and 2 part at
+e - s = 2^k, s = 2^k*(lam-1).  The u-closure check below certifies
+every emitted descriptor, and the materialization oracle in the test
+suite pins the size law down independently.
 
 Descriptors stream in a fixed total order: family, then t, then s,
 then h; h runs over chainring.iter_h, so h-residues are ordered by
@@ -143,15 +148,22 @@ def count_submodules_length2(q: int, e: int) -> int:
 # Descriptor streams
 # ----------------------------------------------------------------------
 
+def _gap(params: Params, family: int, s: int, t: int | None) -> int:
+    """The gap t of the shape <a + u*f^s, f^(s+t)>: e - s for families
+    1-2, whose f^e is zero, 0 for family 3, and t for families 4-6.
+    This is the one place the printed families are told apart."""
+    if family in (1, 2):
+        return params.nilpotency - s
+    if family == 3:
+        return 0
+    if family in (4, 5, 6) and t is not None:
+        return t
+    raise ValueError(f"malformed descriptor: family {family}, s {s}, t {t}")
+
+
 def h_space_exponent(params: Params, family: int, s: int, t: int | None) -> int:
     """Exponent l such that h ranges over residues mod f^l (0 => h = 0 only)."""
-    half = (1 << (params.k - 1)) * params.lam
-    if family in (1, 2):
-        return half - (s + 1) // 2
-    if family in (5, 6):
-        assert t is not None
-        return t // 2
-    return 0
+    return _gap(params, family, s, t) // 2
 
 
 def ideal_blocks(params: Params) -> Iterator[tuple[int, int, int | None]]:
@@ -162,21 +174,13 @@ def ideal_blocks(params: Params) -> Iterator[tuple[int, int, int | None]]:
     """
     e = params.nilpotency
     two_k = 1 << params.k
-    boundary = two_k * (params.lam - 1)
-    for s in range(boundary):
-        yield 1, s, None
-    for s in range(boundary, e):
-        yield 2, s, None
+    for s in range(e):
+        yield (1 if e - s > two_k else 2), s, None
     for s in range(e + 1):
         yield 3, s, None
-    for s in range(e - 1):
-        yield 4, s, 1
-    for t in range(2, two_k + 1):
+    for t in range(1, e):
         for s in range(e - t):
-            yield 5, s, t
-    for t in range(two_k + 1, e):
-        for s in range(e - t):
-            yield 6, s, t
+            yield (4 if t == 1 else 5 if t <= two_k else 6), s, t
 
 
 def enumerate_ideals(
@@ -203,21 +207,8 @@ def enumerate_ideals(
 
 def ideal_size(params: Params, d: int, desc: IdealDescriptor) -> int:
     """Number of codewords contributed by one descriptor (exact)."""
-    e = params.nilpotency
-    md = params.m * d
-    fam, s, t = desc.family, desc.s, desc.t
-    if fam in (1, 2):
-        expo = e - s
-    elif fam == 3:
-        expo = 2 * e - 2 * s
-    elif fam == 4:
-        expo = 2 * e - 2 * s - 1
-    elif fam in (5, 6):
-        assert t is not None
-        expo = 2 * e - 2 * s - t
-    else:
-        raise ValueError(f"unknown family {fam}")
-    return 1 << (md * expo)
+    gap = _gap(params, desc.family, desc.s, desc.t)
+    return 1 << (params.m * d * (2 * params.nilpotency - 2 * desc.s - gap))
 
 
 def code_size(params: Params, factor_data: FactorData, code: CodeDescriptor) -> int:
@@ -231,44 +222,26 @@ def code_size(params: Params, factor_data: FactorData, code: CodeDescriptor) -> 
 # Generators and module rows for one descriptor
 # ----------------------------------------------------------------------
 
-def _lead_entry(params: Params, ctx: ChainCtx, desc: IdealDescriptor) -> Poly:
-    """First coordinate of the leading generator row."""
-    F = params.field
-    half = (1 << (params.k - 1)) * params.lam
-    fam, s, t, h = desc.family, desc.s, desc.t, desc.h
-    acc = pr.P_ZERO
-    if fam in (1, 6):
-        acc = cr.c_mul(ctx, ctx.u2_unit, ctx.f_pows[(1 << (params.k - 1)) + s])
-    if fam in (1, 2):
-        hidx = half + (s + 1) // 2
-    else:
-        assert t is not None
-        hidx = s + (t + 1) // 2
-    if h:
-        acc = pr.p_add(F, acc, cr.c_mul(ctx, ctx.f_pows[hidx], h))
-    return acc
-
-
 def descriptor_generators(
     params: Params, ctx: ChainCtx, desc: IdealDescriptor
 ) -> list[Vec2]:
-    """Ideal generators in K + uK, as pairs (a0, a1) meaning a0 + u*a1.
-
-    At most two; families 1-3 need one.
-    """
-    fam, s, t = desc.family, desc.s, desc.t
+    """Ideal generators in K + uK, as pairs (a0, a1) meaning a0 + u*a1:
+    [(a, f^s), (f^(s+t), 0)] for gap t, without the second when f^(s+t)
+    is zero, and [(f^s, 0)] for gap 0."""
+    s, h = desc.s, desc.h
+    t = _gap(params, desc.family, s, desc.t)
     fs = cr.c_reduce(ctx, ctx.f_pows[s])
-    if fam in (1, 2):
-        return [(_lead_entry(params, ctx, desc), fs)]
-    if fam == 3:
+    if not t:
         return [(fs, pr.P_ZERO)]
-    if fam == 4:
-        return [(pr.P_ZERO, fs), (cr.c_reduce(ctx, ctx.f_pows[s + 1]), pr.P_ZERO)]
-    assert t is not None
-    return [
-        (_lead_entry(params, ctx, desc), fs),
-        (cr.c_reduce(ctx, ctx.f_pows[s + t]), pr.P_ZERO),
-    ]
+    a = pr.P_ZERO
+    if t > 1 << params.k:
+        a = cr.c_mul(ctx, ctx.u2_unit, ctx.f_pows[(1 << (params.k - 1)) + s])
+    if h:
+        a = pr.p_add(params.field, a, cr.c_mul(ctx, ctx.f_pows[s + (t + 1) // 2], h))
+    rows = [(a, fs)]
+    if s + t < params.nilpotency:
+        rows.append((cr.c_reduce(ctx, ctx.f_pows[s + t]), pr.P_ZERO))
+    return rows
 
 
 def descriptor_module_rows(
@@ -276,11 +249,11 @@ def descriptor_module_rows(
 ) -> list[Vec2]:
     """Generator rows of the matching K-submodule of K^2.
 
-    These are the ideal generators, plus u*f^s for family 3: the
-    K-span of f^s alone misses it, the ideal <f^s> does not.
+    These are the ideal generators, plus u*f^s for gap 0: the K-span of
+    f^s alone misses it, the ideal <f^s> does not.
     """
     rows = descriptor_generators(params, ctx, desc)
-    if desc.family == 3:
+    if not _gap(params, desc.family, desc.s, desc.t):
         rows.append((pr.P_ZERO, rows[0][0]))
     return rows
 

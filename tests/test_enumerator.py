@@ -422,3 +422,132 @@ def test_descriptor_ranges(p1122, ctx1122):
             assert two_k + 1 <= d.t <= e - 1 and 0 <= d.s <= e - 1 - d.t
         ell = en.h_space_exponent(p1122, d.family, d.s, d.t)
         assert pr.deg(d.h) < max(ell, 1) * ctx1122.d or not d.h
+
+
+# ----------------------------------------------------------------------
+# The one (s, t) shape against the paper's six families
+# ----------------------------------------------------------------------
+# References: the six-family bodies the one-shape builder replaced.
+
+def _ref_h_space_exponent(params, family, s, t):
+    half = (1 << (params.k - 1)) * params.lam
+    if family in (1, 2):
+        return half - (s + 1) // 2
+    if family in (5, 6):
+        assert t is not None
+        return t // 2
+    return 0
+
+
+def _ref_ideal_blocks(params):
+    e = params.nilpotency
+    two_k = 1 << params.k
+    boundary = two_k * (params.lam - 1)
+    for s in range(boundary):
+        yield 1, s, None
+    for s in range(boundary, e):
+        yield 2, s, None
+    for s in range(e + 1):
+        yield 3, s, None
+    for s in range(e - 1):
+        yield 4, s, 1
+    for t in range(2, two_k + 1):
+        for s in range(e - t):
+            yield 5, s, t
+    for t in range(two_k + 1, e):
+        for s in range(e - t):
+            yield 6, s, t
+
+
+def _ref_ideal_size(params, d, desc):
+    e = params.nilpotency
+    md = params.m * d
+    fam, s, t = desc.family, desc.s, desc.t
+    if fam in (1, 2):
+        expo = e - s
+    elif fam == 3:
+        expo = 2 * e - 2 * s
+    elif fam == 4:
+        expo = 2 * e - 2 * s - 1
+    elif fam in (5, 6):
+        assert t is not None
+        expo = 2 * e - 2 * s - t
+    else:
+        raise ValueError(f"unknown family {fam}")
+    return 1 << (md * expo)
+
+
+def _ref_lead_entry(params, ctx, desc):
+    F = params.field
+    half = (1 << (params.k - 1)) * params.lam
+    fam, s, t, h = desc.family, desc.s, desc.t, desc.h
+    acc = pr.P_ZERO
+    if fam in (1, 6):
+        acc = cr.c_mul(ctx, ctx.u2_unit, ctx.f_pows[(1 << (params.k - 1)) + s])
+    if fam in (1, 2):
+        hidx = half + (s + 1) // 2
+    else:
+        assert t is not None
+        hidx = s + (t + 1) // 2
+    if h:
+        acc = pr.p_add(F, acc, cr.c_mul(ctx, ctx.f_pows[hidx], h))
+    return acc
+
+
+def _ref_descriptor_generators(params, ctx, desc):
+    fam, s, t = desc.family, desc.s, desc.t
+    fs = cr.c_reduce(ctx, ctx.f_pows[s])
+    if fam in (1, 2):
+        return [(_ref_lead_entry(params, ctx, desc), fs)]
+    if fam == 3:
+        return [(fs, pr.P_ZERO)]
+    if fam == 4:
+        return [(pr.P_ZERO, fs), (cr.c_reduce(ctx, ctx.f_pows[s + 1]), pr.P_ZERO)]
+    assert t is not None
+    return [
+        (_ref_lead_entry(params, ctx, desc), fs),
+        (cr.c_reduce(ctx, ctx.f_pows[s + t]), pr.P_ZERO),
+    ]
+
+
+@pytest.mark.parametrize("m,n,k,lam,delta,alpha", [
+    (1, 1, 2, 2, 1, 1), (2, 1, 2, 2, 2, 3), (1, 1, 3, 2, 1, 1),
+    (1, 1, 2, 3, 1, 1), (1, 3, 2, 2, 1, 1), (3, 1, 2, 2, 5, 6),
+])
+def test_one_shape_matches_six_families(m, n, k, lam, delta, alpha):
+    # Generators, module rows, sizes and h-exponents of every descriptor
+    # equal the six-family references.  At t = 2^k (family 2's first s,
+    # family 5's last t) a w-term would only relabel h, so this is the
+    # check that pins the strict bound t > 2^k.
+    p = Params(m, n, k, lam, delta, alpha)
+    fd = build_factor_data(p)
+    for j, (ent, ctx) in enumerate(zip(fd.entries, en.chain_contexts(p, fd)), 1):
+        for d in en.enumerate_ideals(p, ctx, j):
+            ref = _ref_descriptor_generators(p, ctx, d)
+            assert en.descriptor_generators(p, ctx, d) == ref, d
+            if d.family == 3:
+                ref.append((pr.P_ZERO, ref[0][0]))
+            assert en.descriptor_module_rows(p, ctx, d) == ref, d
+            assert en.ideal_size(p, ent.degree, d) == _ref_ideal_size(p, ent.degree, d)
+            assert (en.h_space_exponent(p, d.family, d.s, d.t)
+                    == _ref_h_space_exponent(p, d.family, d.s, d.t))
+
+
+def test_blocks_match_six_families():
+    for k in range(2, 7):
+        for lam in range(2, 9):
+            p = Params(1, 1, k, lam, 1, 1)
+            assert list(en.ideal_blocks(p)) == list(_ref_ideal_blocks(p)), (k, lam)
+
+
+@pytest.mark.parametrize("fn", ["h_space_exponent", "ideal_size", "descriptor_generators"])
+@pytest.mark.parametrize("family,t", [(0, None), (7, None), (7, 2), (4, None), (5, None), (6, None)])
+def test_malformed_descriptor_raises_value_error(p1122, ctx1122, fn, family, t):
+    d = en.IdealDescriptor(1, family, 1, t)
+    call = {
+        "h_space_exponent": lambda: en.h_space_exponent(p1122, family, 1, t),
+        "ideal_size": lambda: en.ideal_size(p1122, 1, d),
+        "descriptor_generators": lambda: en.descriptor_generators(p1122, ctx1122, d),
+    }[fn]
+    with pytest.raises(ValueError):
+        call()
