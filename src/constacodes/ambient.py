@@ -33,14 +33,14 @@ multiply-by-x (the constacyclic shift), multiply-by-u, and (for m > 1)
 multiply by a field generator.  Duals of ideals come from the GF(2)
 trace form, also kept in matrix form.  brute_force_ideals walks up the
 ideal lattice from 0, from each ideal I to the closures of I + v for v
-outside I that the nilradical maps into I.  It never consults the
-descriptor enumeration, which makes it an independent oracle;
-brute_force_submodules walks K^2 the same way.
+outside I that u and x^n + delta_root map into I: the paper's identity
+u^2 = alpha^(-1) * (x^n + delta_root)^(2^k) makes the two generate the
+nilradical.  It never consults the descriptor enumeration, which makes
+it an independent oracle; brute_force_submodules walks K^2 the same way.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -61,26 +61,10 @@ from .polyring import Poly
 
 AmbientElem = tuple[Poly, Poly]
 
+# The oracle paths refuse, before building anything, above these: the
+# GF(2) dimension of the word space, and the number of codewords.
 DEFAULT_ORACLE_DIM_CAP = 32
 DEFAULT_MAT_CAP = 1 << 24
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def oracle_dim_cap() -> int:
-    return _env_int("CONSTACODES_ORACLE_DIM_CAP", DEFAULT_ORACLE_DIM_CAP)
-
-
-def materialization_cap() -> int:
-    return _env_int("CONSTACODES_MAT_CAP", DEFAULT_MAT_CAP)
 
 
 # ----------------------------------------------------------------------
@@ -119,32 +103,6 @@ def _tables(params: Params) -> dict:
     got = {"gamma_pows": pows, "lift_rows": rows, "lane_ones": ones, "bitspace": None}
     _TABLES[params] = got
     return got
-
-
-# ----------------------------------------------------------------------
-# The plain side A + uA
-# ----------------------------------------------------------------------
-
-def amb_add(params: Params, a: AmbientElem, b: AmbientElem) -> AmbientElem:
-    F = params.field
-    return pr.p_add(F, a[0], b[0]), pr.p_add(F, a[1], b[1])
-
-
-def amb_mul(params: Params, a: AmbientElem, b: AmbientElem) -> AmbientElem:
-    F = params.field
-    M = params.a_modulus
-    u2 = params.u_squared_poly  # already reduced: deg u^2 < deg M
-    lo = pr.p_add(
-        F,
-        pr.p_mod(F, pr.p_mul(F, a[0], b[0]), M),
-        pr.p_mod(F, pr.p_mul(F, u2, pr.p_mul(F, a[1], b[1])), M),
-    )
-    hi = pr.p_add(
-        F,
-        pr.p_mod(F, pr.p_mul(F, a[0], b[1]), M),
-        pr.p_mod(F, pr.p_mul(F, a[1], b[0]), M),
-    )
-    return lo, hi
 
 
 # ----------------------------------------------------------------------
@@ -427,19 +385,6 @@ def bit_space(params: Params) -> BitSpace:
     return tabs["bitspace"]
 
 
-def inner_product(params: Params, a: int, b: int) -> int:
-    """R-valued Euclidean inner product of two words, as a w-digit int
-    (the tests' reference for dual_bit_basis, which works from the trace
-    form): the sum of the products of their coefficients."""
-    bs = bit_space(params)
-    width = bs.m * bs.w
-    mask = (1 << width) - 1
-    acc = 0
-    for i in range(0, bs.dim, width):
-        acc ^= bs.mul(a >> i & mask, b >> i & mask)
-    return acc
-
-
 @dataclass(frozen=True)
 class IdealSet:
     """An ideal of the word ring, identified by its RREF basis."""
@@ -534,10 +479,9 @@ def materialize_code(
     factor_data: FactorData,
     code: CodeDescriptor,
     ctxs: list[ChainCtx] | None = None,
-    cap: int | None = None,
+    cap: int = DEFAULT_MAT_CAP,
 ) -> set[int]:
     """The full codeword set; refuses (never truncates) above the cap."""
-    cap = materialization_cap() if cap is None else cap
     predicted = code_size(params, factor_data, code)
     if predicted > cap:
         raise ValueError(
@@ -555,33 +499,29 @@ def materialize_code(
 # Brute-force ideal oracle
 # ----------------------------------------------------------------------
 
-def brute_force_ideals(params: Params, dim_cap: int | None = None) -> list[IdealSet]:
-    """Every ideal of the word ring, found without the enumeration.
+def _nilradical(params: Params) -> list[list[int]]:
+    """Matrices of multiplication by u and by c = x^n + delta_root.
 
-    The nilradical is the kernel of v -> v^(2^t), 2^t > dim: squaring is
-    GF(2)-linear in characteristic 2, and no nilpotent element needs a
-    power above dim.  BitSpace.lattice walks with the multiplication maps
-    of its ideal generators, picked greedily from its basis.
+    Both are nilpotent: u^(2*lam) = 0 and c^(2^k) = alpha*u^2, since
+    x^N = delta + alpha*u^2 and squaring is additive.  They generate the
+    nilradical, since the quotient by them, GF(2^m)[x]/<x^n + delta_root>,
+    is reduced for odd n.
     """
-    cap = oracle_dim_cap() if dim_cap is None else dim_cap
-    dim = params.m * params.u_exp * params.length
-    if dim > cap:
-        raise ValueError(
-            f"oracle dimension {dim} exceeds the cap of {cap}; "
-            "raise CONSTACODES_ORACLE_DIM_CAP to override"
-        )
     bs = bit_space(params)
-    power = square = bs.linearize(lambda v: bs.mul(v, v))
-    for _ in range(dim.bit_length()):
-        power = [bs.apply(square, v) for v in power]
-    gens, radical = [], ()
-    for g in bs.colon((), [power]):
-        grown = bs.closure((g,), radical)
-        if grown != radical:
-            gens.append(g)
-            radical = grown
-    rad = [bs.linearize(lambda v, g=g: bs.mul(g, v)) for g in gens]
-    return [IdealSet(b) for b in sorted(bs.lattice(rad), key=lambda b: (len(b), b))]
+    return [bs.linearize(bs.mul_u),
+            bs.linearize(lambda v: bs.mul_x(v, params.n) ^ bs.scale(v, params.delta_root))]
+
+
+def brute_force_ideals(
+    params: Params, dim_cap: int = DEFAULT_ORACLE_DIM_CAP
+) -> list[IdealSet]:
+    """Every ideal of the word ring, found without the enumeration:
+    BitSpace.lattice walks with the generators of the nilradical."""
+    dim = params.m * params.u_exp * params.length
+    if dim > dim_cap:
+        raise ValueError(f"oracle dimension {dim} exceeds the cap of {dim_cap}")
+    lattice = bit_space(params).lattice(_nilradical(params))
+    return [IdealSet(b) for b in sorted(lattice, key=lambda b: (len(b), b))]
 
 
 # Span vectors tried as a second generator before the greedy search gives up.
@@ -643,10 +583,9 @@ def dual_bit_basis(params: Params, code_basis: tuple[int, ...]) -> tuple[int, ..
 
 
 def dual_code(
-    params: Params, codewords: Iterable[int], cap: int | None = None
+    params: Params, codewords: Iterable[int], cap: int = DEFAULT_MAT_CAP
 ) -> set[int]:
     """All words orthogonal to the given ideal, with the size law checked."""
-    cap = materialization_cap() if cap is None else cap
     bs = bit_space(params)
     code_basis = bs.rref(codewords)
     dual_basis = dual_bit_basis(params, code_basis)

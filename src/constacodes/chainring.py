@@ -6,11 +6,9 @@ Every element has a unique f-adic digit expansion with digits of degree
 below d, and is a unit iff digit 0 is nonzero.  Elements are reduced
 polynomials (tuples); a rank-2 module vector is a pair of them.
 
-The u-extension K + uK multiplies by the rule
-
-    (a0 + u*a1)(b0 + u*b1) = (a0*b0 + U*a1*b1) + u*(a0*b1 + a1*b0)
-
-where U = u^2 = w^2 * f^(2^k) for the context's unit w.
+In the u-extension K + uK, u^2 = U = w^2 * f^(2^k) for the context's
+unit w, so u sends a0 + u*a1 to U*a1 + u*a0; make_chain_ctx checks U
+against the ring's u^2, and satisfies_u_closure needs nothing more.
 
 canonical_module_form reduces any generating set of a K-submodule of
 K^2 to a Howell-style normal form: two generator sets span the same
@@ -37,12 +35,12 @@ verdict: the context carries f^0 .. f^e packed as divisors
 found by binary search over them, the form is computed on the packed
 rows, and each u-multiple is reduced against it without unpacking.
 
-iter_h is the one residue iterator: every module that walks residues
-mod f^l (the ideal enumeration, the submodule lattice walk and the
-materialization oracle) goes through it.  It yields residues ordered
-by their f-adic digit expansions, least significant digit first, each
-digit a polynomial of degree below d ordered by packed coefficient
-value (coefficient i of the digit in bits m*i .. m*i+m-1).
+iter_h is the one residue iterator: every walk over residues mod f^l
+(the ideal enumeration, and the tests' submodule walks) goes through
+it.  It yields residues ordered by their f-adic digit expansions, least
+significant digit first, each digit a polynomial of degree below d
+ordered by packed coefficient value (coefficient i of the digit in bits
+m*i .. m*i+m-1).
 """
 
 from __future__ import annotations
@@ -185,13 +183,6 @@ def adic_digits(ctx: ChainCtx, a: Poly) -> tuple[Poly, ...]:
     return tuple(digits)
 
 
-def adic_compose(ctx: ChainCtx, digits) -> Poly:
-    acc = pr.P_ZERO
-    for digit in reversed(list(digits)):
-        acc = pr.p_add(ctx.field, pr.p_mul(ctx.field, acc, ctx.f), digit)
-    return acc
-
-
 def pi_degree(ctx: ChainCtx, a: Poly) -> int:
     """Index of the first nonzero f-adic digit of a reduced element; e
     for the zero element."""
@@ -210,23 +201,6 @@ def _valuation(ctx: ChainCtx, a: int) -> int:
         else:
             lo = mid
     return lo
-
-
-# ----------------------------------------------------------------------
-# The u-extension K + uK; elements are pairs (a0, a1) meaning a0 + u*a1.
-# ----------------------------------------------------------------------
-
-def ext_mul(ctx: ChainCtx, a: Vec2, b: Vec2) -> Vec2:
-    if ctx.u_squared is None:
-        raise ValueError("context carries no u-extension")
-    F = ctx.field
-    lo = pr.p_add(
-        F,
-        c_mul(ctx, a[0], b[0]),
-        c_mul(ctx, ctx.u_squared, c_mul(ctx, a[1], b[1])),
-    )
-    hi = pr.p_add(F, c_mul(ctx, a[0], b[1]), c_mul(ctx, a[1], b[0]))
-    return lo, hi
 
 
 # ----------------------------------------------------------------------
@@ -295,10 +269,10 @@ def module_size(ctx: ChainCtx, form: CanonForm) -> int:
 def module_contains(ctx: ChainCtx, form: CanonForm, v: Vec2) -> bool:
     """Whether v lies in the module whose canonical form is form.
 
-    form must be canonical (from canonical_module_form or
-    enumerate_all_submodules).  v = (c*f^t0, b) is reduced by c times
-    the first row; c is fixed only modulo f^(e-t0), and only in a
-    canonical form does every choice leave the same remainder mod f^t1.
+    form must be canonical, as canonical_module_form returns it.
+    v = (c*f^t0, b) is reduced by c times the first row; c is fixed only
+    modulo f^(e-t0), and only in a canonical form does every choice
+    leave the same remainder mod f^t1.
     """
     F = ctx.field
     return _contains(ctx, _packed_form(ctx, form), pr.pack(F, v[0]), pr.pack(F, v[1]))
@@ -338,65 +312,6 @@ def satisfies_u_closure(ctx: ChainCtx, gens) -> bool:
         _contains(ctx, form, pr.k_mod(F, pr.k_mul(F, u2, pr.pack(F, a1)), modulus), pr.pack(F, a0))
         for a0, a1 in gens
     )
-
-
-def materialize_submodule(ctx: ChainCtx, gens, cap: int = 1 << 20) -> frozenset:
-    """All elements of the K-span of up to two generators.
-
-    Brute force independent of canonical_module_form, for use as its
-    correctness oracle: the span is computed as {c1*g1 + c2*g2} over
-    all scalars, never through the normal form.
-    """
-    gens = [g for g in gens if g[0] or g[1]]
-    if len(gens) > 2:
-        raise ValueError("materialize_submodule handles at most two generators")
-    size_k = ctx.q ** ctx.e
-    work = size_k if len(gens) < 2 else size_k * size_k
-    if work > cap:
-        raise ValueError("submodule materialization would exceed the cap")
-    scalars = list(iter_h(ctx, ctx.e))
-    if not gens:
-        return frozenset({(pr.P_ZERO, pr.P_ZERO)})
-    tables = []
-    for g in gens:
-        tables.append([(c_mul(ctx, c, g[0]), c_mul(ctx, c, g[1])) for c in scalars])
-    if len(tables) == 1:
-        return frozenset(tables[0])
-    F = ctx.field
-    out = set()
-    for v0, v1 in tables[0]:
-        for w0, w1 in tables[1]:
-            out.add((pr.p_add(F, v0, w0), pr.p_add(F, v1, w1)))
-    return frozenset(out)
-
-
-def enumerate_all_submodules(ctx: ChainCtx):
-    """Every K-submodule of K^2, one canonical form each.
-
-    Modules correspond bijectively to triples (t0, t1, a): pivot
-    exponent t0 of the first-column projection, pivot exponent t1 of
-    the second-column kernel, and a second coordinate a reduced mod
-    f^t1, subject to t1 <= e - t0 + pi_degree(a).  Iterating the
-    triples therefore walks the full submodule lattice without any
-    spanning computation.
-    """
-    e = ctx.e
-    for t0 in range(e + 1):
-        for t1 in range(e + 1):
-            if t0 == e:
-                if t1 <= e:
-                    rows = []
-                    if t1 < e:
-                        rows.append((pr.P_ZERO, ctx.f_pows[t1]))
-                    yield tuple(rows)
-                continue
-            for a in iter_h(ctx, t1):
-                if a and t1 > e - t0 + pi_degree(ctx, a):
-                    continue
-                rows = [(ctx.f_pows[t0], a)]
-                if t1 < e:
-                    rows.append((pr.P_ZERO, ctx.f_pows[t1]))
-                yield tuple(rows)
 
 
 def iter_h(ctx: ChainCtx, ell: int, start: int = 0) -> Iterator[Poly]:

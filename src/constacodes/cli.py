@@ -8,9 +8,8 @@ internal certificate; 2 invalid input, including an --out path that
 cannot be opened, and an output (stdout or --out) that cannot be
 written.
 
-The oracle's dimension cap is the environment variable
-CONSTACODES_ORACLE_DIM_CAP, and the library's materialization cap is
-CONSTACODES_MAT_CAP; neither has a flag.
+`oracle` refuses a word space of more than 32 GF(2) dimensions, before
+any set-up; the cap is ambient.DEFAULT_ORACLE_DIM_CAP and has no flag.
 
 `count` factors nothing: it reads the factor degrees off cyclotomic
 cosets (factorizer.factor_degrees).  Counts and sizes print in full,

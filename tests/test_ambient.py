@@ -11,6 +11,8 @@ from constacodes import polyring as pr
 from constacodes.factorizer import build_factor_data
 from constacodes.params import Params
 
+from reference import amb_add, amb_mul, inner_product
+
 
 def r_mul(F, a, b):
     """The product in R of two tuples of u-digits: the tuple body that
@@ -140,10 +142,10 @@ def test_ring_isomorphism_random(mp):
     for _ in range(1000):
         a = rand_amb(p, rng)
         b = rand_amb(p, rng)
-        assert amb.psi_lift(p, amb.amb_add(p, a, b)) == (
+        assert amb.psi_lift(p, amb_add(p, a, b)) == (
             amb.psi_lift(p, a) ^ amb.psi_lift(p, b)
         )
-        assert amb.psi_lift(p, amb.amb_mul(p, a, b)) == bs.mul(
+        assert amb.psi_lift(p, amb_mul(p, a, b)) == bs.mul(
             amb.psi_lift(p, a), amb.psi_lift(p, b)
         )
 
@@ -181,7 +183,7 @@ def test_roundtrip_and_hom_wider_u_space():
         a, b = rand_amb(p, rng), rand_amb(p, rng)
         la, lb = amb.psi_lift(p, a), amb.psi_lift(p, b)
         assert amb.psi_inverse(p, la) == a
-        assert amb.psi_lift(p, amb.amb_mul(p, a, b)) == bs.mul(la, lb)
+        assert amb.psi_lift(p, amb_mul(p, a, b)) == bs.mul(la, lb)
 
 
 def reference_lift(params, amb_elem):
@@ -278,7 +280,7 @@ def test_word_ring_matches_tuple_reference(mp):
             inner = [0] * w
             for x, y in zip(ta, tb):
                 inner = [s ^ d for s, d in zip(inner, r_mul(F, x, y))]
-            assert amb.inner_product(p, a, b) == to_int(p, [inner])
+            assert inner_product(p, a, b) == to_int(p, [inner])
 
 
 def test_lift_needs_no_reduction_mod_m():
@@ -322,7 +324,7 @@ def test_dual_rank_law_multifactor(p1322, fd1322, ctxs1322):
             dual = amb.dual_bit_basis(p, basis)
             assert len(basis) + len(dual) == bs.dim
             for d in dual:
-                assert all(amb.inner_product(p, d, c) == 0 for c in basis)
+                assert all(inner_product(p, d, c) == 0 for c in basis)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 1), (1, 3)])
@@ -336,7 +338,7 @@ def test_trace_form_matches_inner_product(m, n):
     for _ in range(200):
         x, y = rng.getrandbits(bs.dim), rng.getrandbits(bs.dim)
         bit = bin(bs.apply(bs.form, x) & y).count("1") & 1
-        top = amb.inner_product(p, x, y) >> ((p.u_exp - 1) * m)
+        top = inner_product(p, x, y) >> ((p.u_exp - 1) * m)
         assert bit == F.trace(top)
 
 
@@ -480,22 +482,44 @@ def _exhaustive_ideals(bs):
             return sorted(found, key=lambda b: (len(b), b))
 
 
+@pytest.mark.parametrize("point,delta_root", [((3, 1, 2, 2, 5, 6), 7), ((2, 3, 2, 2, 2, 3), 2)],
+                         ids=["3-1-2-2-5-6", "2-3-2-2-2-3"])
+def test_nilradical_core_map(point, delta_root):
+    # The oracle's map c = x^n + delta_root, applied 2^k times, is
+    # multiplication by alpha*u^2.  At (3,1,2,2,5,6) delta_root is not
+    # delta, so a map built from delta fails there.
+    p = Params(*point)
+    assert p.delta_root == delta_root
+    bs = amb.bit_space(p)
+    _, core = amb._nilradical(p)
+    rng = random.Random(str(point))
+    for _ in range(20):
+        v = w = rng.getrandbits(bs.dim)
+        for _ in range(1 << p.k):
+            v = bs.apply(core, v)
+        assert v == bs.scale(bs.mul_u(bs.mul_u(w)), p.alpha)
+
+
 def test_walk_equals_exhaustive_closure(p1122, oracle_135):
     assert _exhaustive_ideals(amb.bit_space(p1122)) == [i.basis for i in oracle_135]
 
 
 @functools.cache
 def _walk(point):
-    p = Params(*point, 1, 1)
+    p = Params(*(point + (1, 1))[:6])
     return p, [i.basis for i in amb.brute_force_ideals(p)]
 
 
-# (m, n, k, lam) and the number of ideals there.
+# (m, n, k, lam), with delta = alpha = 1, and the number of ideals there.
 WALK_POINTS = [((1, 1, 2, 3), 607), ((2, 1, 2, 2), 789), ((1, 1, 3, 2), 2519)]
 WALK_IDS = ["-".join(map(str, point)) for point, _ in WALK_POINTS]
+# (m, n, k, lam, delta, alpha) away from delta = alpha = 1.
+TWISTED_WALK_POINTS = [((2, 1, 2, 2, 2, 3), 789)]
 
 
-@pytest.mark.parametrize("point,count", WALK_POINTS, ids=WALK_IDS)
+@pytest.mark.parametrize(
+    "point,count", WALK_POINTS + TWISTED_WALK_POINTS,
+    ids=WALK_IDS + ["-".join(map(str, point)) for point, _ in TWISTED_WALK_POINTS])
 def test_walk_equals_enumeration(point, count):
     p, walked = _walk(point)
     fd = build_factor_data(p)
@@ -553,7 +577,7 @@ def test_dual_size_law(p1122, fd1122, ctx1122):
         assert len(code) * len(dual) == 1 << 16
         w = next(iter(dual))
         assert all(
-            amb.inner_product(p1122, w, c) == 0 for c in code
+            inner_product(p1122, w, c) == 0 for c in code
         )
 
 

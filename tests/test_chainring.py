@@ -9,6 +9,8 @@ from constacodes import polyring as pr
 from constacodes.factorizer import build_factor_data
 from constacodes.params import Params
 
+from reference import adic_compose, materialize_submodule
+
 F2 = GF2m(1)
 F4 = GF2m(2)
 
@@ -68,7 +70,7 @@ def test_adic_roundtrip_random(field, f, e, seed):
         a = rand_elem(ctx, rng)
         digits = cr.adic_digits(ctx, a)
         assert all(pr.deg(x) < ctx.d for x in digits)
-        assert cr.adic_compose(ctx, digits) == a
+        assert adic_compose(ctx, digits) == a
 
 
 def _pi_degree_by_division(ctx, a):
@@ -130,40 +132,8 @@ def test_unit_for_n3_factor():
     lhs = cr.c_mul(ctx, cr.c_mul(ctx, ctx.u2_unit, ctx.u2_unit), ctx.f_pows[4])
     rhs = cr.c_reduce(ctx, pr.p_pow(F2, (1, 0, 0, 1), 4))
     assert lhs == rhs
-
-
-def test_ext_mul_defining_relation():
-    params = Params(1, 1, 2, 2, 1, 1)
-    fd = build_factor_data(params)
-    ctx = cr.make_chain_ctx(params, fd.entries[0].f, fd.entries[0].cofactor)
-    u = (pr.P_ZERO, (1,))
-    usq = cr.ext_mul(ctx, u, u)
-    assert usq == (ctx.u_squared, pr.P_ZERO)
-    # u^(2*lam) = 0: lam doublings reach zero
-    acc = u
-    for _ in range(params.lam):
-        acc = cr.ext_mul(ctx, acc, acc)
-    assert acc == (pr.P_ZERO, pr.P_ZERO)
-    # multiplicative identity
-    rng = random.Random(4)
-    for _ in range(50):
-        v = (rand_elem(ctx, rng), rand_elem(ctx, rng))
-        assert cr.ext_mul(ctx, ((1,), pr.P_ZERO), v) == v
-
-
-def test_ext_mul_commutative_associative():
-    params = Params(2, 1, 2, 2, 2, 3)
-    fd = build_factor_data(params)
-    ctx = cr.make_chain_ctx(params, fd.entries[0].f, fd.entries[0].cofactor)
-    rng = random.Random(42)
-    for _ in range(200):
-        a = (rand_elem(ctx, rng), rand_elem(ctx, rng))
-        b = (rand_elem(ctx, rng), rand_elem(ctx, rng))
-        c = (rand_elem(ctx, rng), rand_elem(ctx, rng))
-        assert cr.ext_mul(ctx, a, b) == cr.ext_mul(ctx, b, a)
-        assert cr.ext_mul(ctx, cr.ext_mul(ctx, a, b), c) == cr.ext_mul(
-            ctx, a, cr.ext_mul(ctx, b, c)
-        )
+    # u^(2*lam) = 0 in K + uK
+    assert pr.p_mod(F2, pr.p_pow(F2, ctx.u_squared, params.lam), ctx.modulus) == pr.P_ZERO
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +296,7 @@ def test_canonical_form_equality_matches_materialization():
     rng = random.Random(123)
     mods = [_random_shape_module(ctx, rng) for _ in range(28)]
     forms = [cr.canonical_module_form(ctx, rows) for rows in mods]
-    sets = [cr.materialize_submodule(ctx, rows) for rows in mods]
+    sets = [materialize_submodule(ctx, rows) for rows in mods]
     for i in range(len(mods)):
         for j in range(i):
             assert (forms[i] == forms[j]) == (sets[i] == sets[j])
@@ -337,7 +307,7 @@ def test_canonical_form_e8_sample_against_materialization():
     rng = random.Random(321)
     mods = [_random_shape_module(ctx, rng) for _ in range(8)]
     forms = [cr.canonical_module_form(ctx, rows) for rows in mods]
-    sets = [cr.materialize_submodule(ctx, rows, cap=1 << 17) for rows in mods]
+    sets = [materialize_submodule(ctx, rows, cap=1 << 17) for rows in mods]
     for i in range(len(mods)):
         assert cr.module_size(ctx, forms[i]) == len(sets[i])
         for j in range(i):
@@ -351,7 +321,7 @@ def test_module_contains_and_size():
         for _ in range(40):
             rows = _random_shape_module(ctx, rng)
             form = cr.canonical_module_form(ctx, rows)
-            made = cr.materialize_submodule(ctx, rows, cap=1 << 17)
+            made = materialize_submodule(ctx, rows, cap=1 << 17)
             assert cr.module_size(ctx, form) == len(made)
             for v in rng.sample(sorted(made), min(10, len(made))):
                 assert cr.module_contains(ctx, form, v)
@@ -366,7 +336,7 @@ def test_size_law_from_row_degrees():
     rng = random.Random(99)
     for _ in range(60):
         rows = _random_shape_module(ctx, rng)
-        made = cr.materialize_submodule(ctx, rows)
+        made = materialize_submodule(ctx, rows)
         degs = [
             min(cr.pi_degree(ctx, r0), cr.pi_degree(ctx, r1)) for r0, r1 in rows
         ]

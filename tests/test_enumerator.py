@@ -13,6 +13,8 @@ from constacodes.ambient import brute_force_submodules
 from constacodes.factorizer import build_factor_data
 from constacodes.params import Params
 
+from reference import enumerate_all_submodules
+
 
 # ----------------------------------------------------------------------
 # Count formulas
@@ -172,7 +174,7 @@ def test_completeness_against_submodule_lattice(k, lam, q_count):
     p = Params(1, 1, k, lam, 1, 1)
     fd = build_factor_data(p)
     ctx = en.chain_contexts(p, fd)[0]
-    all_forms = list(cr.enumerate_all_submodules(ctx))
+    all_forms = list(enumerate_all_submodules(ctx))
     assert len(all_forms) == en.count_submodules_length2(2, p.nilpotency)
     assert len(set(all_forms)) == len(all_forms)
     closed = {form for form in all_forms if cr.satisfies_u_closure(ctx, form)}
