@@ -28,15 +28,16 @@ descriptor at a time: the lift needs no reduction mod M, and the plain
 side's callers reduce through FactorData.modulus_divisor.
 
 For oracle work a word is a GF(2) vector of D = m * 2*lam * N bits.
-An ideal is then an xor-closed set stable under three linear operators:
+An ideal is then an xor-closed set stable under three ring operations:
 multiply-by-x (the constacyclic shift), multiply-by-u, and (for m > 1)
-multiply by a field generator.  Duals of ideals come from the GF(2)
-trace form, also kept in matrix form.  brute_force_ideals walks up the
-ideal lattice from 0, from each ideal I to the closures of I + v for v
-outside I that u and x^n + delta_root map into I: the paper's identity
-u^2 = alpha^(-1) * (x^n + delta_root)^(2^k) makes the two generate the
-nilradical.  It never consults the descriptor enumeration, which makes
-it an independent oracle; brute_force_submodules walks K^2 the same way.
+multiply by the field generator y, each a few int operations on the
+whole word.  Duals of ideals come from the GF(2) trace form, kept as a
+Gram matrix.  brute_force_ideals walks up the ideal lattice from 0,
+from each ideal I to the closures of I + v for v outside I that u and
+x^n + delta_root map into I: the paper's identity u^2 = alpha^(-1) *
+(x^n + delta_root)^(2^k) makes the two generate the nilradical J.  It
+never consults the descriptor enumeration, which makes it an
+independent oracle; brute_force_submodules walks K^2 the same way.
 """
 
 from __future__ import annotations
@@ -203,37 +204,78 @@ def psi_inverse(params: Params, word: int) -> AmbientElem:
 # GF(2)-flattened word space and echelon bases
 # ----------------------------------------------------------------------
 
+class Echelon:
+    """A reduced row echelon basis, built from one if given: rows keyed by
+    the index of their lead bit, and piv, the mask of the leads.  No row
+    has a bit at another row's lead, so v is reduced by one xor per set
+    bit of v & piv."""
+
+    def __init__(self, basis: tuple[int, ...] = ()) -> None:
+        self.rows = {b.bit_length() - 1: b for b in basis}
+        self.piv = sum(1 << lead for lead in self.rows)
+
+    def reduce(self, v: int) -> int:
+        rows = self.rows
+        x = v & self.piv
+        while x:
+            lead = x.bit_length() - 1
+            v ^= rows[lead]
+            x ^= 1 << lead
+        return v
+
+    def insert(self, v: int) -> int:
+        """Add v; returns the new row, or 0 if v is dependent."""
+        v = self.reduce(v)
+        if v:
+            lead = v.bit_length() - 1
+            bit = 1 << lead
+            rows = self.rows
+            for l2, row in rows.items():
+                if row & bit:
+                    rows[l2] = row ^ v
+            rows[lead] = v
+            self.piv |= bit
+        return v
+
+    def basis(self) -> tuple[int, ...]:
+        return tuple(sorted(self.rows.values(), reverse=True))
+
+
 class BitSpace:
     """Words of N coefficients, each w digits over F, as ints: bit
     (i*w + t)*m + b holds field bit b of digit t of coefficient i.  A
     word is also a vector of the GF(2) space of dimension m * w * N.
 
     The ring operations act on whole ints.  The twist, a w-digit int,
-    is x^N; without one there is no multiply-by-x.  ops holds, in
-    matrix form, multiply-by-x if there is a twist, multiply-by-u and,
-    for m > 1, multiply by the field generator; form is the Gram matrix
-    of the trace form."""
+    is x^N; without one there is no multiply-by-x.  A subspace is an
+    ideal when it is stable under ops: multiply-by-x if there is a
+    twist, multiply-by-u and, for m > 1, scaling by the field generator
+    y = 2.  form is the Gram matrix of the trace form."""
 
     def __init__(self, F: GF2m, w: int, N: int, twist: int | None = None) -> None:
         m = self.m = F.m
-        self.F, self.w, self.N, self.twist = F, w, N, twist
+        self.F, self.w, self.N = F, w, N
         self.dim = m * w * N
-        # 1 in bit 0 of every digit; every bit of every digit but the top
-        # one of its coefficient.
+        # 1 in bit 0 of every digit; in bit 0 of every coefficient; and
+        # in every bit of every digit but the top one of its coefficient.
         self._ones = ((1 << self.dim) - 1) // ((1 << m) - 1)
-        self._low = ((1 << self.dim) - 1) // ((1 << (m * w)) - 1) * ((1 << (m * w - m)) - 1)
-        maps = [self.mul_x] if twist is not None else []
-        maps.append(self.mul_u)
-        if m > 1:
-            maps.append(lambda v: self.scale(v, 2))
-        self.ops = [self.linearize(fn) for fn in maps]
+        rep = ((1 << self.dim) - 1) // ((1 << (m * w)) - 1)
+        self._low = rep * ((1 << (m * w - m)) - 1)
+        # Per nonzero digit d of the twist, at u^t: the shift and the mask
+        # of multiply-by-u^t, and d.
+        self._twist = [(t * m, rep * ((1 << (m * (w - t))) - 1), d) for t in range(w)
+                       if (d := (twist or 0) >> (t * m) & ((1 << m) - 1))]
+        self.ops = ([self.mul_x] * (twist is not None) + [self.mul_u]
+                    + [lambda v: self.scale(v, 2)] * (m > 1))
         # B(x, y) = Tr(top u-digit of <x, y>): coefficient i pairs only
         # with itself, u-digit t only with w-1-t, and field bit a with
-        # field bit b through Tr(y^a * y^b).
-        tr = [sum(F.trace(F.mul(1 << a, 1 << b)) << b for b in range(m)) for a in range(m)]
+        # field bit b through Tr(y^a * y^b).  Bit p of y is read at bit
+        # dim-1-p of form*x.
+        tr = [sum(F.trace(F.mul(1 << a, 1 << b)) << (m - 1 - b) for b in range(m))
+              for a in range(m)]
         self.form = [
-            tr[a] << ((i * w + w - 1 - t) * m)
-            for i in range(self.N) for t in range(w) for a in range(m)
+            tr[a] << (((N - 1 - i) * w + t) * m)
+            for i in range(N) for t in range(w) for a in range(m)
         ]
 
     # -- the ring operations ------------------------------------------
@@ -258,22 +300,9 @@ class BitSpace:
         cut = (self.N - i) * self.m * self.w
         hi = v >> cut
         v = (v & ((1 << cut) - 1)) << (i * self.m * self.w)
-        return v ^ self.mul(hi, self.twist) if hi else v
-
-    def mul(self, a: int, b: int) -> int:
-        """a * b: digit t of coefficient i of b adds x^i * u^t * a times
-        that digit."""
-        out, mask = 0, (1 << self.m) - 1
-        while b:
-            au = a
-            for _ in range(self.w):
-                if b & mask:
-                    out ^= self.scale(au, b & mask)
-                b >>= self.m
-                au = self.mul_u(au)
-            if b:
-                a = self.mul_x(a)
-        return out
+        for shift, keep, d in self._twist if hi else ():
+            v ^= self.scale((hi & keep) << shift, d)
+        return v
 
     def linearize(self, fn) -> list[int]:
         """The columns, as bit vectors, of a GF(2)-linear map on words."""
@@ -289,60 +318,44 @@ class BitSpace:
 
     # -- reduced echelon bases ----------------------------------------
 
-    @staticmethod
-    def _insert(rows: dict[int, int], v: int) -> int:
-        """Insert v into an RREF row dict; returns the reduced new row (0 if dependent)."""
-        for lead, row in rows.items():
-            if (v >> lead) & 1:
-                v ^= row
-        if not v:
-            return 0
-        lead = v.bit_length() - 1
-        for l2 in rows:
-            if (rows[l2] >> lead) & 1:
-                rows[l2] ^= v
-        rows[lead] = v
-        return v
-
     def rref(self, vectors: Iterable[int]) -> tuple[int, ...]:
-        rows: dict[int, int] = {}
+        ech = Echelon()
         for v in vectors:
-            self._insert(rows, v)
-        return tuple(sorted(rows.values(), reverse=True))
+            ech.insert(v)
+        return ech.basis()
 
     def closure(self, seeds: Iterable[int], basis: tuple[int, ...] = ()) -> tuple[int, ...]:
-        """RREF basis of the smallest operator-stable subspace holding seeds
-        and basis, the RREF basis of a stable subspace."""
-        rows = {b.bit_length() - 1: b for b in basis}
+        """RREF basis of the smallest ideal holding seeds and basis, the
+        RREF basis of an ideal: each new row's images under ops are
+        queued in turn."""
+        ech = Echelon(basis)
         stack = [v for v in seeds if v]
         ops = self.ops
         while stack:
-            v = self._insert(rows, stack.pop())
+            v = ech.insert(stack.pop())
             if v:
-                for op in ops:
-                    stack.append(self.apply(op, v))
-        return tuple(sorted(rows.values(), reverse=True))
+                stack.extend(op(v) for op in ops)
+        return ech.basis()
 
     def is_invariant(self, basis: tuple[int, ...]) -> bool:
-        """Whether the span of basis is operator-stable, i.e. an ideal."""
-        return self.closure(basis) == self.rref(basis)
+        """Whether the span of basis is an ideal: every image of every
+        row under ops reduces to 0 against it."""
+        ech = Echelon(self.rref(basis))
+        return not any(ech.reduce(op(b)) for b in basis for op in self.ops)
 
     def colon(self, basis: tuple[int, ...], maps: list[list[int]]) -> list[int]:
         """Basis of the v that each matrix in maps sends into the span of
         basis (RREF).  One elimination of the rows (M_1 e_i || ... || M_r e_i
-        || e_i), with basis in each image slot, leaves the rows whose lead
+        || e_i), images reduced against basis, leaves the rows whose lead
         is in the e_i slot with no image part: their span is the answer."""
         dim = self.dim
-        rows = {
-            b.bit_length() - 1 + j * dim: b << (j * dim)
-            for j in range(1, len(maps) + 1) for b in basis
-        }
+        ideal, ech = Echelon(basis), Echelon()
         for i in range(dim):
             v = 1 << i
             for j, op in enumerate(maps, 1):
-                v |= op[i] << (j * dim)
-            self._insert(rows, v)
-        return [row for lead, row in rows.items() if lead < dim]
+                v |= ideal.reduce(op[i]) << (j * dim)
+            ech.insert(v)
+        return [row for row in ech.rows.values() if row >> dim == 0]
 
     def lattice(self, rad: list[list[int]]) -> list[tuple[int, ...]]:
         """RREF bases of all stable subspaces, walked up from 0: from each I
@@ -356,8 +369,8 @@ class BitSpace:
         todo = [()]
         while todo:
             basis = todo.pop()
-            rows = {b.bit_length() - 1: b for b in basis}
-            fresh = [r for r in (self._insert(rows, v) for v in self.colon(basis, rad)) if r]
+            ech = Echelon(basis)
+            fresh = [r for r in map(ech.insert, self.colon(basis, rad)) if r]
             for v in self.span(tuple(fresh)):
                 if v:
                     grown = self.closure((v,), basis)
@@ -499,8 +512,8 @@ def materialize_code(
 # Brute-force ideal oracle
 # ----------------------------------------------------------------------
 
-def _nilradical(params: Params) -> list[list[int]]:
-    """Matrices of multiplication by u and by c = x^n + delta_root.
+def _nilradical(params: Params) -> list:
+    """Multiplication by u and by c = x^n + delta_root, as maps on words.
 
     Both are nilpotent: u^(2*lam) = 0 and c^(2^k) = alpha*u^2, since
     x^N = delta + alpha*u^2 and squaring is additive.  They generate the
@@ -508,8 +521,7 @@ def _nilradical(params: Params) -> list[list[int]]:
     is reduced for odd n.
     """
     bs = bit_space(params)
-    return [bs.linearize(bs.mul_u),
-            bs.linearize(lambda v: bs.mul_x(v, params.n) ^ bs.scale(v, params.delta_root))]
+    return [bs.mul_u, lambda v: bs.mul_x(v, params.n) ^ bs.scale(v, params.delta_root)]
 
 
 def brute_force_ideals(
@@ -520,35 +532,38 @@ def brute_force_ideals(
     dim = params.m * params.u_exp * params.length
     if dim > dim_cap:
         raise ValueError(f"oracle dimension {dim} exceeds the cap of {dim_cap}")
-    lattice = bit_space(params).lattice(_nilradical(params))
+    bs = bit_space(params)
+    lattice = bs.lattice([bs.linearize(f) for f in _nilradical(params)])
     return [IdealSet(b) for b in sorted(lattice, key=lambda b: (len(b), b))]
 
 
-# Span vectors tried as a second generator before the greedy search gives up.
-_SCAN_LIMIT = 1 << 16
-
-
 def recover_generators(params: Params, ideal: IdealSet) -> list[int]:
-    """A generating set of at most two elements, found greedily."""
-    if not ideal.basis:
-        return []
+    """At most two generators of an ideal of the word ring; n must be 1,
+    the only n within the oracle's dimension cap.
+
+    There the ring is local with maximal ideal J = <u, x + delta_root>
+    and residue field GF(2^m), so by Nakayama's lemma (Atiyah-Macdonald,
+    Prop. 2.8) a set generates I iff its images span I/JI, of dimension
+    mu over GF(2^m).  mu > 2 raises ArithmeticError.  Rows in JI are
+    passed over; with mu = 1 the first row outside JI generates I (I = 0
+    has mu = 0 and none), and with mu = 2 the first generator is the row
+    of largest closure (first among equals) and the second is the first
+    row, in that order, outside JI + GF(2^m)*best.
+    """
     bs = bit_space(params)
-    closures = [(bs.closure((v,)), v) for v in ideal.basis]
-    closures.sort(key=lambda cv: len(cv[0]), reverse=True)
-    best_basis, best = closures[0]
-    if best_basis == ideal.basis:
-        return [best]
-    for _, w in closures:
-        if w != best and bs.closure((best, w)) == ideal.basis:
-            return [best, w]
-    scanned = 0
-    for w in bs.span(ideal.basis):
-        if w and bs.closure((best, w)) == ideal.basis:
-            return [best, w]
-        scanned += 1
-        if scanned > _SCAN_LIMIT:
-            break
-    raise ArithmeticError("no two-element generating set found by greedy search")
+    # JI = uI + cI, spanned by the rows' images.
+    radical = Echelon(bs.rref(f(b) for f in _nilradical(params) for b in ideal.basis))
+    mu = (ideal.dim - len(radical.rows)) // params.m
+    if mu > 2:
+        raise ArithmeticError(f"an ideal of dimension {ideal.dim} needs {mu} > 2 generators")
+    rows = [v for v in ideal.basis if radical.reduce(v)]
+    if mu < 2:
+        return rows[:1]
+    order = sorted(rows, key=lambda v: -len(bs.closure((v,))))
+    best = order[0]
+    for b in range(params.m):
+        radical.insert(bs.scale(best, 1 << b))
+    return [best, next(w for w in order if radical.reduce(w))]
 
 
 # ----------------------------------------------------------------------
@@ -564,22 +579,23 @@ def dual_bit_basis(params: Params, code_basis: tuple[int, ...]) -> tuple[int, ..
     Amer. J. Math. 121, 1999).  The dual is the GF(2) kernel of the rows
     form*c over the basis of C.  Raises ValueError if the span is not an
     ideal, where the two duals differ.
+
+    form*c holds its bits reversed, so each row leads at its lowest bit in
+    word order, and the kernel comes out in RREF: each free column on top.
     """
     bs = bit_space(params)
     if not bs.is_invariant(code_basis):
         raise ValueError("dual_bit_basis: the span is not an ideal")
-    pivots: dict[int, int] = {}
-    for c in code_basis:
-        BitSpace._insert(pivots, bs.apply(bs.form, c))
-    kernel = []
-    for col in range(bs.dim):
-        if col not in pivots:
-            v = 1 << col
-            for lead, row in pivots.items():
-                if (row >> col) & 1:
-                    v |= 1 << lead
-            kernel.append(v)
-    return bs.rref(kernel)
+    pivots = Echelon(bs.rref(bs.apply(bs.form, c) for c in code_basis))
+    top = bs.dim - 1
+    kernel = {col: 1 << (top - col) for col in range(bs.dim) if not pivots.piv >> col & 1}
+    for lead, row in pivots.rows.items():
+        free = row & ~pivots.piv
+        while free:
+            col = free.bit_length() - 1
+            kernel[col] |= 1 << (top - lead)
+            free ^= 1 << col
+    return tuple(sorted(kernel.values(), reverse=True))
 
 
 def dual_code(
@@ -603,9 +619,9 @@ def dual_code(
 def brute_force_submodules(field: GF2m, e: int, cap: int = 1 << 14) -> list[tuple[int, ...]]:
     """RREF bases of all submodules of K^2, K = GF(q)[p]/<p^e>, walked by
     BitSpace.lattice: as words of 2 coefficients with e digits each, p
-    acts as the digit shift ops[0], and it generates the radical of K."""
+    acts as the digit shift mul_u, and it generates the radical of K."""
     q = field.order
     if q ** (2 * e) > cap:
         raise ValueError(f"submodule census over {q**(2*e)} vectors exceeds the cap")
     bs = BitSpace(field, e, 2)
-    return bs.lattice([bs.ops[0]])
+    return bs.lattice([bs.linearize(bs.mul_u)])

@@ -11,6 +11,9 @@ written.
 `oracle` refuses a word space of more than 32 GF(2) dimensions, before
 any set-up; the cap is ambient.DEFAULT_ORACLE_DIM_CAP and has no flag.
 
+Every subcommand refuses n above 2^20 before any set-up; the cap is
+params.N_CAP and has no flag.
+
 `count` factors nothing: it reads the factor degrees off cyclotomic
 cosets (factorizer.factor_degrees).  Counts and sizes print in full,
 however many digits they have.

@@ -50,6 +50,7 @@ whatever the index; walking there would cost O(index).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -97,11 +98,12 @@ class CodeDescriptor:
 # ----------------------------------------------------------------------
 
 def count_ideals_sum_form(q: int, k: int, lam: int) -> int:
-    """Sum over i of (1+4i) * q^(2^(k-1)*lam - i)."""
+    """Sum over i of (1+4i) * q^(2^(k-1)*lam - i), by Horner's rule from
+    i = 0 up: one product by q per term, no powers."""
     if q < 2 or k < 2 or lam < 2:
         raise ValueError("need q >= 2, k >= 2, lam >= 2")
-    half = (1 << (k - 1)) * lam
-    return sum((1 + 4 * i) * q ** (half - i) for i in range(half + 1))
+    return functools.reduce(lambda acc, i: acc * q + 1 + 4 * i,
+                            range((1 << (k - 1)) * lam + 1), 0)
 
 
 def count_ideals_closed_form(q: int, k: int, lam: int) -> int:

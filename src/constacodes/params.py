@@ -19,6 +19,9 @@ from .gf2m import GF2m
 from . import polyring as pr
 from .polyring import Poly
 
+# n above this is refused first: factor degrees take memory and time linear in n.
+N_CAP = 1 << 20
+
 
 class Params:
     def __init__(
@@ -31,6 +34,8 @@ class Params:
         alpha: int,
         reduction: int | None = None,
     ) -> None:
+        if n > N_CAP:
+            raise ValueError(f"n = {n} exceeds the cap of {N_CAP}")
         field = GF2m(m, reduction)
         if n < 1 or n % 2 == 0:
             raise ValueError(f"n must be an odd positive integer, got {n}")

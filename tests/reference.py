@@ -2,9 +2,12 @@
 
 Each is written plainly and apart from the package's fast paths: the
 plain side's ring operations on coefficient tuples, the R-valued inner
-product of two words, f-adic composition, and brute-force walks of the
-submodules of K^2 over a chain ring K.
+product of two words, the word ring's product, f-adic composition,
+brute-force walks of the submodules of K^2 over a chain ring K, ideal closure through operator
+matrices with row-by-row elimination, and the greedy generator search.
 """
+
+import itertools
 
 from constacodes import polyring as pr
 from constacodes.ambient import bit_space
@@ -42,6 +45,22 @@ def amb_mul(params, a, b):
 # Words
 # ----------------------------------------------------------------------
 
+def word_mul(bs, a, b):
+    """a * b in the word ring of bs: digit t of coefficient i of b adds
+    x^i * u^t * a times that digit."""
+    out, mask = 0, (1 << bs.m) - 1
+    while b:
+        au = a
+        for _ in range(bs.w):
+            if b & mask:
+                out ^= bs.scale(au, b & mask)
+            b >>= bs.m
+            au = bs.mul_u(au)
+        if b:
+            a = bs.mul_x(a)
+    return out
+
+
 def inner_product(params, a, b):
     """R-valued Euclidean inner product of two words, as a w-digit int
     (the reference for dual_bit_basis, which works from the trace form):
@@ -51,7 +70,7 @@ def inner_product(params, a, b):
     mask = (1 << width) - 1
     acc = 0
     for i in range(0, bs.dim, width):
-        acc ^= bs.mul(a >> i & mask, b >> i & mask)
+        acc ^= word_mul(bs, a >> i & mask, b >> i & mask)
     return acc
 
 
@@ -118,3 +137,67 @@ def enumerate_all_submodules(ctx):
                 if a and t1 > e - t0 + pi_degree(ctx, a):
                     continue
                 yield ((ctx.f_pows[t0], a), *kernel)
+
+
+# ----------------------------------------------------------------------
+# Echelon bases and closures on operator matrices
+# ----------------------------------------------------------------------
+
+def apply_matrix(op, v):
+    """The image of v under the matrix whose columns are op."""
+    res = 0
+    while v:
+        low = v & -v
+        res ^= op[low.bit_length() - 1]
+        v ^= low
+    return res
+
+
+def rref_insert(rows, v):
+    """Insert v into an RREF row dict keyed by lead bit, walking every row;
+    returns the reduced new row (0 if dependent)."""
+    for lead, row in rows.items():
+        if (v >> lead) & 1:
+            v ^= row
+    if not v:
+        return 0
+    lead = v.bit_length() - 1
+    for l2 in rows:
+        if (rows[l2] >> lead) & 1:
+            rows[l2] ^= v
+    rows[lead] = v
+    return v
+
+
+def matrix_closure(bs, seeds):
+    """RREF basis of the smallest ideal holding seeds: every new row is
+    pushed through the matrices of the ring operations, column by column."""
+    mats = [bs.linearize(op) for op in bs.ops]
+    rows = {}
+    stack = [v for v in seeds if v]
+    while stack:
+        v = rref_insert(rows, stack.pop())
+        if v:
+            stack.extend(apply_matrix(op, v) for op in mats)
+    return tuple(sorted(rows.values(), reverse=True))
+
+
+def greedy_generators(bs, basis):
+    """A generating set of at most two elements by the greedy search alone:
+    the basis row of largest closure (first in basis order among equals),
+    then the first row in that order that completes a generating pair,
+    then any span vector."""
+    if not basis:
+        return []
+    closures = [(bs.closure((v,)), v) for v in basis]
+    closures.sort(key=lambda cv: len(cv[0]), reverse=True)
+    best_basis, best = closures[0]
+    if best_basis == basis:
+        return [best]
+    for _, w in closures:
+        if w != best and bs.closure((best, w)) == basis:
+            return [best, w]
+    for w in itertools.islice(bs.span(basis), 1 << 16):
+        if w and bs.closure((best, w)) == basis:
+            return [best, w]
+    raise ArithmeticError("no two-element generating set")

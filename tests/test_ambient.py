@@ -11,7 +11,8 @@ from constacodes import polyring as pr
 from constacodes.factorizer import build_factor_data
 from constacodes.params import Params
 
-from reference import amb_add, amb_mul, inner_product
+from reference import (amb_add, amb_mul, greedy_generators, inner_product, matrix_closure,
+                       word_mul)
 
 
 def r_mul(F, a, b):
@@ -36,7 +37,7 @@ def gamma_digits(params):
 
 def rp_mul(params, a, b):
     """The product of two tuple words (N coefficients of u-digit tuples),
-    x^N folding to gamma: the reference for BitSpace.mul."""
+    x^N folding to gamma: the reference for word_mul."""
     F = params.field
     N = params.length
     gamma = gamma_digits(params)
@@ -80,7 +81,7 @@ def word_pow(bs, a, e):
     """a^e by repeated products."""
     r = 1
     for _ in range(e):
-        r = bs.mul(r, a)
+        r = word_mul(bs, r, a)
     return r
 
 
@@ -145,8 +146,8 @@ def test_ring_isomorphism_random(mp):
         assert amb.psi_lift(p, amb_add(p, a, b)) == (
             amb.psi_lift(p, a) ^ amb.psi_lift(p, b)
         )
-        assert amb.psi_lift(p, amb_mul(p, a, b)) == bs.mul(
-            amb.psi_lift(p, a), amb.psi_lift(p, b)
+        assert amb.psi_lift(p, amb_mul(p, a, b)) == word_mul(
+            bs, amb.psi_lift(p, a), amb.psi_lift(p, b)
         )
 
 
@@ -183,7 +184,7 @@ def test_roundtrip_and_hom_wider_u_space():
         a, b = rand_amb(p, rng), rand_amb(p, rng)
         la, lb = amb.psi_lift(p, a), amb.psi_lift(p, b)
         assert amb.psi_inverse(p, la) == a
-        assert amb.psi_lift(p, amb_mul(p, a, b)) == bs.mul(la, lb)
+        assert amb.psi_lift(p, amb_mul(p, a, b)) == word_mul(bs, la, lb)
 
 
 def reference_lift(params, amb_elem):
@@ -276,7 +277,7 @@ def test_word_ring_matches_tuple_reference(mp):
             shifted = (r_mul(F, gamma, shifted[-1]),) + shifted[:-1]
         for b in words[2:]:
             tb = to_tuple(p, b)
-            assert bs.mul(a, b) == to_int(p, rp_mul(p, ta, tb))
+            assert word_mul(bs, a, b) == to_int(p, rp_mul(p, ta, tb))
             inner = [0] * w
             for x, y in zip(ta, tb):
                 inner = [s ^ d for s, d in zip(inner, r_mul(F, x, y))]
@@ -337,7 +338,9 @@ def test_trace_form_matches_inner_product(m, n):
     rng = random.Random(67)
     for _ in range(200):
         x, y = rng.getrandbits(bs.dim), rng.getrandbits(bs.dim)
-        bit = bin(bs.apply(bs.form, x) & y).count("1") & 1
+        # form*x holds bit p of the pairing at bit dim-1-p.
+        y_rev = int(f"{y:0{bs.dim}b}"[::-1], 2)
+        bit = bin(bs.apply(bs.form, x) & y_rev).count("1") & 1
         top = inner_product(p, x, y) >> ((p.u_exp - 1) * m)
         assert bit == F.trace(top)
 
@@ -496,7 +499,7 @@ def test_nilradical_core_map(point, delta_root):
     for _ in range(20):
         v = w = rng.getrandbits(bs.dim)
         for _ in range(1 << p.k):
-            v = bs.apply(core, v)
+            v = core(v)
         assert v == bs.scale(bs.mul_u(bs.mul_u(w)), p.alpha)
 
 
@@ -541,11 +544,11 @@ def test_walk_closed_under_duals(point, count):
     F, w = p.field, p.u_exp
     inv = sum(1 << (2 * i * p.m) for i in range(p.lam))
     twisted = amb.BitSpace(F, w, p.length, inv)
-    x_plus_1 = [col ^ (1 << i) for i, col in enumerate(twisted.ops[0])]
+    x_plus_1 = [col ^ (1 << i) for i, col in enumerate(twisted.linearize(twisted.mul_x))]
     duals = [amb.dual_bit_basis(p, basis) for basis in walked]
     assert all(len(b) + len(d) == twisted.dim for b, d in zip(walked, duals))
     assert len(set(duals)) == count
-    assert set(duals) == set(twisted.lattice([twisted.ops[1], x_plus_1]))
+    assert set(duals) == set(twisted.lattice([twisted.linearize(twisted.mul_u), x_plus_1]))
     assert (set(duals) == set(walked)) == (p.lam == 2)
 
 
@@ -556,6 +559,86 @@ def test_recover_generators(p1122, oracle_135):
         gens = amb.recover_generators(p1122, ideal)
         assert len(gens) <= 2
         assert bs.closure(gens) == ideal.basis
+
+
+@pytest.mark.parametrize("point,count", [((1, 1, 2, 2), 135)] + TWISTED_WALK_POINTS
+                         + WALK_POINTS[:1], ids=["1-1-2-2", "2-1-2-2-2-3", "1-1-2-3"])
+def test_nakayama_generators_match_greedy(point, count):
+    # Every ideal needs mu = dim(I/JI)/m generators, 1 or 2 as the paper
+    # says, and the Nakayama shortcut returns the greedy search's set.
+    p, walked = _walk(point)
+    assert len(walked) == count
+    bs = amb.bit_space(p)
+    for basis in walked[1:]:
+        radical = bs.rref(f(b) for f in amb._nilradical(p) for b in basis)
+        mu = (len(basis) - len(radical)) // p.m
+        assert mu in (1, 2)
+        gens = amb.recover_generators(p, amb.IdealSet(basis))
+        assert gens == greedy_generators(bs, basis)
+        assert len(gens) == mu
+
+
+def test_generators_where_not_local(p1322, fd1322, ctxs1322):
+    # At n = 3 the ring is not local and Nakayama's count does not apply;
+    # the greedy reference still finds at most two generators.
+    bs = amb.bit_space(p1322)
+    rng = random.Random(79)
+    codes = list(itertools.islice(en.enumerate_codes(p1322, fd1322, ctxs1322), 3000))
+    for code in rng.sample(codes, 12):
+        basis = amb.code_bit_basis(p1322, fd1322, code, ctxs1322).basis
+        gens = greedy_generators(bs, basis)
+        assert len(gens) <= 2
+        assert bs.closure(gens) == basis
+
+
+def _closure_spaces():
+    """(1,1,2,2); (2,1,2,2) at delta = 2, alpha = 3; (3,1,2,2); and the
+    gamma^(-1)-twisted space of (1,1,2,3), where gamma^(-1) = 1 + u^2 + u^4."""
+    spaces = [amb.bit_space(Params(*point)) for point in
+              [(1, 1, 2, 2, 1, 1), (2, 1, 2, 2, 2, 3), (3, 1, 2, 2, 1, 1)]]
+    p = Params(1, 1, 2, 3, 1, 1)
+    inv = sum(1 << (2 * i * p.m) for i in range(p.lam))
+    return spaces + [amb.BitSpace(p.field, p.u_exp, p.length, inv)]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["1-1-2-2", "2-1-2-2-2-3", "3-1-2-2", "twisted"])
+def test_closure_matches_matrix_reference(index):
+    # Closure on whole-int ring operations against closure through the
+    # operators' matrices; seeds of one to three words, random words times
+    # a random power of u or words of two bits, so that ideals of every
+    # size come up.
+    bs = _closure_spaces()[index]
+    rng = random.Random(71 + index)
+
+    def word():
+        if rng.random() < 0.5:
+            return sum(1 << rng.randrange(bs.dim) for _ in range(2))
+        v = rng.getrandbits(bs.dim)
+        for _ in range(rng.randrange(bs.w)):
+            v = bs.mul_u(v)
+        return v
+
+    for _ in range(40):
+        seeds = [word() for _ in range(rng.randint(1, 3))]
+        want = matrix_closure(bs, seeds)
+        assert bs.closure(seeds) == want
+        assert bs.is_invariant(want)
+        # Seeds added to a closed basis.
+        assert bs.closure(seeds[1:], matrix_closure(bs, seeds[:1])) == want
+
+
+def test_is_invariant_matches_closure(p1122, oracle_135):
+    # is_invariant (every image reduces to 0) agrees with the closure
+    # test it replaced, on every ideal and on spans that are not ideals.
+    bs = amb.bit_space(p1122)
+    rng = random.Random(73)
+    spans = [i.basis for i in oracle_135]
+    spans += [bs.rref(rng.getrandbits(bs.dim) for _ in range(rng.randint(1, 8)))
+              for _ in range(200)]
+    spans += [bs.rref(b + (1 << rng.randrange(bs.dim),)) for b in rng.sample(spans[:135], 50)]
+    verdicts = [bs.is_invariant(b) for b in spans]
+    assert verdicts == [matrix_closure(bs, b) == b for b in spans]
+    assert all(verdicts[:135]) and not all(verdicts[135:])
 
 
 # ----------------------------------------------------------------------

@@ -616,3 +616,30 @@ def test_oracle_fails_on_repeated_code(monkeypatch, tmp_path):
     assert doc["status"] == "FAIL"
     assert doc["enumerated"] == 136 and doc["oracle"] == 135
     assert doc["missing"] == doc["extra"] == []
+
+
+def test_oracle_exit_1_on_ideal_needing_three_generators(monkeypatch, capsys, tmp_path):
+    # With the nilradical's maps taken as 0 after the walk, JI is 0 and
+    # Nakayama's count says that the larger ideals need more than two
+    # generators: the paper's bound fails, so oracle exits 1 with one
+    # error line and writes no document.
+    ideals = amb.brute_force_ideals(Params(1, 1, 2, 2, 1, 1))
+    monkeypatch.setattr(amb, "brute_force_ideals", lambda params: ideals)
+    monkeypatch.setattr(amb, "_nilradical", lambda params: [lambda v: 0])
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle", "--m", "1", "--n", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "> 2 generators" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["count", "factor"])
+def test_huge_n_refused_exit_2(cmd):
+    # Refused before any set-up: no bytearray(n), no MemoryError, no
+    # traceback, and the exit code of invalid input.
+    res = run_cli(cmd, "--m", "1", "--n", "99999999999", timeout=20)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert res.stderr == "error: n = 99999999999 exceeds the cap of 1048576\n"
+    assert res.stdout == ""
