@@ -1,9 +1,10 @@
 """Chain ring arithmetic and canonical forms for rank-2 submodules.
 
 K = GF(2^m)[x]/<f^e> is a chain ring: ideals form the chain
-<f^0> > <f^1> > ... > <f^e> = 0.  Submodules of K^2 get a two-row
-Howell-style canonical form, the workhorse that certifies two
-generator sets span the same module without materializing anything.
+<f^0> > <f^1> > ... > <f^e> = 0.  Each submodule of K^2 is fixed by
+the triple (t0, t1, a): it is spanned by (f^t0, a) and (0, f^t1), with
+a reduced mod f^t1.  The triple is the canonical form that certifies
+two generator sets span the same module without materializing anything.
 
 Run:  PYTHONPATH=src python demos/03_chainring_forms.py
 """
@@ -27,7 +28,8 @@ inv = cr.c_inv(ctx, one_plus_f)
 print("\n(1+f)^(-1) =", inv, "  (the geometric series 1+f+...+f^7)")
 print("check      :", cr.c_mul(ctx, inv, one_plus_f))
 
-# Canonical forms: different presentations, same module, same form.
+# Canonical forms: different presentations, same module, same triple
+# (t0, t1, a) = (2, 5, (1, 0, 1)).
 g1 = [(ctx.f_pows[2], (1, 0, 1)), ((), ctx.f_pows[5])]
 unit = (1, 1, 0, 1)
 g2 = [(cr.c_mul(ctx, unit, g1[0][0]), cr.c_mul(ctx, unit, g1[0][1])), g1[1], g1[0]]

@@ -11,16 +11,12 @@ unit w, so u sends a0 + u*a1 to U*a1 + u*a0; make_chain_ctx checks U
 against the ring's u^2, and satisfies_u_closure needs nothing more.
 
 canonical_module_form reduces any generating set of a K-submodule of
-K^2 to a Howell-style normal form: two generator sets span the same
-submodule iff their forms are equal.  The form consists of at most two
-rows,
-
-    (f^t0, a)   with a reduced mod f^t1,    and    (0, f^t1),
-
-where <f^t0> is the projection of the module to the first coordinate
-and <f^t1> is the ideal of second coordinates paired with 0.  Both
-rows are intrinsic to the module, which is what makes the form
-canonical; rows with pivot exponent e (i.e. zero) are omitted.
+K^2 to the invariants (t0, t1, a) that fix it (Howell, Lin. Multilin.
+Algebra 19, 1986): <f^t0> is the projection to the first coordinate,
+<f^t1> the ideal of second coordinates paired with 0, and a the second
+coordinate paired with f^t0, reduced mod f^t1 (() when t0 = e).  The
+module is the span of (f^t0, a) and (0, f^t1), and two generator sets
+span the same submodule iff their triples are equal.
 
 The form serves two jobs.  Equality of forms certifies that two
 generator sets span the same module, which keeps the enumerated codes
@@ -64,7 +60,6 @@ class ChainCtx:
     f: Poly
     d: int
     e: int
-    modulus: Poly                 # f^e
     f_pows: tuple[Poly, ...]      # f^0 .. f^e
     u2_unit: Poly | None = None   # the unit w with u^2 = w^2 * f^(2^k)
     u_squared: Poly | None = None
@@ -107,7 +102,7 @@ def make_plain_ctx(field: GF2m, f: Poly, e: int) -> ChainCtx:
     pows = [pr.P_ONE]
     for _ in range(e):
         pows.append(pr.p_mul(field, pows[-1], f))
-    return ChainCtx(field=field, f=f, d=d, e=e, modulus=pows[e], f_pows=tuple(pows))
+    return ChainCtx(field=field, f=f, d=d, e=e, f_pows=tuple(pows))
 
 
 def make_chain_ctx(params: Params, f: Poly, cofactor: Poly) -> ChainCtx:
@@ -124,14 +119,13 @@ def make_chain_ctx(params: Params, f: Poly, cofactor: Poly) -> ChainCtx:
     F = params.field
     e = params.nilpotency
     base = make_plain_ctx(F, f, e)
-    w = pr.p_powmod(F, cofactor, 1 << (params.k - 1), base.modulus)
-    w = pr.p_mod(F, pr.p_scale(F, w, params.alpha_root), base.modulus)
+    modulus = base.f_pows[e]
+    w = pr.p_powmod(F, cofactor, 1 << (params.k - 1), modulus)
+    w = pr.p_mod(F, pr.p_scale(F, w, params.alpha_root), modulus)
     if not pr.p_mod(F, w, f):  # digit 0 of w vanishes
         raise ArithmeticError("u^2 unit is not invertible; cofactor shares a root with f")
-    u2 = pr.p_mod(
-        F, pr.p_mul(F, pr.p_mul(F, w, w), base.f_pows[1 << params.k]), base.modulus
-    )
-    expect = pr.p_mod(F, params.u_squared_poly, base.modulus)
+    u2 = pr.p_mod(F, pr.p_mul(F, pr.p_mul(F, w, w), base.f_pows[1 << params.k]), modulus)
+    expect = pr.p_mod(F, params.u_squared_poly, modulus)
     if u2 != expect:
         raise ArithmeticError("u^2 congruence failed; upstream factorization is broken")
     return replace(base, u2_unit=w, u_squared=u2)
@@ -142,7 +136,7 @@ def make_chain_ctx(params: Params, f: Poly, cofactor: Poly) -> ChainCtx:
 # ----------------------------------------------------------------------
 
 def c_reduce(ctx: ChainCtx, a: Poly) -> Poly:
-    if len(a) < len(ctx.modulus):
+    if len(a) <= ctx.d * ctx.e:
         return a
     F = ctx.field
     return pr.unpack(F, pr.k_mod(F, pr.pack(F, a), ctx.packed_pows[ctx.e]))
@@ -207,62 +201,39 @@ def _valuation(ctx: ChainCtx, a: int) -> int:
 # Canonical forms for K-submodules of K^2
 # ----------------------------------------------------------------------
 
-CanonForm = tuple[Vec2, ...]
+CanonForm = tuple[int, int, Poly]
 
 
 def canonical_module_form(ctx: ChainCtx, gens) -> CanonForm:
-    """Howell-style normal form identifying the K-span of gens in K^2,
-    computed on the packed rows; only its at most two rows are unpacked."""
+    """The invariants (t0, t1, a) of the K-span of gens in K^2 (see the
+    module docstring), computed on the packed rows; only a is unpacked."""
     F, e, pows = ctx.field, ctx.e, ctx.packed_pows
     rows = [(pr.pack(F, g[0]), pr.pack(F, g[1])) for g in gens if g[0] or g[1]]
-    if not rows:
-        return ()
     modulus = pows[e]
 
     # Pivot for column 0: smallest pi-degree among first coordinates.
     degs = [_valuation(ctx, g0) for g0, _ in rows]
-    t0 = min(degs)
+    t0 = min(degs, default=e)
     second_gens: list[int] = []
-    lead = None
+    lead = 0
     if t0 < e:
-        isel = degs.index(t0)
-        g0, g1 = rows[isel]
+        g0, g1 = rows.pop(degs.index(t0))
         w = pr.k_divmod(F, g0, pows[t0])[0]  # exact, w a unit
         lead = pr.k_mod(F, pr.k_mul(F, _unit_inverse(ctx, w), g1), modulus)
-        for i, (a0, a1) in enumerate(rows):
-            if i == isel:
-                continue
-            qfac = pr.k_divmod(F, a0, pows[t0])[0]  # exact by minimality of t0
-            second_gens.append(a1 ^ pr.k_mod(F, pr.k_mul(F, qfac, lead), modulus))
-        # u-multiples of lead that kill the first coordinate.
+        # f^(e-t0) * (f^t0, lead) kills the first coordinate.
         second_gens.append(pr.k_mod(F, pr.k_mul(F, pows[e - t0].rows[0], lead), modulus))
-    else:
-        second_gens.extend(g1 for _, g1 in rows)
+    # Clear the other rows' first coordinates (all 0 if t0 = e) by (f^t0, lead).
+    for a0, a1 in rows:
+        qfac = pr.k_divmod(F, a0, pows[t0])[0]  # exact by minimality of t0
+        second_gens.append(a1 ^ pr.k_mod(F, pr.k_mul(F, qfac, lead), modulus))
 
     t1 = min((_valuation(ctx, b) for b in second_gens), default=e)
-    out: list[Vec2] = []
-    if lead is not None:
-        out.append((ctx.f_pows[t0], pr.unpack(F, pr.k_mod(F, lead, pows[t1]))))
-    if t1 < e:
-        out.append((pr.P_ZERO, ctx.f_pows[t1]))
-    return tuple(out)
-
-
-def form_pivot_exponents(ctx: ChainCtx, form: CanonForm) -> tuple[int, int]:
-    """(t0, t1) pivot exponents of a canonical form, read off the degree
-    t*d of each pivot f^t; absent rows give e."""
-    t0 = t1 = ctx.e
-    for row in form:
-        if row[0]:
-            t0 = pr.deg(row[0]) // ctx.d
-        else:
-            t1 = pr.deg(row[1]) // ctx.d
-    return t0, t1
+    return t0, t1, pr.unpack(F, pr.k_mod(F, lead, pows[t1]))
 
 
 def module_size(ctx: ChainCtx, form: CanonForm) -> int:
     """Number of elements of the module with the given canonical form."""
-    t0, t1 = form_pivot_exponents(ctx, form)
+    t0, t1, _ = form
     return ctx.q ** ((ctx.e - t0) + (ctx.e - t1))
 
 
@@ -270,27 +241,20 @@ def module_contains(ctx: ChainCtx, form: CanonForm, v: Vec2) -> bool:
     """Whether v lies in the module whose canonical form is form.
 
     form must be canonical, as canonical_module_form returns it.
-    v = (c*f^t0, b) is reduced by c times the first row; c is fixed only
+    v = (c*f^t0, b) is reduced by c times (f^t0, a); c is fixed only
     modulo f^(e-t0), and only in a canonical form does every choice
     leave the same remainder mod f^t1.
     """
     F = ctx.field
-    return _contains(ctx, _packed_form(ctx, form), pr.pack(F, v[0]), pr.pack(F, v[1]))
+    t0, t1, a = form
+    return _contains(ctx, t0, t1, pr.pack(F, a), pr.pack(F, v[0]), pr.pack(F, v[1]))
 
 
-def _packed_form(ctx: ChainCtx, form: CanonForm) -> tuple[int, int, int]:
-    """Pivot exponents t0, t1 and packed a of the row (f^t0, a) (0 if none)."""
-    t0, t1 = form_pivot_exponents(ctx, form)
-    lead = next((row[1] for row in form if row[0]), pr.P_ZERO)
-    return t0, t1, pr.pack(ctx.field, lead)
-
-
-def _contains(ctx: ChainCtx, packed_form: tuple[int, int, int], v0: int, v1: int) -> bool:
+def _contains(ctx: ChainCtx, t0: int, t1: int, a: int, v0: int, v1: int) -> bool:
     """module_contains on packed ints: f^t0 | v0 and f^t1 | v1 - (v0/f^t0)*a."""
     F, pows = ctx.field, ctx.packed_pows
-    t0, t1, lead = packed_form
     qfac, rem = pr.k_divmod(F, v0, pows[t0])
-    return not rem and not pr.k_mod(F, v1 ^ pr.k_mul(F, qfac, lead), pows[t1])
+    return not rem and not pr.k_mod(F, v1 ^ pr.k_mul(F, qfac, a), pows[t1])
 
 
 def satisfies_u_closure(ctx: ChainCtx, gens) -> bool:
@@ -305,11 +269,12 @@ def satisfies_u_closure(ctx: ChainCtx, gens) -> bool:
     if ctx.u_squared is None:
         raise ValueError("context carries no u-extension")
     gens = list(gens)
-    form = _packed_form(ctx, canonical_module_form(ctx, gens))
+    t0, t1, a = canonical_module_form(ctx, gens)
     F, modulus = ctx.field, ctx.packed_pows[ctx.e]
-    u2 = pr.pack(F, ctx.u_squared)
+    a, u2 = pr.pack(F, a), pr.pack(F, ctx.u_squared)
     return all(
-        _contains(ctx, form, pr.k_mod(F, pr.k_mul(F, u2, pr.pack(F, a1)), modulus), pr.pack(F, a0))
+        _contains(ctx, t0, t1, a,
+                  pr.k_mod(F, pr.k_mul(F, u2, pr.pack(F, a1)), modulus), pr.pack(F, a0))
         for a0, a1 in gens
     )
 

@@ -11,8 +11,9 @@ written.
 `oracle` refuses a word space of more than 32 GF(2) dimensions, before
 any set-up; the cap is ambient.DEFAULT_ORACLE_DIM_CAP and has no flag.
 
-Every subcommand refuses n above 2^20 before any set-up; the cap is
-params.N_CAP and has no flag.
+Every subcommand refuses n above 2^20 (params.N_CAP), and `count` a
+count over COUNT_BITS_CAP bits or COUNT_WORK_CAP bit operations, before
+any set-up; no cap has a flag.
 
 `count` factors nothing: it reads the factor degrees off cyclotomic
 cosets (factorizer.factor_degrees).  Counts and sizes print in full,
@@ -46,6 +47,11 @@ from .factorizer import build_factor_data, factor_degrees
 from .params import Params
 
 SCHEMA = 1
+
+# A count has about m*n*half bits, half = 2^(k-1)*lam, and its Horner
+# sums take about half times that many bit operations.
+COUNT_BITS_CAP = 1 << 20
+COUNT_WORK_CAP = 1 << 34
 
 
 def _int_literal(text: str) -> int:
@@ -157,6 +163,11 @@ def cmd_factor(args) -> int:
 
 def cmd_count(args) -> int:
     params = _make_params(args)
+    # A k past the bits cap is refused without building 2^(k-1).
+    half = params.lam << min(params.k - 1, COUNT_BITS_CAP.bit_length())
+    bits = params.m * params.n * half
+    if bits > COUNT_BITS_CAP or bits * half > COUNT_WORK_CAP:
+        raise ValueError(f"count over {COUNT_BITS_CAP} bits or {COUNT_WORK_CAP} bit operations")
     # Sorted degrees list the factors in the order factor_xn_delta
     # gives them, which is sorted by degree first.
     degrees = factor_degrees(params.field, params.n, params.delta_root)
@@ -308,14 +319,6 @@ _DISPATCH = {
 }
 
 
-def _stdout_to_devnull() -> None:
-    """Point stdout at devnull, so that the interpreter's own flush at
-    exit does not raise again."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -331,19 +334,25 @@ def main(argv=None) -> int:
         return 1
     except BrokenPipeError:
         # The reader has all it wanted.
-        _stdout_to_devnull()
         return 0
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
-        # With --out, stdout holds nothing of ours and is left alone.
-        if not args.out:
-            _stdout_to_devnull()
         return 2
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script.  If stdout cannot take what main left in its
+    buffer (a closed pipe or a full device, which main has reported), fd
+    1 is pointed at devnull, so that the flush at exit does not raise."""
+    status = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

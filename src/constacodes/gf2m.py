@@ -284,7 +284,8 @@ class GF2m:
         else:
             tau = pow(pow(2, k, n1), -1, n1)
             r = self.pow(delta, tau)
-        if self.pow(r, 1 << k) != delta:
+        # x^(2^m) = x, so x^(2^k) = x^(2^(k mod m)) even for a huge k.
+        if self.pow(r, 1 << (k % self.m)) != delta:
             raise ArithmeticError("root_2k postcondition failed")
         return r
 

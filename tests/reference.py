@@ -117,7 +117,8 @@ def materialize_submodule(ctx, gens, cap=1 << 20):
 
 
 def enumerate_all_submodules(ctx):
-    """Every K-submodule of K^2, one canonical form each.
+    """Every K-submodule of K^2, as (form, rows): its canonical triple
+    and the rows (f^t0, a), (0, f^t1) that span it.
 
     Modules correspond bijectively to triples (t0, t1, a): pivot
     exponent t0 of the first-column projection, pivot exponent t1 of
@@ -131,12 +132,12 @@ def enumerate_all_submodules(ctx):
         for t1 in range(e + 1):
             kernel = [(pr.P_ZERO, ctx.f_pows[t1])] if t1 < e else []
             if t0 == e:
-                yield tuple(kernel)
+                yield (t0, t1, pr.P_ZERO), kernel
                 continue
             for a in iter_h(ctx, t1):
                 if a and t1 > e - t0 + pi_degree(ctx, a):
                     continue
-                yield ((ctx.f_pows[t0], a), *kernel)
+                yield (t0, t1, a), [(ctx.f_pows[t0], a), *kernel]
 
 
 # ----------------------------------------------------------------------

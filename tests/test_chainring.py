@@ -133,7 +133,7 @@ def test_unit_for_n3_factor():
     rhs = cr.c_reduce(ctx, pr.p_pow(F2, (1, 0, 0, 1), 4))
     assert lhs == rhs
     # u^(2*lam) = 0 in K + uK
-    assert pr.p_mod(F2, pr.p_pow(F2, ctx.u_squared, params.lam), ctx.modulus) == pr.P_ZERO
+    assert pr.p_mod(F2, pr.p_pow(F2, ctx.u_squared, params.lam), ctx.f_pows[ctx.e]) == pr.P_ZERO
 
 
 # ----------------------------------------------------------------------
@@ -255,12 +255,12 @@ def _random_shape_module(ctx, rng):
 
 def test_canonical_form_trivial_cases():
     ctx = plain8()
-    assert cr.canonical_module_form(ctx, []) == ()
-    assert cr.canonical_module_form(ctx, [((), ())]) == ()
+    assert cr.canonical_module_form(ctx, []) == (8, 8, ())
+    assert cr.canonical_module_form(ctx, [((), ())]) == (8, 8, ())
     full = cr.canonical_module_form(ctx, [((1,), ()), ((), (1,))])
-    assert full == (((1,), ()), ((), (1,)))
+    assert full == (0, 0, ())
     diag = cr.canonical_module_form(ctx, [(ctx.f_pows[2], ()), ((), ctx.f_pows[2])])
-    assert diag == ((ctx.f_pows[2], ()), ((), ctx.f_pows[2]))
+    assert diag == (2, 2, ())
 
 
 def test_canonical_form_invariant_under_presentation_changes():
@@ -291,15 +291,16 @@ def test_canonical_form_invariant_under_presentation_changes():
 
 
 def test_canonical_form_equality_matches_materialization():
-    # the definitive oracle: form equality <=> element-set equality
-    ctx = cr.make_plain_ctx(F2, (1, 1), 6)
+    # the definitive oracle: form equality <=> element-set equality;
+    # over GF(4) the units' leads need not be 1
     rng = random.Random(123)
-    mods = [_random_shape_module(ctx, rng) for _ in range(28)]
-    forms = [cr.canonical_module_form(ctx, rows) for rows in mods]
-    sets = [materialize_submodule(ctx, rows) for rows in mods]
-    for i in range(len(mods)):
-        for j in range(i):
-            assert (forms[i] == forms[j]) == (sets[i] == sets[j])
+    for ctx in (cr.make_plain_ctx(F2, (1, 1), 6), cr.make_plain_ctx(F4, (2, 1), 3)):
+        mods = [_random_shape_module(ctx, rng) for _ in range(28)]
+        forms = [cr.canonical_module_form(ctx, rows) for rows in mods]
+        sets = [materialize_submodule(ctx, rows) for rows in mods]
+        for i in range(len(mods)):
+            for j in range(i):
+                assert (forms[i] == forms[j]) == (sets[i] == sets[j])
 
 
 def test_canonical_form_e8_sample_against_materialization():
@@ -315,9 +316,11 @@ def test_canonical_form_e8_sample_against_materialization():
 
 
 def test_module_contains_and_size():
-    # deg f = 1 and deg f = 2: the pivot exponents are read as deg // d
+    # deg f = 1 and deg f = 2 over GF(2), and deg f = 1 over GF(4),
+    # where the units' leads need not be 1
     rng = random.Random(55)
-    for ctx in (plain8(), cr.make_plain_ctx(F2, (1, 1, 1), 3)):
+    for ctx in (plain8(), cr.make_plain_ctx(F2, (1, 1, 1), 3),
+                cr.make_plain_ctx(F4, (2, 1), 3)):
         for _ in range(40):
             rows = _random_shape_module(ctx, rng)
             form = cr.canonical_module_form(ctx, rows)

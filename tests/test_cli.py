@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -342,6 +343,23 @@ def test_main_twice_in_process(capsys):
         assert json.loads(capsys.readouterr().out)["count"] == "135"
 
 
+def test_main_leaves_stdout_fd_alone(monkeypatch):
+    # A closed pipe ends main with 0, and fd 1 of an in-process caller
+    # is not replaced: only entry() points it at devnull.
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return 1
+
+    dup2 = []
+    monkeypatch.setattr(os, "dup2", lambda *args: dup2.append(args))
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["count", "--m", "1", "--n", "1"]) == 0
+    assert dup2 == []
+
+
 def test_selfdual_factors_once(monkeypatch, tmp_path):
     calls = []
     real = factorizer.factor_xn_delta
@@ -643,3 +661,27 @@ def test_huge_n_refused_exit_2(cmd):
     assert "Traceback" not in res.stderr
     assert res.stderr == "error: n = 99999999999 exceeds the cap of 1048576\n"
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["--k", "20"], 2),
+    (["--k", "18"], 2),  # just past the bit-operation cap
+    (["--k", "17"], 0),  # at it
+    (["--k", "1000000000000"], 2),
+    (["--lambda", "100000000000000000000"], 2),
+    (["--n", "1048575"], 2),
+    (["--n", "262145"], 2),  # just past the bits cap
+])
+def test_count_cost_caps(argv, status):
+    # Refused before any factor degree is read: exit 2, one error line,
+    # no traceback and no output, well within the timeout.
+    res = run_cli("count", "--m", "1", *argv, timeout=10)
+    assert res.returncode == status, res.stderr
+    assert "Traceback" not in res.stderr
+    if status:
+        assert res.stderr.startswith("error: count over") and res.stderr.count("\n") == 1
+        assert res.stdout == ""
+    else:
+        assert res.stderr == ""
+        doc = json.loads(res.stdout)
+        assert doc["params"]["k"] == 17 and doc["count"].isdigit()

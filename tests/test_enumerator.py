@@ -167,17 +167,20 @@ def test_higher_nilpotency_sound_and_complete(k, lam):
 
 @pytest.mark.parametrize("k,lam,q_count", [(2, 2, 135), (2, 3, 607)])
 def test_completeness_against_submodule_lattice(k, lam, q_count):
-    # walk every submodule of K^2 through its canonical triple, keep the
-    # u-stable ones: their number and their canonical forms must agree
-    # exactly with the descriptor enumeration (independent completeness
-    # check that does not rely on the count formula)
+    # walk every submodule of K^2 through its canonical triple, check
+    # that canonical_module_form returns that triple for its rows, and
+    # keep the u-stable ones: their number and their canonical forms
+    # must agree exactly with the descriptor enumeration (independent
+    # completeness check that does not rely on the count formula)
     p = Params(1, 1, k, lam, 1, 1)
     fd = build_factor_data(p)
     ctx = en.chain_contexts(p, fd)[0]
-    all_forms = list(enumerate_all_submodules(ctx))
-    assert len(all_forms) == en.count_submodules_length2(2, p.nilpotency)
-    assert len(set(all_forms)) == len(all_forms)
-    closed = {form for form in all_forms if cr.satisfies_u_closure(ctx, form)}
+    all_modules = list(enumerate_all_submodules(ctx))
+    assert len(all_modules) == en.count_submodules_length2(2, p.nilpotency)
+    assert len({form for form, _ in all_modules}) == len(all_modules)
+    for form, rows in all_modules:
+        assert cr.canonical_module_form(ctx, rows) == form
+    closed = {form for form, rows in all_modules if cr.satisfies_u_closure(ctx, rows)}
     assert len(closed) == q_count
     enumerated = {
         cr.canonical_module_form(ctx, en.descriptor_module_rows(p, ctx, d))
