@@ -16,10 +16,13 @@ Two isomorphic pictures of the same ring are maintained:
 psi_lift / psi_inverse realize the structure map between the sides; it
 is linear by construction and its multiplicativity is property-tested,
 not assumed.  It is the ring map x -> x, u -> u from GF(2^m)[x], which
-sends M = (x^N + delta)^lam to (alpha*u^2)^lam = 0, so lift_lanes, the
+sends M = (x^N + delta)^lam to (alpha*u^2)^lam = 0, so lift_digits, the
 one lift, takes packed parts whether or not they are reduced mod M and
-lifts a whole chunk of N lanes at a time; psi_lift returns its digits
-placed in the word.
+lifts a whole chunk of N lanes at a time, into u-digit accumulators
+held in one int.  Those are GF(2)-linear in the parts, so a caller may
+lift a sum as the xor of its lifted terms.  flat_digits lays the
+accumulators out as flat u-digits (lift_lanes does both), and psi_lift
+places those in the word.
 
 By the CRT split a code is a sum of one ideal per factor, so its
 generators are its components' words eps_j * g, which
@@ -79,10 +82,12 @@ _TABLES: weakref.WeakKeyDictionary[Params, dict] = weakref.WeakKeyDictionary()
 def _tables(params: Params) -> dict:
     """Per-parameter tables: gamma_pows[l] = gamma^l for l < 2*lam, whose
     u-digit 2j is zero for j > l and digit 2l is alpha^l for l < lam (the
-    structure map is triangular); lift_rows[l], a pair (t, planes) for
+    structure map is triangular); lift, the tuple (rows, ones, span,
+    mask) of lift_digits: rows[l] holds a pair (t * span, planes) for
     each nonzero digit t of gamma^l, planes being None if the digit is 1
-    and else its products with y^b, b < m; lane_ones, 1 in each of N
-    lanes; and the lazily built BitSpace."""
+    and else its products with y^b, b < m; ones is 1 in each of N lanes,
+    span the bit width of N lanes and mask its ones; and the lazily
+    built BitSpace."""
     got = _TABLES.get(params)
     if got is not None:
         return got
@@ -95,13 +100,15 @@ def _tables(params: Params) -> dict:
         for j in range(params.lam):
             if j & l == j:
                 gp[2 * j] = F.mul(F.pow(params.delta, l - j), F.pow(params.alpha, j))
+    span = params.length * F.lane
+    mask = (1 << span) - 1
     rows = [
-        [(t, None if g == 1 else [F.mul(g, 1 << b) for b in range(F.m)])
+        [(t * span, None if g == 1 else [F.mul(g, 1 << b) for b in range(F.m)])
          for t, g in enumerate(gp) if g]
         for gp in pows
     ]
-    ones = ((1 << (F.lane * params.length)) - 1) // ((1 << F.lane) - 1)
-    got = {"gamma_pows": pows, "lift_rows": rows, "lane_ones": ones, "bitspace": None}
+    ones = mask // ((1 << F.lane) - 1)
+    got = {"gamma_pows": pows, "lift": (rows, ones, span, mask), "bitspace": None}
     _TABLES[params] = got
     return got
 
@@ -110,49 +117,59 @@ def _tables(params: Params) -> dict:
 # The structure map between the two sides
 # ----------------------------------------------------------------------
 
-def lift_lanes(params: Params, parts: tuple[int, int]) -> list[int]:
-    """psi(a0 + u*a1) from the packed a0 and a1, as the flat u-digits of
-    the word: coefficient i, digit t at index i * 2*lam + t.
+def lift_digits(params: Params, parts: tuple[int, int]) -> int:
+    """psi(a0 + u*a1) from the packed a0 and a1, as its u-digit
+    accumulators in one int: digit t of coefficient i in lane t*N + i.
 
     The parts need not be reduced mod M, since psi(M) = 0, but must be
     below degree 2 * deg M = 2*lam*N, as a product of two reduced
-    polynomials is: chunk l < 2*lam lands on gamma^l (times u for a1),
-    and digits at or above 2*lam drop out with u^(2*lam) = 0.
+    polynomials is: chunk l < 2*lam lands on gamma^l, and digits at or
+    above 2*lam drop out with u^(2*lam) = 0.  a1 is lifted first and
+    moved up one digit, u*a1.
 
     A chunk is scaled by a digit g plane by plane: bit b of every lane,
     moved to bit 0, times the field element y^b * g.  Each lane then
     holds 0 or y^b * g, which fits in it, so the int products never
-    carry between lanes and need no fold.  The accumulator of digit t
-    holds that digit of every coefficient, one per lane, and goes into
-    the flat list by one strided slice.
+    carry between lanes and need no fold.  Every step is an xor, a
+    shift or such a product, so the accumulators are GF(2)-linear in
+    the parts: the lift of a xor b is the xor of the lifts.  Each digit
+    of a word is one field element, so equal words have equal
+    accumulators, however their parts were reduced.
     """
-    F = params.field
-    w = params.u_exp
-    tabs = _tables(params)
-    rows, ones = tabs["lift_rows"], tabs["lane_ones"]
-    span = params.length * F.lane
-    mask = (1 << span) - 1
-    acc = [0] * w
-    for up, part in enumerate(parts):
+    rows, ones, span, mask = _tables(params)["lift"]
+    acc = 0
+    for part in reversed(parts):
+        acc <<= span
         l = 0
         while part:
             chunk = part & mask
-            if chunk:
-                for t, planes in rows[l]:
-                    t += up
-                    if t < w:
-                        if planes is None:  # the digit is 1
-                            acc[t] ^= chunk
-                        else:
-                            for b, c in enumerate(planes):
-                                acc[t] ^= ((chunk >> b) & ones) * c
+            for shift, planes in rows[l]:
+                if planes is None:  # the digit is 1
+                    acc ^= chunk << shift
+                else:
+                    for b, c in enumerate(planes):
+                        acc ^= (chunk >> b & ones) * c << shift
             part >>= span
             l += 1
-    flat = [0] * (w * params.length)
-    for t, digit in enumerate(acc):
-        col = pr.unpack(F, digit)  # its top zero lanes dropped
-        flat[t:t + w * len(col):w] = col
+    return acc & ((1 << params.u_exp * span) - 1)
+
+
+def flat_digits(params: Params, acc: int) -> list[int]:
+    """The flat u-digits of lift_digits' accumulators: coefficient i,
+    digit t at index i * 2*lam + t."""
+    N, w = params.length, params.u_exp
+    # unpack drops the top zero lanes
+    lanes = pr.unpack(params.field, acc) + (0,) * w * N
+    flat = [0] * (w * N)
+    for t in range(w):
+        flat[t::w] = lanes[t * N:t * N + N]
     return flat
+
+
+def lift_lanes(params: Params, parts: tuple[int, int]) -> list[int]:
+    """psi(a0 + u*a1) from the packed a0 and a1, as the flat u-digits of
+    the word (see lift_digits and flat_digits)."""
+    return flat_digits(params, lift_digits(params, parts))
 
 
 def _word(params: Params, parts: tuple[int, int]) -> int:
@@ -166,8 +183,7 @@ def _word(params: Params, parts: tuple[int, int]) -> int:
 
 def psi_lift(params: Params, amb: AmbientElem) -> int:
     """Map a0 + u*a1 to its word."""
-    F = params.field
-    return _word(params, (pr.pack(F, amb[0]), pr.pack(F, amb[1])))
+    return _word(params, tuple(pr.pack(params.field, a) for a in amb))
 
 
 def psi_inverse(params: Params, word: int) -> AmbientElem:
@@ -178,18 +194,16 @@ def psi_inverse(params: Params, word: int) -> AmbientElem:
     alpha^(-l), and that multiple of gamma^l comes off the lower digits
     of the same parity."""
     F = params.field
-    N = params.length
-    lam = params.lam
+    N, lam, m, w = params.length, params.lam, F.m, params.u_exp
     pows = _tables(params)["gamma_pows"]
     lead_inv = [F.inv(pows[l][2 * l]) for l in range(lam)]
-    m, w = F.m, params.u_exp
     mask = (1 << m) - 1
-    xi = ([0] * (lam * N), [0] * (lam * N))
+    xi = [0] * lam * N, [0] * lam * N
     for i in range(N):
-        coeff = word >> (i * w * m)
+        coeff = word >> i * w * m
         for part, chunks in enumerate(xi):
-            digits = [coeff >> (t * m) & mask for t in range(part, w, 2)]
-            for l in range(lam - 1, -1, -1):
+            digits = [coeff >> t * m & mask for t in range(part, w, 2)]
+            for l in reversed(range(lam)):
                 c = F.mul(digits[l], lead_inv[l])
                 if c:
                     chunks[l * N + i] = c
@@ -259,12 +273,12 @@ class BitSpace:
         # 1 in bit 0 of every digit; in bit 0 of every coefficient; and
         # in every bit of every digit but the top one of its coefficient.
         self._ones = ((1 << self.dim) - 1) // ((1 << m) - 1)
-        rep = ((1 << self.dim) - 1) // ((1 << (m * w)) - 1)
-        self._low = rep * ((1 << (m * w - m)) - 1)
+        rep = ((1 << self.dim) - 1) // ((1 << m * w) - 1)
+        self._low = rep * ((1 << m * w - m) - 1)
         # Per nonzero digit d of the twist, at u^t: the shift and the mask
         # of multiply-by-u^t, and d.
-        self._twist = [(t * m, rep * ((1 << (m * (w - t))) - 1), d) for t in range(w)
-                       if (d := (twist or 0) >> (t * m) & ((1 << m) - 1))]
+        self._twist = [(t * m, rep * ((1 << m * (w - t)) - 1), d) for t in range(w)
+                       if (d := (twist or 0) >> t * m & ((1 << m) - 1))]
         self.ops = ([self.mul_x] * (twist is not None) + [self.mul_u]
                     + [lambda v: self.scale(v, 2)] * (m > 1))
         # B(x, y) = Tr(top u-digit of <x, y>): coefficient i pairs only
@@ -274,7 +288,7 @@ class BitSpace:
         tr = [sum(F.trace(F.mul(1 << a, 1 << b)) << (m - 1 - b) for b in range(m))
               for a in range(m)]
         self.form = [
-            tr[a] << (((N - 1 - i) * w + t) * m)
+            tr[a] << ((N - 1 - i) * w + t) * m
             for i in range(N) for t in range(w) for a in range(m)
         ]
 
@@ -286,7 +300,7 @@ class BitSpace:
         int products never carry between digits."""
         out = 0
         for b in range(self.m):
-            out ^= ((v >> b) & self._ones) * self.F.mul(1 << b, c)
+            out ^= (v >> b & self._ones) * self.F.mul(1 << b, c)
         return out
 
     def mul_u(self, v: int) -> int:
@@ -299,7 +313,7 @@ class BitSpace:
         and the i of them that pass x^N come back times the twist."""
         cut = (self.N - i) * self.m * self.w
         hi = v >> cut
-        v = (v & ((1 << cut) - 1)) << (i * self.m * self.w)
+        v = (v & ((1 << cut) - 1)) << i * self.m * self.w
         for shift, keep, d in self._twist if hi else ():
             v ^= self.scale((hi & keep) << shift, d)
         return v
@@ -353,7 +367,7 @@ class BitSpace:
         for i in range(dim):
             v = 1 << i
             for j, op in enumerate(maps, 1):
-                v |= ideal.reduce(op[i]) << (j * dim)
+                v |= ideal.reduce(op[i]) << j * dim
             ech.insert(v)
         return [row for row in ech.rows.values() if row >> dim == 0]
 
@@ -394,7 +408,7 @@ def bit_space(params: Params) -> BitSpace:
     if tabs["bitspace"] is None:
         # gamma = delta + alpha*u^2
         tabs["bitspace"] = BitSpace(params.field, params.u_exp, params.length,
-                                    params.delta | params.alpha << (2 * params.m))
+                                    params.delta | params.alpha << 2 * params.m)
     return tabs["bitspace"]
 
 
@@ -410,7 +424,7 @@ class IdealSet:
 
     @property
     def size(self) -> int:
-        return 1 << len(self.basis)
+        return 1 << self.dim
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +440,7 @@ def component_generators(
 ) -> list[tuple[int, int]]:
     """eps_j * g for each generator g of desc, an ideal of factor j
     (0-based), packed and not reduced mod M: what the code's component j
-    adds to its generators, ready for lift_lanes."""
+    adds to its generators, ready for lift_digits."""
     F = params.field
     eps = pr.pack(F, factor_data.idempotents[j])
     return [
@@ -442,7 +456,7 @@ def code_ambient_generators(
     ctxs: list[ChainCtx] | None = None,
 ) -> list[tuple[int, int]]:
     """Idempotent-scaled generators of a code on the plain side, packed
-    and not reduced mod M, as lift_lanes takes them."""
+    and not reduced mod M, as lift_digits takes them."""
     if ctxs is None:
         ctxs = chain_contexts(params, factor_data)
     return [g for j, (ctx, desc) in enumerate(zip(ctxs, code.components))

@@ -11,9 +11,11 @@ written.
 `oracle` refuses a word space of more than 32 GF(2) dimensions, before
 any set-up; the cap is ambient.DEFAULT_ORACLE_DIM_CAP and has no flag.
 
-Every subcommand refuses n above 2^20 (params.N_CAP), and `count` a
-count over COUNT_BITS_CAP bits or COUNT_WORK_CAP bit operations, before
-any set-up; no cap has a flag.
+Every subcommand refuses n above 2^20 (params.N_CAP), `count` a count
+over COUNT_BITS_CAP bits or COUNT_WORK_CAP bit operations, and the
+others polynomials over SETUP_BITS_CAP bits or work over SETUP_WORK_CAP
+bit operations, before any set-up and before 2^k is built; no cap has a
+flag.
 
 `count` factors nothing: it reads the factor degrees off cyclotomic
 cosets (factorizer.factor_degrees).  Counts and sizes print in full,
@@ -21,12 +23,13 @@ however many digits they have.
 
 `enumerate` writes a JSON or CSV page from per-factor fragments.  The
 stream is an odometer whose last factor moves fastest, so a factor's
-descriptor text (JSON, or CSV fields), ideal size and lifted-word JSON
-are built when its descriptor changes and reused by the codes that
-follow.  Lifted words
-come from ambient.lift_lanes as flat u-digits and are written through
-one format string per request, built for its word length and u-digit
-count.
+descriptor text (JSON, or CSV fields, from one format string), ideal
+size and lifted-word JSON are built when its descriptor changes and
+reused by the codes that follow.  Lifted words come from one
+lifttable.LiftTable per (factor, family, s, t) block the request
+reaches, kept for that request only: in a block the generators are
+affine in h, so a descriptor's lift is the block's lift at h = 0 with
+one row xored in per set bit of its packed h.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from typing import ContextManager, IO
 from . import ambient as amb
 from . import enumerator as en
 from .factorizer import build_factor_data, factor_degrees
+from .lifttable import LiftTable
 from .params import Params
 
 SCHEMA = 1
@@ -52,6 +56,11 @@ SCHEMA = 1
 # sums take about half times that many bit operations.
 COUNT_BITS_CAP = 1 << 20
 COUNT_WORK_CAP = 1 << 34
+# Every other subcommand works on polynomials of degree up to n*e,
+# e = 2^k*lam, of m-bit coefficients: about m*n*e bits, and the chain
+# contexts hold f^0 .. f^e for every factor, about m*n*e^2 bits.
+SETUP_BITS_CAP = 1 << 15
+SETUP_WORK_CAP = 1 << 24
 
 
 def _int_literal(text: str) -> int:
@@ -114,8 +123,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _make_params(args) -> Params:
-    return Params(args.m, args.n, args.k, args.lam, args.delta, args.alpha,
-                  reduction=args.reduction)
+    """The run's parameters, refused (ValueError) if the subcommand's
+    work passes its caps: m*n*x bits or m*n*x^2 bit operations, with
+    x = 2^(k-1)*lam for count and e = 2^k*lam for the others."""
+    params = Params(args.m, args.n, args.k, args.lam, args.delta, args.alpha,
+                    reduction=args.reduction)
+    if args.cmd == "count":
+        shift, bits_cap, work_cap = params.k - 1, COUNT_BITS_CAP, COUNT_WORK_CAP
+    else:
+        shift, bits_cap, work_cap = params.k, SETUP_BITS_CAP, SETUP_WORK_CAP
+    # A k past the caps is refused without building 2^k.
+    x = params.lam << min(shift, work_cap.bit_length())
+    bits = params.m * params.n * x
+    if bits > bits_cap or bits * x > work_cap:
+        raise ValueError(f"{args.cmd} over {bits_cap} bits or {work_cap} bit operations")
+    return params
 
 
 def _open_out(args) -> ContextManager[IO[str]]:
@@ -163,11 +185,6 @@ def cmd_factor(args) -> int:
 
 def cmd_count(args) -> int:
     params = _make_params(args)
-    # A k past the bits cap is refused without building 2^(k-1).
-    half = params.lam << min(params.k - 1, COUNT_BITS_CAP.bit_length())
-    bits = params.m * params.n * half
-    if bits > COUNT_BITS_CAP or bits * half > COUNT_WORK_CAP:
-        raise ValueError(f"count over {COUNT_BITS_CAP} bits or {COUNT_WORK_CAP} bit operations")
     # Sorted degrees list the factors in the order factor_xn_delta
     # gives them, which is sorted by degree first.
     degrees = factor_degrees(params.field, params.n, params.delta_root)
@@ -203,6 +220,10 @@ def cmd_enumerate(args) -> int:
     window = itertools.islice(stream, args.limit)
 
     csv = args.format == "csv"
+    # A descriptor's CSV fields or JSON: t, or "" or null when it has
+    # none, and the digits of h joined by ";" or ",".
+    desc_format, no_t, sep = (("%d,%d,%d,%s,%s", "", ";") if csv else
+                              ('{"factor":%d,"family":%d,"s":%d,"t":%s,"h":[%s]}', "null", ","))
     with _open_out(args) as out:
         if csv:
             out.write("index,factor,family,s,t,h,size\n")
@@ -210,21 +231,25 @@ def cmd_enumerate(args) -> int:
             limit = "null" if args.limit is None else str(args.limit)
             out.write('{"schema":%d,"params":%s,"total":"%s","offset":%d,"limit":%s,"codes":['
                       % (SCHEMA, _dump(params.as_dict()), _decimal(total), args.offset, limit))
-        # Each lifted word: N coefficients of 2*lam u-digits.
-        word = "[%s]" % ",".join(["[%s]" % ",".join(["%d"] * params.u_exp)] * params.length)
+        tables: dict[tuple, LiftTable] = {}
         # Per factor: (descriptor, its CSV fields or JSON, its ideal size,
-        # its lifted words' JSON).
+        # its lifted words' JSON).  The stream passes a factor's
+        # descriptor on while it is unchanged, so a new object is a new
+        # descriptor (or, at worst, an equal one, rebuilt).
         slots = [(None, "", 1, "")] * fd.r
         for i, code in enumerate(window):
             for j, desc in enumerate(code.components):
-                if slots[j][0] != desc:
-                    gens = (amb.component_generators(params, fd, j, desc, ctxs[j])
-                            if args.with_generators else ())
-                    lifted = ",".join(word % tuple(amb.lift_lanes(params, g)) for g in gens)
+                if slots[j][0] is not desc:
+                    lifted = ""
+                    if args.with_generators:
+                        block = (j, desc.family, desc.s, desc.t)
+                        if block not in tables:
+                            tables[block] = LiftTable(params, fd, j, desc, ctxs[j])
+                        lifted = tables[block].json(desc.h)
                     size = en.ideal_size(params, fd.entries[j].degree, desc)
-                    text = (f"{desc.factor},{desc.family},{desc.s},"
-                            f"{'' if desc.t is None else desc.t},{';'.join(map(str, desc.h))}"
-                            if csv else _dump(desc.as_dict()))
+                    text = desc_format % (desc.factor, desc.family, desc.s,
+                                          no_t if desc.t is None else desc.t,
+                                          sep.join(map(str, desc.h)))
                     slots[j] = (desc, text, size, lifted)
             size = _decimal(math.prod(slot[2] for slot in slots))
             if csv:

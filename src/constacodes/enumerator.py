@@ -25,10 +25,10 @@ paper's six families, which split the shape by gap:
   6. <w*f^(2^(k-1)+s) + f^(s+ceil(t/2))*h + u*f^s, f^(s+t)>,
          2^k+1 <= t <= e-1,  0 <= s <= e-1-t,   h mod f^(floor(t/2))
 
-Families 1-2 have gap e - s, family 3 gap 0, families 4-6 gap t; _gap
-is the one place they are told apart.  For t <= 2^k the w-term is a
-multiple of f^(s+ceil(t/2)) and would only relabel h within its block;
-for t > 2^k the u-action needs it.  So families 1 and 2 part at
+Families 1-2 have gap e - s, family 3 gap 0, families 4-6 gap t;
+ideal_gap is the one place they are told apart.  For t <= 2^k the
+w-term is a multiple of f^(s+ceil(t/2)) and would only relabel h within
+its block; for t > 2^k the u-action needs it.  So families 1 and 2 part at
 e - s = 2^k, s = 2^k*(lam-1).  The u-closure check below certifies
 every emitted descriptor, and the materialization oracle in the test
 suite pins the size law down independently.
@@ -150,7 +150,7 @@ def count_submodules_length2(q: int, e: int) -> int:
 # Descriptor streams
 # ----------------------------------------------------------------------
 
-def _gap(params: Params, family: int, s: int, t: int | None) -> int:
+def ideal_gap(params: Params, family: int, s: int, t: int | None) -> int:
     """The gap t of the shape <a + u*f^s, f^(s+t)>: e - s for families
     1-2, whose f^e is zero, 0 for family 3, and t for families 4-6.
     This is the one place the printed families are told apart."""
@@ -165,7 +165,7 @@ def _gap(params: Params, family: int, s: int, t: int | None) -> int:
 
 def h_space_exponent(params: Params, family: int, s: int, t: int | None) -> int:
     """Exponent l such that h ranges over residues mod f^l (0 => h = 0 only)."""
-    return _gap(params, family, s, t) // 2
+    return ideal_gap(params, family, s, t) // 2
 
 
 def ideal_blocks(params: Params) -> Iterator[tuple[int, int, int | None]]:
@@ -209,7 +209,7 @@ def enumerate_ideals(
 
 def ideal_size(params: Params, d: int, desc: IdealDescriptor) -> int:
     """Number of codewords contributed by one descriptor (exact)."""
-    gap = _gap(params, desc.family, desc.s, desc.t)
+    gap = ideal_gap(params, desc.family, desc.s, desc.t)
     return 1 << (params.m * d * (2 * params.nilpotency - 2 * desc.s - gap))
 
 
@@ -231,7 +231,7 @@ def descriptor_generators(
     [(a, f^s), (f^(s+t), 0)] for gap t, without the second when f^(s+t)
     is zero, and [(f^s, 0)] for gap 0."""
     s, h = desc.s, desc.h
-    t = _gap(params, desc.family, s, desc.t)
+    t = ideal_gap(params, desc.family, s, desc.t)
     fs = cr.c_reduce(ctx, ctx.f_pows[s])
     if not t:
         return [(fs, pr.P_ZERO)]
@@ -255,7 +255,7 @@ def descriptor_module_rows(
     f^s alone misses it, the ideal <f^s> does not.
     """
     rows = descriptor_generators(params, ctx, desc)
-    if not _gap(params, desc.family, desc.s, desc.t):
+    if not ideal_gap(params, desc.family, desc.s, desc.t):
         rows.append((pr.P_ZERO, rows[0][0]))
     return rows
 

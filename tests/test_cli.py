@@ -485,10 +485,12 @@ def test_enumerate_offset_is_a_seek(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("offset, limit, with_gens, calls", [
-    # the first code builds all three components, each later one the last
-    (0, 50, True, 50 + 2),
-    # factor 3 wraps once inside the window, and factor 2 steps with it
-    (18125645, 10, True, 10 + 2 + 1),
+    # one lift table per (factor, family, s, t) block the page reaches:
+    # all 50 codes lie in block (1, 0, None) of each of the three factors
+    (0, 50, True, 3),
+    # factor 3 wraps from block (6, 0, 7) to (1, 0, None), and factor 2
+    # steps inside its block
+    (18125645, 10, True, 4),
     (0, 50, False, 0),
 ])
 def test_enumerate_builds_each_component_once(monkeypatch, tmp_path, offset, limit,
@@ -505,8 +507,13 @@ def test_enumerate_builds_each_component_once(monkeypatch, tmp_path, offset, lim
     argv = ["enumerate", "--m", "2", "--n", "7", "--offset", str(offset),
             "--limit", str(limit), "--out", str(out)]
     assert cli.main(argv + ["--with-generators"] * with_gens) == 0
-    assert len(json.loads(out.read_text())["codes"]) == limit
-    assert len(built) == calls
+    codes = json.loads(out.read_text())["codes"]
+    assert len(codes) == limit
+    blocks = {(c["factor"], c["family"], c["s"], c["t"])
+              for code in codes for c in code["components"]}
+    assert len(built) == calls == len(blocks) * with_gens
+    # each table is built at h = 0
+    assert all(args[3].h == () for args in built)
 
 
 def test_enumerate_csv_sizes_each_component_once(monkeypatch, tmp_path):
@@ -685,3 +692,35 @@ def test_count_cost_caps(argv, status):
         assert res.stderr == ""
         doc = json.loads(res.stdout)
         assert doc["params"]["k"] == 17 and doc["count"].isdigit()
+
+
+@pytest.mark.parametrize("argv,status", [
+    ("factor --m 1 --k 1000000000000", 2),
+    ("oracle --m 1 --k 1000000000000", 2),
+    ("enumerate --m 1 --k 40 --limit 1", 2),
+    ("enumerate --m 1 --lambda 100000000000000000000 --limit 1", 2),
+    # m*n*e^2 = 2^24, the work cap, and one step of k past it
+    ("factor --m 1 --k 11", 0),
+    ("enumerate --m 1 --k 11 --limit 1", 0),
+    ("factor --m 1 --k 12", 2),
+    ("enumerate --m 1 --k 12 --limit 1", 2),
+    ("oracle --m 1 --k 12", 2),
+    # m*n*e = 32704, just under the bits cap, and 32832, just past it
+    ("factor --m 8 --n 511", 0),
+    ("factor --m 8 --n 513", 2),
+    ("enumerate --m 8 --n 513 --limit 1", 2),
+])
+def test_setup_cost_caps(argv, status):
+    # Refused before 2^k is built: exit 2, one error line, no traceback
+    # and no output, well within the timeout.
+    cmd, *rest = argv.split()
+    res = run_cli(cmd, *rest, timeout=10)
+    assert res.returncode == status, res.stderr
+    assert "Traceback" not in res.stderr
+    if status:
+        assert res.stderr == (f"error: {cmd} over {cli.SETUP_BITS_CAP} bits or "
+                              f"{cli.SETUP_WORK_CAP} bit operations\n")
+        assert res.stdout == ""
+    else:
+        assert res.stderr == ""
+        assert json.loads(res.stdout)["params"]["m"] == int(rest[1])
