@@ -32,11 +32,12 @@ found by binary search over them, the form is computed on the packed
 rows, and each u-multiple is reduced against it without unpacking.
 
 iter_h is the one residue iterator: every walk over residues mod f^l
-(the ideal enumeration, and the tests' submodule walks) goes through
-it.  It yields residues ordered by their f-adic digit expansions, least
-significant digit first, each digit a polynomial of degree below d
-ordered by packed coefficient value (coefficient i of the digit in bits
-m*i .. m*i+m-1).
+(the ideal enumeration, the self-dual list and the tests' submodule
+walks) goes through it.  Residue number N is the sum of D(N_i) * f^i,
+N_i the base-q digits of N, least significant first, and digit number
+r < q, D(r), is the polynomial of degree below d whose coefficient i is
+bits m*i .. m*i+m-1 of r.  Every digit and residue is computed from its
+number; nothing of size q is stored.
 """
 
 from __future__ import annotations
@@ -68,22 +69,6 @@ class ChainCtx:
     def q(self) -> int:
         """Residue field size 2^(m*d)."""
         return 1 << (self.field.m * self.d)
-
-    @cached_property
-    def digits(self) -> list[Poly]:
-        """Residue-field digits (polys of degree < d) by packed value.
-
-        Coefficient i fills bits m*i .. m*i+m-1 of the packed value, so
-        the digits of degree i come after all lower-degree ones, ordered
-        by their top coefficient and then by their lower part.
-        """
-        out = [pr.P_ZERO]
-        for i in range(self.d):
-            pad = (0,) * i
-            out += [
-                lo + pad[len(lo):] + (c,) for c in range(1, self.field.order) for lo in out
-            ]
-        return out
 
     @cached_property
     def packed_pows(self) -> tuple[pr.Divisor, ...]:
@@ -279,9 +264,18 @@ def satisfies_u_closure(ctx: ChainCtx, gens) -> bool:
     )
 
 
+def _digit(m: int, r: int) -> Poly:
+    """Digit number r < q: coefficient i is bits m*i .. m*i+m-1 of r."""
+    out, mask = [], (1 << m) - 1
+    while r:
+        out.append(r & mask)
+        r >>= m
+    return tuple(out)
+
+
 def iter_h(ctx: ChainCtx, ell: int, start: int = 0) -> Iterator[Poly]:
-    """Residues mod f^ell in the digit order of the module docstring,
-    from the start-th one on (ell <= 0: the zero residue only).
+    """Residues mod f^ell in the order of the module docstring, from
+    the start-th one on (ell <= 0: the zero residue only).
 
     Digit 0 varies fastest and its term is the digit itself, so each
     run of q residues shares one sum of the higher terms.  That sum is
@@ -294,9 +288,7 @@ def iter_h(ctx: ChainCtx, ell: int, start: int = 0) -> Iterator[Poly]:
         if start == 0:
             yield pr.P_ZERO
         return
-    F = ctx.field
-    q = ctx.q
-    digits = ctx.digits
+    F, m, q = ctx.field, ctx.field.m, ctx.q
     high_start, low_start = divmod(start, q)
     for high in range(high_start, q ** (ell - 1)):
         base = pr.P_ZERO
@@ -304,10 +296,8 @@ def iter_h(ctx: ChainCtx, ell: int, start: int = 0) -> Iterator[Poly]:
         for i in range(1, ell):
             c, r = divmod(c, q)
             if r:
-                base = pr.p_add(F, base, pr.p_mul(F, digits[r], ctx.f_pows[i]))
-        if base:
-            for digit in digits[low_start:]:
-                yield tuple(map(xor, base, digit)) + base[len(digit):]
-        else:
-            yield from digits[low_start:]
+                base = pr.p_add(F, base, pr.p_mul(F, _digit(m, r), ctx.f_pows[i]))
+        for r in range(low_start, q):
+            digit = _digit(m, r)
+            yield tuple(map(xor, base, digit)) + base[len(digit):] if base else digit
         low_start = 0

@@ -14,8 +14,9 @@ any set-up; the cap is ambient.DEFAULT_ORACLE_DIM_CAP and has no flag.
 Every subcommand refuses n above 2^20 (params.N_CAP), `count` a count
 over COUNT_BITS_CAP bits or COUNT_WORK_CAP bit operations, and the
 others polynomials over SETUP_BITS_CAP bits or work over SETUP_WORK_CAP
-bit operations, before any set-up and before 2^k is built; no cap has a
-flag.
+bit operations, before any set-up and before 2^k is built.  `selfdual`
+also refuses more than SELFDUAL_CAP listed codes, or, verified, codes
+times word dimension 16m.  No cap has a flag.
 
 `count` factors nothing: it reads the factor degrees off cyclotomic
 cosets (factorizer.factor_degrees).  Counts and sizes print in full,
@@ -61,6 +62,9 @@ COUNT_WORK_CAP = 1 << 34
 # contexts hold f^0 .. f^e for every factor, about m*n*e^2 bits.
 SETUP_BITS_CAP = 1 << 15
 SETUP_WORK_CAP = 1 << 24
+# selfdual lists 1 + 2^m + 2*4^m codes, and verifying one closes it in
+# a word space of 16m GF(2) dimensions.
+SELFDUAL_CAP = 1 << 16
 
 
 def _int_literal(text: str) -> int:
@@ -137,6 +141,10 @@ def _make_params(args) -> Params:
     bits = params.m * params.n * x
     if bits > bits_cap or bits * x > work_cap:
         raise ValueError(f"{args.cmd} over {bits_cap} bits or {work_cap} bit operations")
+    if args.cmd == "selfdual":
+        codes = 1 + (1 << params.m) + (2 << 2 * params.m)
+        if codes * (16 * params.m if args.verify else 1) > SELFDUAL_CAP:
+            raise ValueError(f"selfdual over {SELFDUAL_CAP} codes, or verified codes times 16m")
     return params
 
 

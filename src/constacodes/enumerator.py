@@ -34,10 +34,8 @@ every emitted descriptor, and the materialization oracle in the test
 suite pins the size law down independently.
 
 Descriptors stream in a fixed total order: family, then t, then s,
-then h; h runs over chainring.iter_h, so h-residues are ordered by
-their digit expansions, least significant digit first, digits by
-packed coefficient value.  Streams are lazy so astronomically large
-enumerations can be paged.
+then h, in chainring.iter_h's residue order.  Streams are lazy so
+astronomically large enumerations can be paged.
 
 Every stream can start at any index.  Block (family, s, t) holds
 exactly q^l descriptors (l = h_space_exponent), so enumerate_ideals
@@ -328,25 +326,21 @@ def list_self_dual_length4(params: Params) -> list[CodeDescriptor]:
     Exactly 1 + 2^m + 2*4^m of them, in four shapes: the fixed ideal
     <f^4>; family 5 with (s, t) = (3, 2), h any residue-field constant;
     family 5 with (s, t) = (2, 4), h any residue mod f^2; and family 6
-    with (s, t) = (1, 6), where h has its constant digit pinned to
-    alpha_root and two free digits.
+    with (s, t) = (1, 6), h any residue mod f^3 whose digit 0 is
+    alpha_root.  Here f = x + 1 and d = 1, so digit r is the constant r
+    and those h are the residues numbered alpha_root + q*i, i < q^2.
     """
     if (params.n, params.k, params.lam, params.delta) != (1, 2, 2, 1):
         raise ValueError(
             "self-dual list is defined for n=1, k=2, lambda=2, delta=1 only; "
             f"got n={params.n}, k={params.k}, lambda={params.lam}, delta={params.delta}"
         )
-    F = params.field
     # delta = 1 makes the core polynomial x + 1 itself: nothing to factor.
-    ctx = cr.make_plain_ctx(F, (1, 1), params.nilpotency)
-
-    out = [CodeDescriptor((IdealDescriptor(1, 3, 4, None, ()),))]
-    for c in F.elements():
-        out.append(CodeDescriptor((IdealDescriptor(1, 5, 3, 2, pr.p_const(c)),)))
-    for h in iter_h(ctx, 2):
-        out.append(CodeDescriptor((IdealDescriptor(1, 5, 2, 4, h),)))
-    for h_free in iter_h(ctx, 2):
-        shifted = pr.p_mul(F, h_free, ctx.f_pows[1])
-        h = pr.p_add(F, pr.p_const(params.alpha_root), shifted)
-        out.append(CodeDescriptor((IdealDescriptor(1, 6, 1, 6, h),)))
-    return out
+    ctx = cr.make_plain_ctx(params.field, (1, 1), params.nilpotency)
+    q = ctx.q
+    out = [IdealDescriptor(1, 3, 4, None, ())]
+    out += [IdealDescriptor(1, 5, 3, 2, h) for h in iter_h(ctx, 1)]
+    out += [IdealDescriptor(1, 5, 2, 4, h) for h in iter_h(ctx, 2)]
+    out += [IdealDescriptor(1, 6, 1, 6, next(iter_h(ctx, 3, params.alpha_root + q * i)))
+            for i in range(q * q)]
+    return [CodeDescriptor((desc,)) for desc in out]

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -724,3 +725,64 @@ def test_setup_cost_caps(argv, status):
     else:
         assert res.stderr == ""
         assert json.loads(res.stdout)["params"]["m"] == int(rest[1])
+
+
+@pytest.mark.parametrize("argv,status", [
+    ("selfdual --m 16", 2),
+    ("selfdual --m 12 --no-verify", 2),
+    ("selfdual --m 10 --no-verify", 2),
+    # m = 4: 529 codes times 16m = 64 is 33856, under the cap; m = 5: 2081 times 80
+    ("selfdual --m 4", 0),
+    ("selfdual --m 5", 2),
+    # m = 7: 32897 listed codes, under the cap; m = 8: 131329
+    ("selfdual --m 7 --no-verify", 0),
+    ("selfdual --m 8 --no-verify", 2),
+])
+def test_selfdual_cost_cap(argv, status):
+    # Refused before anything is listed: exit 2, one error line, no
+    # traceback and no output, well within the timeout.
+    res = run_cli(*argv.split(), timeout=10)
+    assert res.returncode == status, res.stderr
+    assert "Traceback" not in res.stderr
+    if status:
+        assert res.stderr.startswith(f"error: selfdual over {cli.SELFDUAL_CAP} codes")
+        assert res.stderr.count("\n") == 1 and res.stdout == ""
+    else:
+        assert res.stderr == ""
+        doc = json.loads(res.stdout)
+        assert doc["count"] == doc["expected_count"]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    "--m 8 --n 7 --limit 1",
+    "--m 16 --n 7 --limit 1",
+    "--m 8 --n 7 --offset 16000000 --limit 3 --with-generators",
+])
+def test_enumerate_large_residue_field(argv):
+    # Cubic factors over GF(2^8) and GF(2^16) have q = 2^24 and 2^48
+    # residue digits; under 1 GB of address space no step may hold
+    # them all.
+    res = subprocess.run(
+        [sys.executable, "-m", "constacodes.cli", "enumerate", *argv.split()],
+        capture_output=True, text=True, env=cli_env(), timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    doc = json.loads(res.stdout)
+    if doc["offset"]:
+        # The last factor, a cubic, moves fastest and its first block
+        # (family 1, s = 0) holds q^4 residues, so code offset + i has
+        # h = residue number offset + i < q there, one digit: coefficient
+        # j is bits 8j .. 8j+7 of the number.
+        for i, code in enumerate(doc["codes"]):
+            last = code["components"][-1]
+            number = doc["offset"] + i
+            digit = pr.normalize((number >> 8 * j) & 255 for j in range(3))
+            assert (last["family"], last["s"], tuple(last["h"])) == (1, 0, digit)
+            assert [c["h"] for c in code["components"][:-1]] == [[], []]
+            assert len(code["generators_lifted"]) == 3
