@@ -21,8 +21,8 @@ one lift, takes packed parts whether or not they are reduced mod M and
 lifts a whole chunk of N lanes at a time, into u-digit accumulators
 held in one int.  Those are GF(2)-linear in the parts, so a caller may
 lift a sum as the xor of its lifted terms.  flat_digits lays the
-accumulators out as flat u-digits (lift_lanes does both), and psi_lift
-places those in the word.
+accumulators out as flat u-digits, and psi_lift places those in the
+word.
 
 By the CRT split a code is a sum of one ideal per factor, so its
 generators are its components' words eps_j * g, which
@@ -166,17 +166,11 @@ def flat_digits(params: Params, acc: int) -> list[int]:
     return flat
 
 
-def lift_lanes(params: Params, parts: tuple[int, int]) -> list[int]:
-    """psi(a0 + u*a1) from the packed a0 and a1, as the flat u-digits of
-    the word (see lift_digits and flat_digits)."""
-    return flat_digits(params, lift_digits(params, parts))
-
-
 def _word(params: Params, parts: tuple[int, int]) -> int:
-    """The word of packed parts: flat digit k of lift_lanes at bit k*m."""
+    """The word of packed parts: flat u-digit k of their lift at bit k*m."""
     m = params.field.m
     word = 0
-    for digit in reversed(lift_lanes(params, parts)):
+    for digit in reversed(flat_digits(params, lift_digits(params, parts))):
         word = word << m | digit
     return word
 

@@ -35,26 +35,8 @@ from functools import cached_property
 
 from .gf2m import GF2m, _factor_int
 from . import polyring as pr
-from .polyring import Poly
+from .polyring import Poly, is_irreducible
 from .params import Params
-
-
-def is_irreducible(F: GF2m, f: Poly) -> bool:
-    """Rabin test over GF(2^m)."""
-    d = pr.deg(f)
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    q = F.order
-    x = pr.P_X
-    if pr.p_powmod(F, x, q**d, f) != pr.p_mod(F, x, f):
-        return False
-    for p in _factor_int(d):
-        h = pr.p_powmod(F, x, q ** (d // p), f)
-        if pr.p_gcd(F, pr.p_add(F, h, x), f) != pr.P_ONE:
-            return False
-    return True
 
 
 def _trace_split(F: GF2m, g: Poly, d: int, rng: random.Random) -> tuple[Poly, Poly]:

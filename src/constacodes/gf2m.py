@@ -25,8 +25,9 @@ The built-in reduction polynomials (bit i = coefficient of y^i):
     m=15 : y^15 + y + 1               32771
     m=16 : y^16 + y^12 + y^3 + y + 1  69643
 
-A caller may override the reduction polynomial; it is always verified
-to be irreducible of the right degree before the context is usable.
+A caller may override the reduction polynomial; polyring's Rabin test
+checks that it is irreducible of degree m before the context is usable.
+The built-in ones are constants, pinned irreducible by the tests.
 """
 
 from __future__ import annotations
@@ -52,60 +53,6 @@ _REDUCTION = {
 
 # Log/antilog tables above this degree cost more memory than they save.
 _TABLE_LIMIT = 12
-
-
-# ----------------------------------------------------------------------
-# Polynomials over GF(2) packed into ints: bit i = coefficient of x^i.
-# Used only to validate reduction polynomials.
-# ----------------------------------------------------------------------
-
-def _bp_deg(a: int) -> int:
-    return a.bit_length() - 1
-
-
-def _bp_mod(a: int, b: int) -> int:
-    db = _bp_deg(b)
-    while _bp_deg(a) >= db:
-        a ^= b << (_bp_deg(a) - db)
-    return a
-
-
-def _bp_mulmod(a: int, b: int, mod: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a = _bp_mod(a << 1, mod)
-    return r
-
-
-def _bp_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _bp_mod(a, b)
-    return a
-
-
-def bp_is_irreducible(poly: int) -> bool:
-    """Irreducibility of a GF(2) polynomial given as a packed int.
-
-    A degree-m polynomial is irreducible iff it has no irreducible
-    factor of degree <= m/2; gcd(x^(2^i) - x, poly) collects exactly the
-    factors of degree dividing i.
-    """
-    d = _bp_deg(poly)
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    if poly & 1 == 0:  # divisible by x
-        return False
-    t = 2  # the polynomial x
-    for _ in range(d // 2):
-        t = _bp_mulmod(t, t, poly)
-        if _bp_gcd(t ^ 2, poly) != 1:
-            return False
-    return True
 
 
 def _factor_int(n: int) -> list[int]:
@@ -144,14 +91,17 @@ class GF2m:
             raise ValueError(f"extension degree m={m} outside supported range 1..16")
         if reduction is None:
             reduction = _REDUCTION[m]
-        if reduction < 0:
+        elif reduction < 0:
             raise ValueError(f"reduction polynomial must be nonnegative, got {reduction}")
-        if _bp_deg(reduction) != m:
+        elif reduction.bit_length() - 1 != m:
             raise ValueError(
-                f"reduction polynomial has degree {_bp_deg(reduction)}, expected {m}"
+                f"reduction polynomial has degree {reduction.bit_length() - 1}, expected {m}"
             )
-        if not bp_is_irreducible(reduction):
-            raise ValueError(f"reduction polynomial {reduction:#b} is reducible over GF(2)")
+        elif m > 1:  # polyring imports this module, so import it here
+            from .polyring import is_irreducible
+
+            if not is_irreducible(GF2m(1), tuple(reduction >> i & 1 for i in range(m + 1))):
+                raise ValueError(f"reduction polynomial {reduction:#b} is reducible over GF(2)")
         self.m = m
         self.reduction = reduction
         self.order = 1 << m

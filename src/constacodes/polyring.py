@@ -25,6 +25,8 @@ bits they are Python loops, which cost small polynomials more than the
 kernel saves.  Long division folds nothing: a divisor b is prepared
 once (Divisor) as the rows y^j * b, j < m, and a step with quotient
 coefficient c xors in the rows of the set bits of c, shifted into place.
+is_irreducible, Rabin's test, runs on it over any GF(2^m); over GF(2)
+it checks a caller's field reduction polynomial.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
-from .gf2m import GF2m
+from .gf2m import GF2m, _factor_int
 
 Poly = tuple[int, ...]
 
@@ -294,3 +296,20 @@ def p_powmod(F: GF2m, base: Poly, e: int, modulus: Poly) -> Poly:
         if e:
             b = k_mod(F, k_sqr(F, b), dv)
     return unpack(F, r)
+
+
+def is_irreducible(F: GF2m, f: Poly) -> bool:
+    """Rabin test over GF(2^m)."""
+    d = deg(f)
+    if d < 1:
+        return False
+    if d == 1:
+        return True
+    q = F.order
+    if p_powmod(F, P_X, q**d, f) != p_mod(F, P_X, f):
+        return False
+    for p in _factor_int(d):
+        h = p_powmod(F, P_X, q ** (d // p), f)
+        if p_gcd(F, p_add(F, h, P_X), f) != P_ONE:
+            return False
+    return True

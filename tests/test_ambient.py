@@ -240,12 +240,14 @@ def test_lane_lift_matches_reference(mp):
     for a in cases:
         want = reference_lift(p, a)
         assert amb.psi_lift(p, a) == to_int(p, want)
-        assert tuple(amb.lift_lanes(p, (pr.pack(F, a[0]), pr.pack(F, a[1])))) == sum(want, ())
+        parts = (pr.pack(F, a[0]), pr.pack(F, a[1]))
+        assert tuple(amb.flat_digits(p, amb.lift_digits(p, parts))) == sum(want, ())
     # Unreduced parts up to degree 2 * deg M - 1, as products of two
     # reduced ones reach.
     for _ in range(10):
         a = (rand_part(2 * width), rand_part(rng.randrange(1, 2 * width)))
-        flat = amb.lift_lanes(p, (pr.pack(F, a[0]), pr.pack(F, a[1])))
+        parts = (pr.pack(F, a[0]), pr.pack(F, a[1]))
+        flat = amb.flat_digits(p, amb.lift_digits(p, parts))
         assert tuple(flat) == sum(reference_lift(p, a), ())
 
 
@@ -302,7 +304,8 @@ def test_lift_needs_no_reduction_mod_m():
             for g in amb.component_generators(p, fd, j, desc, ctx):
                 reduced = tuple(pr.k_mod(F, x, dv) for x in g)
                 above += reduced != g
-                assert amb.lift_lanes(p, g) == amb.lift_lanes(p, reduced)
+                assert amb.flat_digits(p, amb.lift_digits(p, g)) == amb.flat_digits(
+                    p, amb.lift_digits(p, reduced))
                 plain = tuple(pr.unpack(F, x) for x in g)
                 assert to_int(p, reference_lift(p, plain)) == amb.psi_lift(
                     p, tuple(pr.unpack(F, x) for x in reduced))

@@ -164,6 +164,15 @@ def test_negative_reduction_exit_2(m, reduction):
     assert "Traceback" not in res.stderr
 
 
+def test_reducible_reduction_without_tables_exit_2():
+    # m = 13 has no log tables; y^13 + 1 is refused with one line.
+    res = run_cli("count", "--m", "13", "--reduction", "8193", timeout=20)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: reduction polynomial 0b10000000000001 is reducible over GF(2)"]
+
+
 def test_enumerate_pagination_and_determinism(tmp_path):
     args = ("enumerate", "--m", "1", "--n", "3", "--limit", "1000")
     a = run_cli(*args)

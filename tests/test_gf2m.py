@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from constacodes.gf2m import GF2m, bp_is_irreducible
+from constacodes.gf2m import GF2m
+from constacodes.polyring import is_irreducible
+
+F2 = GF2m(1)
+
+
+def coefficients(poly):
+    """The GF(2) coefficient tuple of a packed polynomial."""
+    return tuple(poly >> i & 1 for i in range(poly.bit_length()))
 
 
 def test_f2_context():
@@ -45,7 +53,7 @@ def test_rejects_bad_degree_and_range():
 
 def test_reducible_rejected_explicitly():
     # x^4 + x^2 + 1 = (x^2+x+1)^2
-    assert not bp_is_irreducible(0b10101)
+    assert not is_irreducible(F2, coefficients(0b10101))
     with pytest.raises(ValueError):
         GF2m(4, reduction=0b10101)
 
@@ -57,10 +65,30 @@ def test_custom_reduction_accepted():
         assert F.mul(a, F.inv(a)) == 1
 
 
+@pytest.mark.parametrize("m, reduction", [(13, 0b10000000000001), (16, 0x10101)])
+def test_reducible_rejected_without_tables(m, reduction):
+    # y^13 + 1 = (y + 1)(...) and y^16 + y^8 + 1 = (y^8 + y^4 + 1)^2,
+    # above the degree that gets log tables.
+    with pytest.raises(ValueError) as err:
+        GF2m(m, reduction)
+    assert str(err.value) == f"reduction polynomial {reduction:#b} is reducible over GF(2)"
+
+
+@pytest.mark.parametrize("m, reduction, order", [(4, 0b11111, 5), (8, 0x11B, 51)])
+def test_irreducible_non_primitive_reduction(m, reduction, order):
+    # y has order below 2^m - 1, so the tables need a generator other
+    # than g = 2; they must still invert every unit and be a bijection.
+    F = GF2m(m, reduction)
+    assert F.pow(2, order) == 1 and all(F.pow(2, e) != 1 for e in range(1, order))
+    for a in F.nonzero_elements():
+        assert F.mul(a, F.inv(a)) == 1
+    assert sorted(F._log[a] for a in F.nonzero_elements()) == list(range(F.order - 1))
+
+
 @pytest.mark.parametrize("m", range(1, 17))
 def test_builtin_reductions_are_irreducible(m):
     F = GF2m(m)
-    assert bp_is_irreducible(F.reduction)
+    assert is_irreducible(F2, coefficients(F.reduction))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])

@@ -25,7 +25,8 @@ def test_lift_table_matches_lifted_generators(point):
     # Every block of every factor, at h = 0, at the last residue and at
     # random ones, in an order that reuses the rows of earlier residues:
     # the table's accumulators are those of lifting component_generators
-    # at h, bit for bit, and its JSON is that of lift_lanes.
+    # at h, bit for bit, and its JSON is that of their
+    # flat u-digits.
     params = Params(*point)
     fd = factorizer.build_factor_data(params)
     ctxs = en.chain_contexts(params, fd)
@@ -43,8 +44,9 @@ def test_lift_table_matches_lifted_generators(point):
                 desc = en.IdealDescriptor(j + 1, family, s, t, h)
                 gens = amb.component_generators(params, fd, j, desc, ctx)
                 assert [table.first(h), *table.rest] == [amb.lift_digits(params, g) for g in gens]
-                assert table.json(h) == ",".join(table.word % tuple(amb.lift_lanes(params, g))
-                                                 for g in gens)
+                assert table.json(h) == ",".join(
+                    table.word % tuple(amb.flat_digits(params, amb.lift_digits(params, g)))
+                    for g in gens)
             shapes.add((family, ell > 0, len(gens)))
     assert {shape[0] for shape in shapes} == {1, 2, 3, 4, 5, 6}
     # blocks with h-exponent 0, and blocks of two generators with h free
