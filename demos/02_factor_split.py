@@ -3,8 +3,11 @@
 The ring GF(2^m)[x]/<(x^n + d0)^(2^k*lam)> splits along the distinct
 irreducible factors of x^n + d0 through orthogonal idempotents; every
 later construction happens factor by factor.  Counting needs only the
-factors and their cofactors; the idempotents are built, and certified,
-the first time they are read.
+factors and their cofactors; the idempotents are built the first time
+they are read, in closed form.  x * f_j' * C_j / d0, with C_j the
+cofactor of f_j, is the idempotent mod x^n + d0; squaring it until the
+power of x^n + d0 reaches the modulus lifts it.  The one certificate is
+that these sum to 1 mod x^n + d0.
 
 Run:  PYTHONPATH=src python demos/02_factor_split.py
 """

@@ -27,8 +27,8 @@ word.
 By the CRT split a code is a sum of one ideal per factor, so its
 generators are its components' words eps_j * g, which
 component_generators builds packed and unreduced for one factor and
-descriptor at a time: the lift needs no reduction mod M, and the plain
-side's callers reduce through FactorData.modulus_divisor.
+descriptor at a time: the lift needs no reduction mod M, so the
+package never reduces them.
 
 For oracle work a word is a GF(2) vector of D = m * 2*lam * N bits.
 An ideal is then an xor-closed set stable under three ring operations:
@@ -455,32 +455,6 @@ def code_ambient_generators(
         ctxs = chain_contexts(params, factor_data)
     return [g for j, (ctx, desc) in enumerate(zip(ctxs, code.components))
             for g in component_generators(params, factor_data, j, desc, ctx)]
-
-
-def code_generators(
-    params: Params,
-    factor_data: FactorData,
-    code: CodeDescriptor,
-    ctxs: list[ChainCtx] | None = None,
-) -> list[AmbientElem]:
-    """At most two combined generators of the whole code.
-
-    Slot i is the sum over components of their i-th idempotent-scaled
-    generator; components with one generator contribute zero to the
-    second slot.
-    """
-    if ctxs is None:
-        ctxs = chain_contexts(params, factor_data)
-    slots: list[tuple[int, int]] = []
-    for j, (ctx, desc) in enumerate(zip(ctxs, code.components)):
-        for slot, g in enumerate(component_generators(params, factor_data, j, desc, ctx)):
-            if slot == len(slots):
-                slots.append(g)
-            else:
-                slots[slot] = (slots[slot][0] ^ g[0], slots[slot][1] ^ g[1])
-    F = params.field
-    dv = factor_data.modulus_divisor
-    return [tuple(pr.unpack(F, pr.k_mod(F, x, dv)) for x in g) for g in slots]
 
 
 def code_bit_basis(

@@ -6,16 +6,22 @@ irreducible factors.  Equal-degree splitting uses the absolute trace
 map h + h^2 + h^4 + ... down to GF(2), the characteristic-2 substitute
 for the odd-characteristic exponentiation split.
 
-build_factor_data keeps, for every factor f_j of degree d_j, only the
-local data: f_j, d_j and the exact cofactor C_j = (x^n + c) / f_j.
-That is all counting and enumeration need.  The global split data, the
-modulus M = (x^n + c)^e with e = 2^k * lam and the idempotents
+build_factor_data keeps, for every factor f_j of g = x^n + c, only its
+degree d_j and the exact cofactor C_j = g / f_j: all that counting and
+enumeration need.  The orthogonal idempotents eps_j of GF(2^m)[x]/<M>,
+M = g^e with e = 2^k * lam, are built on first use in closed form.  As
+n is odd, x * g' = x^n = c (mod g) and g' = sum_l f_l' * C_l, so
 
-    eps_j = s_j * C_j^e  mod M,   s_j * C_j^e = 1 (mod f_j^e),
+    eps0_j = x * f_j' * C_j / c  mod g
 
-are built on first use and certified in linear size (see
-FactorData.idempotents); the tests keep the exhaustive pairwise check
-of eps_j^2 = eps_j and eps_j * eps_l = 0.
+is 1 mod f_j and 0 mod the other factors, which divide C_j (Huffman and
+Pless, Ch. 4); in characteristic 2, x * f_j' is f_j without its
+even-degree terms.  Squaring is a ring map, so for 2^J >= e,
+eps0_j^(2^J) mod M is the idempotent with the same residues, eps_j
+(Castagnoli, Massey, Schoeller and von Seemann, 1991).  The certificate
+is sum eps0_j = 1 (mod g), at degree n: squaring is additive and
+carries it to M.  The tests keep the xgcd construction as the reference
+and check eps_j^2 = eps_j and eps_j * eps_l = 0 pairwise.
 
 Counting needs only the factor degrees, and factor_degrees finds them
 without factoring.  Let q = 2^m and t = ord(c).  The roots of x^n + c
@@ -161,32 +167,25 @@ class FactorData:
 
     @cached_property
     def idempotents(self) -> tuple[Poly, ...]:
-        """eps_j = s_j * C_j^e mod M, one per factor, certified when built.
-
-        s_j inverts C_j^e modulo f_j^e, found by an xgcd at the local
-        degree d_j * e.  The certificate is the exact local Bezout identity
-        for every factor plus sum eps_j = 1 (mod M).  With the factor
-        product verified and the cofactors exact, eps_j = 1 (mod f_j^e)
-        and C_j^e | eps_j, so by CRT the eps_j are the orthogonal
-        idempotents of the split.  The sum is what catches a wrong cofactor.
-        """
-        F = self.params.field
-        e = self.params.nilpotency
-        M = self.modulus
-        out = []
-        total = pr.P_ZERO
-        for i, ent in enumerate(self.entries):
-            f_e = pr.p_pow(F, ent.f, e)
-            cof_e = pr.p_pow(F, ent.cofactor, e)
-            local = pr.p_mod(F, cof_e, f_e)
-            _, s, t = pr.p_xgcd(F, local, f_e)
-            if pr.p_add(F, pr.p_mul(F, s, local), pr.p_mul(F, t, f_e)) != pr.P_ONE:
-                raise ArithmeticError(f"Bezout identity failed for factor {i}")
-            eps = pr.p_mod(F, pr.p_mul(F, s, cof_e), M)
-            total = pr.p_add(F, total, eps)
-            out.append(eps)
-        if pr.p_mod(F, total, M) != pr.P_ONE:
+        """The eps_j, one per factor, from the closed form of the module
+        docstring; raises ArithmeticError if the eps0_j do not sum to 1."""
+        params = self.params
+        F = params.field
+        g = pr.k_divisor(F, pr.pack(F, params.base_poly))
+        inv = F.inv(params.delta_root)
+        base, total = [], 0
+        for ent in self.entries:
+            xdf = pr.p_scale(F, pr.normalize(c if i & 1 else 0 for i, c in enumerate(ent.f)), inv)
+            base.append(pr.k_mod(F, pr.k_mul(F, pr.pack(F, xdf), pr.pack(F, ent.cofactor)), g))
+            total ^= base[-1]
+        if total != 1:
             raise ArithmeticError("idempotents do not sum to 1")
+        dv = self.modulus_divisor
+        out = []
+        for eps in base:
+            for _ in range((params.nilpotency - 1).bit_length()):
+                eps = pr.k_mod(F, pr.k_sqr(F, eps), dv)
+            out.append(pr.unpack(F, eps))
         return tuple(out)
 
     @cached_property

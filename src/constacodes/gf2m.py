@@ -167,10 +167,6 @@ class GF2m:
 
     # -- ring operations ----------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        """Sum of two elements (xor; characteristic 2)."""
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         """Product of two elements."""
         if a == 0 or b == 0:

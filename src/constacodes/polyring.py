@@ -57,10 +57,6 @@ def deg(p: Poly) -> int:
     return len(p) - 1
 
 
-def p_const(c: int) -> Poly:
-    return (c,) if c else ()
-
-
 def p_add(F: GF2m, a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a

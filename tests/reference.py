@@ -1,7 +1,8 @@
 """Reference implementations the tests check the package against.
 
 Each is written plainly and apart from the package's fast paths: the
-plain side's ring operations on coefficient tuples, the R-valued inner
+plain side's constants and ring operations on coefficient tuples, a
+code's two combined generators reduced mod M, the R-valued inner
 product of two words, the word ring's product, f-adic composition,
 brute-force walks of the submodules of K^2 over a chain ring K, ideal closure through operator
 matrices with row-by-row elimination, and the greedy generator search.
@@ -10,13 +11,19 @@ matrices with row-by-row elimination, and the greedy generator search.
 import itertools
 
 from constacodes import polyring as pr
-from constacodes.ambient import bit_space
+from constacodes.ambient import bit_space, component_generators
 from constacodes.chainring import c_mul, iter_h, pi_degree
+from constacodes.enumerator import chain_contexts
 
 
 # ----------------------------------------------------------------------
 # The plain side A + uA
 # ----------------------------------------------------------------------
+
+def p_const(c):
+    """The constant polynomial c."""
+    return (c,) if c else ()
+
 
 def amb_add(params, a, b):
     F = params.field
@@ -39,6 +46,27 @@ def amb_mul(params, a, b):
         pr.p_mod(F, pr.p_mul(F, a[1], b[0]), M),
     )
     return lo, hi
+
+
+def code_generators(params, factor_data, code, ctxs=None):
+    """At most two combined generators of the whole code, reduced mod M.
+
+    Slot i is the sum over components of their i-th idempotent-scaled
+    generator; components with one generator contribute zero to the
+    second slot.
+    """
+    if ctxs is None:
+        ctxs = chain_contexts(params, factor_data)
+    slots = []
+    for j, (ctx, desc) in enumerate(zip(ctxs, code.components)):
+        for slot, g in enumerate(component_generators(params, factor_data, j, desc, ctx)):
+            if slot == len(slots):
+                slots.append(g)
+            else:
+                slots[slot] = (slots[slot][0] ^ g[0], slots[slot][1] ^ g[1])
+    F = params.field
+    dv = factor_data.modulus_divisor
+    return [tuple(pr.unpack(F, pr.k_mod(F, x, dv)) for x in g) for g in slots]
 
 
 # ----------------------------------------------------------------------

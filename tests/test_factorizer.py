@@ -145,10 +145,25 @@ def test_pairwise_coprime():
             assert pr.p_gcd(F, ents[i].f, ents[j].f) == (1,)
 
 
-@pytest.mark.parametrize("m,n", [(1, 7), (2, 7), (3, 5), (4, 15)])
-def test_lazy_idempotents_match_global_xgcd(m, n):
+# (m, n, k, lam, delta, alpha): lam not a power of two (so 2^J > e),
+# delta != 1, alpha != 1, k = 3 and m = 16
+_XGCD_POINTS = [
+    (1, 7, 2, 2, 1, 1), (2, 7, 2, 2, 1, 1), (3, 5, 2, 2, 1, 1), (4, 15, 2, 2, 1, 1),
+    (2, 7, 2, 2, 3, 2), (1, 7, 3, 3, 1, 1), (3, 5, 2, 3, 5, 1), (2, 15, 2, 5, 2, 3),
+    (8, 51, 2, 2, 7, 1), (3, 1, 2, 2, 5, 1), (16, 3, 3, 2, 4097, 3), (5, 93, 2, 7, 3, 2),
+    (4, 85, 3, 3, 9, 2), (1, 255, 2, 2, 1, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "m,n,k,lam,delta,alpha",
+    # a point at k = lam = 2, delta = alpha = 1 is named by m and n alone
+    [pytest.param(*pt, id="-".join(map(str, pt[:2] if pt[2:] == (2, 2, 1, 1) else pt)))
+     for pt in _XGCD_POINTS],
+)
+def test_lazy_idempotents_match_global_xgcd(m, n, k, lam, delta, alpha):
     # reference: one xgcd of C_j^e against f_j^e at the full degree e*n
-    params = Params(m, n, 2, 2, 1, 1)
+    params = Params(m, n, k, lam, delta, alpha)
     fd = build_factor_data(params)
     F = params.field
     e = params.nilpotency
@@ -162,22 +177,23 @@ def test_lazy_idempotents_match_global_xgcd(m, n):
 
 
 @pytest.mark.parametrize(
-    "corrupt,message",
+    "corrupt",
     [
-        # shares the factor x + 1: no local inverse exists
-        (lambda F, c: pr.p_add(F, c, (1,)), "Bezout"),
+        # shares the factor x + 1
+        pytest.param(lambda F, c: (pr.p_add(F, c[0], (1,)),) + c[1:], id="shares-factor"),
         # coprime to x + 1 but no longer divisible by the cubics
-        (lambda F, c: pr.p_add(F, c, (0, 1, 1)), "sum to 1"),
+        pytest.param(lambda F, c: (pr.p_add(F, c[0], (0, 1, 1)),) + c[1:], id="not-divisible"),
+        # each cofactor exact, but paired with another factor
+        pytest.param(lambda F, c: (c[1], c[0]) + c[2:], id="swapped"),
     ],
 )
-def test_certificate_rejects_corrupted_cofactor(corrupt, message):
+def test_certificate_rejects_corrupted_cofactor(corrupt):
     params = Params(1, 7, 2, 2, 1, 1)
     fd = build_factor_data(params)
-    first = fd.entries[0]
-    bad = dataclasses.replace(first, cofactor=corrupt(params.field, first.cofactor))
-    broken = dataclasses.replace(fd, entries=(bad,) + fd.entries[1:])
-    with pytest.raises(ArithmeticError, match=message):
-        broken.idempotents
+    cofactors = corrupt(params.field, tuple(ent.cofactor for ent in fd.entries))
+    entries = tuple(dataclasses.replace(ent, cofactor=c) for ent, c in zip(fd.entries, cofactors))
+    with pytest.raises(ArithmeticError, match="idempotents do not sum to 1"):
+        dataclasses.replace(fd, entries=entries).idempotents
 
 
 # ----------------------------------------------------------------------
