@@ -18,6 +18,17 @@ coordinate paired with f^t0, reduced mod f^t1 (() when t0 = e).  The
 module is the span of (f^t0, a) and (0, f^t1), and two generator sets
 span the same submodule iff their triples are equal.
 
+The form clears rows without dividing by the pivot.  The pivot (g0,
+g1) is a row whose g0 = w*f^t0, w a unit, has the least valuation t0;
+f^(e-t0) times it is (0, f^(e-t0)*g1), and every other row (a0, a1)
+becomes w*(a0, a1) - (a0/f^t0)*(g0, g1), whose second coordinate is
+w*a1 - (a0/f^t0)*g1.  Scaling a row by a unit keeps the span, so t1 is
+the least valuation of these second coordinates, found without an
+inverse.  Only a = w^-1 * g1 mod f^t1 needs one, so w is inverted only
+modulo f^t1, and not at all when t0 = e or t1 = 0: polyring.k_invmod
+inverts it modulo f, and Newton steps lift that to f^t1 (von zur
+Gathen and Gerhard, Modern Computer Algebra, 9.1).
+
 The form serves two jobs.  Equality of forms certifies that two
 generator sets span the same module, which keeps the enumerated codes
 distinct.  Reduction against a form decides membership
@@ -133,22 +144,24 @@ def c_mul(ctx: ChainCtx, a: Poly, b: Poly) -> Poly:
 
 def c_inv(ctx: ChainCtx, a: Poly) -> Poly:
     """Inverse of a unit."""
-    packed = pr.pack(ctx.field, a)
-    if _valuation(ctx, packed) != 0:
-        raise ZeroDivisionError("element is not a unit (digit 0 vanishes)")
-    return pr.unpack(ctx.field, _unit_inverse(ctx, packed))
+    F = ctx.field
+    return pr.unpack(F, _unit_inverse(ctx, pr.pack(F, a), ctx.e))
 
 
-def _unit_inverse(ctx: ChainCtx, w: int) -> int:
-    """Inverse of a packed unit: the inverse modulo f from the extended
-    gcd, lifted by x -> w*x^2 modulo f^(2k).  In characteristic 2, if
-    w*x = 1 + h with f^k dividing h, then w*(w*x^2) = (1 + h)^2 = 1 + h^2."""
+def _unit_inverse(ctx: ChainCtx, w: int, t: int) -> int:
+    """Inverse of a packed unit modulo f^t, 1 <= t <= e, lifted from f
+    as the module docstring says: x -> w*x^2 modulo f^(2k), capped at
+    f^t.  In characteristic 2, if w*x = 1 + h with f^k dividing h, then
+    w*(w*x^2) = (1 + h)^2 = 1 + h^2."""
     F, pows = ctx.field, ctx.packed_pows
-    _, x, _ = pr.k_xgcd(F, pr.k_mod(F, w, pows[1]), pows[1].rows[0])
+    x = pr.k_mod(F, w, pows[1])
+    if not x:
+        raise ZeroDivisionError("element is not a unit (digit 0 vanishes)")
+    x = pr.k_invmod(F, x, pows[1])
     k = 1
-    while k < ctx.e:
-        k = min(2 * k, ctx.e)
-        x = pr.k_mod(F, pr.k_mul(F, w, pr.k_mul(F, x, x)), pows[k])
+    while k < t:
+        k = min(2 * k, t)
+        x = pr.k_mod(F, pr.k_mul(F, w, pr.k_sqr(F, x)), pows[k])
     return x
 
 
@@ -190,30 +203,30 @@ CanonForm = tuple[int, int, Poly]
 
 
 def canonical_module_form(ctx: ChainCtx, gens) -> CanonForm:
-    """The invariants (t0, t1, a) of the K-span of gens in K^2 (see the
-    module docstring), computed on the packed rows; only a is unpacked."""
+    """The invariants (t0, t1, a) of the K-span of gens in K^2, by the
+    pivot-free clearing of the module docstring, on the packed rows;
+    only a is unpacked."""
     F, e, pows = ctx.field, ctx.e, ctx.packed_pows
     rows = [(pr.pack(F, g[0]), pr.pack(F, g[1])) for g in gens if g[0] or g[1]]
-    modulus = pows[e]
 
     # Pivot for column 0: smallest pi-degree among first coordinates.
     degs = [_valuation(ctx, g0) for g0, _ in rows]
     t0 = min(degs, default=e)
-    second_gens: list[int] = []
-    lead = 0
-    if t0 < e:
-        g0, g1 = rows.pop(degs.index(t0))
-        w = pr.k_divmod(F, g0, pows[t0])[0]  # exact, w a unit
-        lead = pr.k_mod(F, pr.k_mul(F, _unit_inverse(ctx, w), g1), modulus)
-        # f^(e-t0) * (f^t0, lead) kills the first coordinate.
-        second_gens.append(pr.k_mod(F, pr.k_mul(F, pows[e - t0].rows[0], lead), modulus))
-    # Clear the other rows' first coordinates (all 0 if t0 = e) by (f^t0, lead).
+    if t0 == e:  # no first coordinate survives mod f^e
+        return e, min((_valuation(ctx, a1) for _, a1 in rows), default=e), ()
+    g0, g1 = rows.pop(degs.index(t0))
+    w = pr.k_divmod(F, g0, pows[t0])[0]  # exact, w a unit
+    # f^(e-t0) times the pivot is (0, f^(e-t0)*g1).
+    t1 = min(e, e - t0 + _valuation(ctx, g1))
+    # w*(a0, a1) - (a0/f^t0)*(g0, g1) clears each other row's first coordinate.
     for a0, a1 in rows:
         qfac = pr.k_divmod(F, a0, pows[t0])[0]  # exact by minimality of t0
-        second_gens.append(a1 ^ pr.k_mod(F, pr.k_mul(F, qfac, lead), modulus))
-
-    t1 = min((_valuation(ctx, b) for b in second_gens), default=e)
-    return t0, t1, pr.unpack(F, pr.k_mod(F, lead, pows[t1]))
+        b = pr.k_mul(F, w, a1) ^ pr.k_mul(F, qfac, g1)
+        t1 = min(t1, _valuation(ctx, pr.k_mod(F, b, pows[e])))
+    if t1 == 0:
+        return t0, 0, ()
+    a = pr.k_mul(F, _unit_inverse(ctx, w, t1), g1)
+    return t0, t1, pr.unpack(F, pr.k_mod(F, a, pows[t1]))
 
 
 def module_size(ctx: ChainCtx, form: CanonForm) -> int:

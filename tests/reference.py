@@ -4,7 +4,8 @@ Each is written plainly and apart from the package's fast paths: the
 plain side's constants and ring operations on coefficient tuples, a
 code's two combined generators reduced mod M, the R-valued inner
 product of two words, the word ring's product, f-adic composition,
-brute-force walks of the submodules of K^2 over a chain ring K, ideal closure through operator
+brute-force walks of the submodules of K^2 over a chain ring K, the
+pivot-and-invert canonical module form, ideal closure through operator
 matrices with row-by-row elimination, and the greedy generator search.
 """
 
@@ -12,7 +13,7 @@ import itertools
 
 from constacodes import polyring as pr
 from constacodes.ambient import bit_space, component_generators
-from constacodes.chainring import c_mul, iter_h, pi_degree
+from constacodes.chainring import _valuation, c_mul, iter_h, pi_degree
 from constacodes.enumerator import chain_contexts
 
 
@@ -142,6 +143,48 @@ def materialize_submodule(ctx, gens, cap=1 << 20):
     else:
         packed = {(v0 ^ w0, v1 ^ w1) for v0, v1 in tables[0] for w0, w1 in tables[1]}
     return frozenset((pr.unpack(F, v0), pr.unpack(F, v1)) for v0, v1 in packed)
+
+
+def unit_inverse_by_xgcd(ctx, w):
+    """Inverse of a packed unit modulo f^e: the inverse modulo f from the
+    extended gcd, lifted by x -> w*x^2 modulo f^(2k).  In characteristic
+    2, if w*x = 1 + h with f^k dividing h, then w*(w*x^2) = (1 + h)^2 =
+    1 + h^2."""
+    F, pows = ctx.field, ctx.packed_pows
+    _, x, _ = pr.k_xgcd(F, pr.k_mod(F, w, pows[1]), pows[1].rows[0])
+    k = 1
+    while k < ctx.e:
+        k = min(2 * k, ctx.e)
+        x = pr.k_mod(F, pr.k_mul(F, w, pr.k_mul(F, x, x)), pows[k])
+    return x
+
+
+def canonical_module_form(ctx, gens):
+    """The invariants (t0, t1, a) of the K-span of gens in K^2, the way
+    the package first computed them: divide the pivot row by its unit,
+    inverted modulo f^e, and clear every other row against it."""
+    F, e, pows = ctx.field, ctx.e, ctx.packed_pows
+    rows = [(pr.pack(F, g[0]), pr.pack(F, g[1])) for g in gens if g[0] or g[1]]
+    modulus = pows[e]
+
+    # Pivot for column 0: smallest pi-degree among first coordinates.
+    degs = [_valuation(ctx, g0) for g0, _ in rows]
+    t0 = min(degs, default=e)
+    second_gens = []
+    lead = 0
+    if t0 < e:
+        g0, g1 = rows.pop(degs.index(t0))
+        w = pr.k_divmod(F, g0, pows[t0])[0]  # exact, w a unit
+        lead = pr.k_mod(F, pr.k_mul(F, unit_inverse_by_xgcd(ctx, w), g1), modulus)
+        # f^(e-t0) * (f^t0, lead) kills the first coordinate.
+        second_gens.append(pr.k_mod(F, pr.k_mul(F, pows[e - t0].rows[0], lead), modulus))
+    # Clear the other rows' first coordinates (all 0 if t0 = e) by (f^t0, lead).
+    for a0, a1 in rows:
+        qfac = pr.k_divmod(F, a0, pows[t0])[0]  # exact by minimality of t0
+        second_gens.append(a1 ^ pr.k_mod(F, pr.k_mul(F, qfac, lead), modulus))
+
+    t1 = min((_valuation(ctx, b) for b in second_gens), default=e)
+    return t0, t1, pr.unpack(F, pr.k_mod(F, lead, pows[t1]))
 
 
 def enumerate_all_submodules(ctx):

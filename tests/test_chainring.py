@@ -10,10 +10,15 @@ from constacodes import polyring as pr
 from constacodes.factorizer import build_factor_data
 from constacodes.params import Params
 
-from reference import adic_compose, materialize_submodule
+from reference import (adic_compose, canonical_module_form as reference_form, materialize_submodule,
+                       unit_inverse_by_xgcd)
 
 F2 = GF2m(1)
 F4 = GF2m(2)
+
+# every lane width, m = 16 without log tables, and a reduction other
+# than the default; the form and inverse tests run at each of them
+FORM_FIELDS = [GF2m(m) for m in (1, 2, 3, 8, 16)] + [GF2m(8, 0x11B)]
 
 
 def plain8():
@@ -54,6 +59,47 @@ def test_non_unit_rejected():
         cr.c_inv(ctx, ctx.f)
     with pytest.raises(ZeroDivisionError):
         cr.c_inv(ctx, ())
+    # the packed inverse refuses a non-unit too, at every precision
+    ctx = cr.make_plain_ctx(F2, (1, 1, 0, 1), 4)
+    for t in range(1, 5):
+        with pytest.raises(ZeroDivisionError, match=r"element is not a unit \(digit 0 vanishes\)"):
+            cr._unit_inverse(ctx, pr.pack(F2, ctx.f), t)
+
+
+def _irreducible(F, d, rng):
+    while True:
+        f = tuple(rng.randrange(F.order) for _ in range(d)) + (1,)
+        if pr.is_irreducible(F, f):
+            return f
+
+
+def _form_contexts(F):
+    """Plain contexts over F at deg f = 1, 2, 3 and e = 1, 2, 3, 5, 8."""
+    rng = random.Random(F.reduction)
+    for d in (1, 2, 3):
+        f = _irreducible(F, d, rng)
+        for e in (1, 2, 3, 5, 8):
+            yield cr.make_plain_ctx(F, f, e)
+
+
+@pytest.mark.parametrize("F", FORM_FIELDS, ids=repr)
+def test_unit_inverse_precision(F):
+    # the inverse modulo each f^t is the full inverse reduced mod f^t
+    rng = random.Random(F.m + 1)
+    for ctx in _form_contexts(F):
+        pows = ctx.packed_pows
+        for _ in range(3):
+            w = pr.pack(F, _unit(ctx, rng))
+            full = pr.pack(F, cr.c_inv(ctx, pr.unpack(F, w)))
+            assert full == unit_inverse_by_xgcd(ctx, w)
+            for t in range(1, ctx.e + 1):
+                x = cr._unit_inverse(ctx, w, t)
+                assert pr.k_mod(F, pr.k_mul(F, x, w), pows[t]) == 1
+                assert x == pr.k_mod(F, full, pows[t])
+        for non_unit in (ctx.f, (), cr.c_mul(ctx, ctx.f, _unit(ctx, rng))):
+            for t in (1, ctx.e):
+                with pytest.raises(ZeroDivisionError, match="element is not a unit"):
+                    cr._unit_inverse(ctx, pr.pack(F, non_unit), t)
 
 
 def test_adic_expansion_examples():
@@ -273,6 +319,56 @@ def test_canonical_form_trivial_cases():
     assert full == (0, 0, ())
     diag = cr.canonical_module_form(ctx, [(ctx.f_pows[2], ()), ((), ctx.f_pows[2])])
     assert diag == (2, 2, ())
+
+
+def _messy_rows(ctx, rng):
+    """0-4 rows: zero rows, first coordinates at two valuations (so
+    pivots tie) that are f^s itself or f^s times a unit, second
+    coordinates of every valuation, and entries left unreduced by a
+    multiple of f^e."""
+    F, e, pows = ctx.field, ctx.e, ctx.f_pows
+    vals = rng.sample(range(e + 1), 2)
+    rows = []
+    for _ in range(rng.randrange(5)):
+        if rng.random() < 0.15:
+            rows.append(((), ()))
+            continue
+        a0 = cr.c_mul(ctx, pows[rng.choice(vals)], (1,) if rng.random() < 0.4 else _unit(ctx, rng))
+        if rng.random() < 0.5:
+            a1 = cr.c_mul(ctx, pows[rng.randrange(e + 1)], _unit(ctx, rng))
+        else:
+            a1 = rand_elem(ctx, rng)
+        a0, a1 = (pr.p_add(F, x, pr.p_mul(F, pows[e], rand_elem(ctx, rng)))
+                  if rng.random() < 0.25 else x for x in (a0, a1))
+        rows.append((a0, a1))
+    return rows
+
+
+def _form_case(ctx, rows, form):
+    """Labels for the path a form took: t0 = e, t1 = 0, or a pivot with
+    unit 1 or another unit, and a tie in the pivot's valuation."""
+    t0, t1, _ = form
+    if t0 == ctx.e:
+        return {"t0 = e"}
+    if t1 == 0:
+        return {"t1 = 0"}
+    rows = [r for r in rows if r[0] or r[1]]
+    degs = [cr.pi_degree(ctx, r0) for r0, _ in rows]
+    pivot = rows[degs.index(t0)][0]
+    return {"w = 1" if pivot == ctx.f_pows[t0] else "w != 1"} | ({"tie"} if degs.count(t0) > 1 else set())
+
+
+@pytest.mark.parametrize("F", FORM_FIELDS, ids=repr)
+def test_canonical_form_matches_pivot_and_invert_reference(F):
+    rng = random.Random(F.m)
+    seen = set()
+    for ctx in _form_contexts(F):
+        for _ in range(30):
+            rows = _messy_rows(ctx, rng)
+            form = cr.canonical_module_form(ctx, rows)
+            assert form == reference_form(ctx, rows), rows
+            seen |= _form_case(ctx, rows, form)
+    assert seen == {"t0 = e", "t1 = 0", "w = 1", "w != 1", "tie"}
 
 
 def test_canonical_form_invariant_under_presentation_changes():

@@ -7,6 +7,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from reference import canonical_module_form as reference_form
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -50,6 +52,17 @@ def test_verify_workload_sample():
     workloads, cc, wl, state, reqs = _verify_workload()
     for req in reqs[::25]:
         assert wl.check(state, req, wl.execute(cc, state, req)) is workloads.OK, req
+
+
+def test_verify_forms_match_reference():
+    # every 10th verify row set: the pivot-free form against the
+    # pivot-and-invert reference
+    _, cc, _, state, reqs = _verify_workload()
+    en = cc.enumerator
+    for _, pi, j, family, s, t, h in reqs[::10]:
+        params, _, ctxs = state[pi]
+        rows = en.descriptor_module_rows(params, ctxs[j - 1], en.IdealDescriptor(j, family, s, t, h))
+        assert cc.chainring.canonical_module_form(ctxs[j - 1], rows) == reference_form(ctxs[j - 1], rows)
 
 
 def test_tracer_runs_over_packed_kernel():
