@@ -291,10 +291,14 @@ class BitSpace:
     def scale(self, v: int, c: int) -> int:
         """Every digit of v times the field element c.  Bit b of each
         digit, moved to bit 0, times y^b * c fits in the digit, so the
-        int products never carry between digits."""
-        out = 0
+        int products never carry between digits.  y^b * c is c doubled
+        b times, reduced whenever bit m is set."""
+        F, out = self.F, 0
         for b in range(self.m):
-            out ^= (v >> b & self._ones) * self.F.mul(1 << b, c)
+            out ^= (v >> b & self._ones) * c
+            c <<= 1
+            if c & F.order:
+                c ^= F.reduction
         return out
 
     def mul_u(self, v: int) -> int:

@@ -32,7 +32,7 @@ Gathen and Gerhard, Modern Computer Algebra, 9.1).
 The form serves two jobs.  Equality of forms certifies that two
 generator sets span the same module, which keeps the enumerated codes
 distinct.  Reduction against a form decides membership
-(module_contains), and membership decides u-stability: the u-action is
+(_contains), and membership decides u-stability: the u-action is
 K-linear, so the span is u-stable iff the u-multiple of each generator
 lies in it (satisfies_u_closure).
 
@@ -235,21 +235,14 @@ def module_size(ctx: ChainCtx, form: CanonForm) -> int:
     return ctx.q ** ((ctx.e - t0) + (ctx.e - t1))
 
 
-def module_contains(ctx: ChainCtx, form: CanonForm, v: Vec2) -> bool:
-    """Whether v lies in the module whose canonical form is form.
+def _contains(ctx: ChainCtx, t0: int, t1: int, a: int, v0: int, v1: int) -> bool:
+    """Whether packed (v0, v1) lies in the module of canonical form
+    (t0, t1, a): f^t0 | v0 and f^t1 | v1 - (v0/f^t0)*a.
 
-    form must be canonical, as canonical_module_form returns it.
     v = (c*f^t0, b) is reduced by c times (f^t0, a); c is fixed only
     modulo f^(e-t0), and only in a canonical form does every choice
     leave the same remainder mod f^t1.
     """
-    F = ctx.field
-    t0, t1, a = form
-    return _contains(ctx, t0, t1, pr.pack(F, a), pr.pack(F, v[0]), pr.pack(F, v[1]))
-
-
-def _contains(ctx: ChainCtx, t0: int, t1: int, a: int, v0: int, v1: int) -> bool:
-    """module_contains on packed ints: f^t0 | v0 and f^t1 | v1 - (v0/f^t0)*a."""
     F, pows = ctx.field, ctx.packed_pows
     qfac, rem = pr.k_divmod(F, v0, pows[t0])
     return not rem and not pr.k_mod(F, v1 ^ pr.k_mul(F, qfac, a), pows[t1])

@@ -2,9 +2,10 @@
 
 A field element is a plain int whose bits are the coordinates in the
 polynomial basis {1, y, ..., y^(m-1)}: bit i is the coefficient of y^i.
-Addition is xor.  Multiplication reduces modulo an irreducible degree-m
-polynomial over GF(2), either through log/antilog tables (built eagerly
-for m <= 12) or by carry-less shift-and-reduce above that.
+Addition is xor.  Every m multiplies by carry-less shift-and-reduce
+modulo an irreducible degree-m polynomial over GF(2), inverts by the
+extended Euclidean algorithm on the same bit-ints, and raises to powers
+by square-and-multiply; no tables are built.
 
 The built-in reduction polynomials (bit i = coefficient of y^i):
 
@@ -50,10 +51,6 @@ _REDUCTION = {
     15: 0b1000000000000011,
     16: 0b10001000000001011,
 }
-
-# Log/antilog tables above this degree cost more memory than they save.
-_TABLE_LIMIT = 12
-
 
 def _factor_int(n: int) -> list[int]:
     """Distinct prime factors of n by trial division.
@@ -107,18 +104,14 @@ class GF2m:
         self.order = 1 << m
         # lane width of packed polynomials: 2m-1 bits in 8, 16 or 32
         self.lane = next(w for w in (8, 16, 32) if w >= 2 * m - 1)
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        if m <= _TABLE_LIMIT:
-            self._build_tables()
 
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, reduction={self.reduction:#x})"
 
-    # -- table construction -------------------------------------------
+    # -- ring operations ----------------------------------------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Carry-less multiply modulo the reduction polynomial."""
+    def mul(self, a: int, b: int) -> int:
+        """Product of two elements: carry-less shift-and-reduce."""
         p = 0
         top = 1 << self.m
         while b:
@@ -130,58 +123,19 @@ class GF2m:
                 a ^= self.reduction
         return p
 
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
-
-    def _find_generator(self) -> int:
-        n1 = self.order - 1
-        if n1 == 1:
-            return 1
-        primes = _factor_int(n1)
-        for g in range(2, self.order):
-            if all(self._pow_raw(g, n1 // p) != 1 for p in primes):
-                return g
-        raise ArithmeticError("no multiplicative generator found (reduction reducible?)")
-
-    def _build_tables(self) -> None:
-        n1 = self.order - 1
-        g = self._find_generator()
-        exp = [0] * (2 * n1 if n1 > 1 else 2)
-        log = [0] * self.order
-        v = 1
-        for i in range(n1):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_raw(v, g)
-        if v != 1:
-            raise ArithmeticError("generator order mismatch while building tables")
-        for i in range(n1, len(exp)):
-            exp[i] = exp[i - n1]
-        self._exp, self._log = exp, log
-
-    # -- ring operations ----------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        """Product of two elements."""
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
-
     def inv(self, a: int) -> int:
-        """Multiplicative inverse of a nonzero element."""
+        """Multiplicative inverse of a nonzero element, by the extended
+        Euclidean algorithm on bit-ints modulo the reduction polynomial."""
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(2^m)")
-        if self._exp is not None:
-            return self._exp[self.order - 1 - self._log[a]]
-        return self._pow_raw(a, self.order - 2)
+        r0, s0, r1, s1 = a, 1, self.reduction, 0  # r = s*a mod reduction in each row
+        while r0 != 1:
+            j = r0.bit_length() - r1.bit_length()
+            if j < 0:
+                r0, s0, r1, s1, j = r1, s1, r0, s0, -j
+            r0 ^= r1 << j
+            s0 ^= s1 << j
+        return s0
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square-and-multiply; negative e allowed for units."""
@@ -191,13 +145,14 @@ class GF2m:
             if e < 0:
                 raise ZeroDivisionError("zero has no inverse in GF(2^m)")
             return 0
-        n1 = self.order - 1
-        e %= n1 if n1 else 1
-        if e == 0:
-            return 1
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % n1]
-        return self._pow_raw(a, e)
+        e %= self.order - 1
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return r
 
     def trace(self, a: int) -> int:
         """Absolute trace a + a^2 + a^4 + ... + a^(2^(m-1)), 0 or 1."""
@@ -236,9 +191,6 @@ class GF2m:
         return r
 
     # -- iteration ------------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def nonzero_elements(self) -> range:
         return range(1, self.order)

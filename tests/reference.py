@@ -1,9 +1,10 @@
 """Reference implementations the tests check the package against.
 
-Each is written plainly and apart from the package's fast paths: the
-plain side's constants and ring operations on coefficient tuples, a
-code's two combined generators reduced mod M, the R-valued inner
-product of two words, the word ring's product, f-adic composition,
+Each is written plainly and apart from the package's fast paths: field
+arithmetic through log/antilog tables, the plain side's constants and
+ring operations on coefficient tuples, a code's two combined generators
+reduced mod M, the R-valued inner product of two words, the word ring's
+product, f-adic composition, membership in a canonical module form,
 brute-force walks of the submodules of K^2 over a chain ring K, the
 pivot-and-invert canonical module form, ideal closure through operator
 matrices with row-by-row elimination, and the greedy generator search.
@@ -13,8 +14,70 @@ import itertools
 
 from constacodes import polyring as pr
 from constacodes.ambient import bit_space, component_generators
-from constacodes.chainring import _valuation, c_mul, iter_h, pi_degree
+from constacodes.chainring import _contains, _valuation, c_mul, iter_h, pi_degree
 from constacodes.enumerator import chain_contexts
+from constacodes.gf2m import _factor_int
+
+
+# ----------------------------------------------------------------------
+# The field GF(2^m) through log/antilog tables
+# ----------------------------------------------------------------------
+
+class TableField:
+    """GF(2^m) modulo the packed reduction polynomial, multiplied and
+    inverted by lookup in log/antilog tables of a generator of the unit
+    group; the generator is searched for, since y itself need not be one."""
+
+    def __init__(self, m, reduction):
+        self.m, self.reduction, self.order = m, reduction, 1 << m
+        n1 = self.order - 1
+        g = next(g for g in range(1, self.order)
+                 if all(self._pow_plain(g, n1 // p) != 1 for p in _factor_int(n1)))
+        self.exp, self.log = [0] * (2 * n1), [0] * self.order
+        v = 1
+        for i in range(2 * n1):
+            self.exp[i] = v
+            self.log[v] = i % n1
+            v = self._mul_plain(v, g)
+
+    def _mul_plain(self, a, b):
+        """Schoolbook carry-less product, reduced once at the end."""
+        p = 0
+        for i in range(b.bit_length()):
+            if b >> i & 1:
+                p ^= a << i
+        for i in reversed(range(self.m, p.bit_length())):
+            if p >> i & 1:
+                p ^= self.reduction << (i - self.m)
+        return p
+
+    def _pow_plain(self, a, e):
+        r = 1
+        for _ in range(e):
+            r = self._mul_plain(r, a)
+        return r
+
+    def mul(self, a, b):
+        return self.exp[self.log[a] + self.log[b]] if a and b else 0
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("zero has no inverse")
+        return self.exp[(self.order - 1 - self.log[a]) % (self.order - 1)]
+
+    def pow(self, a, e):
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("zero has no inverse")
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % (self.order - 1)]
+
+    def sqrt(self, a):
+        """The b with b*b == a: half the log, modulo the odd group order."""
+        if a == 0:
+            return 0
+        n1 = self.order - 1
+        return self.exp[self.log[a] * pow(2, -1, n1) % n1] if n1 > 1 else 1
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +220,14 @@ def unit_inverse_by_xgcd(ctx, w):
         k = min(2 * k, ctx.e)
         x = pr.k_mod(F, pr.k_mul(F, w, pr.k_mul(F, x, x)), pows[k])
     return x
+
+
+def module_contains(ctx, form, v):
+    """Whether the pair of polynomials v lies in the module of canonical
+    form (t0, t1, a): chainring's packed test on unpacked inputs."""
+    F = ctx.field
+    t0, t1, a = form
+    return _contains(ctx, t0, t1, pr.pack(F, a), pr.pack(F, v[0]), pr.pack(F, v[1]))
 
 
 def canonical_module_form(ctx, gens):

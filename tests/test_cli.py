@@ -452,6 +452,12 @@ STDOUT_FINGERPRINTS = [
     # Digest from the exhaustive oracle that the lattice walk replaced.
     ("oracle --m 1 --n 1",
      "8989ae508b93ffbf3c84833dd397aff791afeb2c5ac99923e2a9440a87e8f61e"),
+    # A caller's reduction polynomial: 0x11b at m = 8 and 0b11111 at
+    # m = 4 are irreducible, but y does not generate their unit groups.
+    ("factor --m 8 --n 15 --reduction 0x11b",
+     "f7f406b21fe46c65eaff33daed523808bc525f54afc4248d71171da1f221befb"),
+    ("enumerate --m 4 --n 5 --reduction 0b11111 --limit 20 --with-generators",
+     "be3495c1ed7153c271ef7424552b0fea9db2f4641dfb7d813e0df0950efe7a34"),
     # --seed is accepted and ignored: each digest is that of the same
     # invocation without it, above.
     ("factor --m 4 --n 21 --seed 12345",

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from constacodes.gf2m import GF2m
 from constacodes.polyring import is_irreducible
+from reference import TableField
 
 F2 = GF2m(1)
 
@@ -66,8 +68,7 @@ def test_custom_reduction_accepted():
 
 @pytest.mark.parametrize("m, reduction", [(13, 0b10000000000001), (16, 0x10101)])
 def test_reducible_rejected_without_tables(m, reduction):
-    # y^13 + 1 = (y + 1)(...) and y^16 + y^8 + 1 = (y^8 + y^4 + 1)^2,
-    # above the degree that gets log tables.
+    # y^13 + 1 = (y + 1)(...) and y^16 + y^8 + 1 = (y^8 + y^4 + 1)^2.
     with pytest.raises(ValueError) as err:
         GF2m(m, reduction)
     assert str(err.value) == f"reduction polynomial {reduction:#b} is reducible over GF(2)"
@@ -75,13 +76,12 @@ def test_reducible_rejected_without_tables(m, reduction):
 
 @pytest.mark.parametrize("m, reduction, order", [(4, 0b11111, 5), (8, 0x11B, 51)])
 def test_irreducible_non_primitive_reduction(m, reduction, order):
-    # y has order below 2^m - 1, so the tables need a generator other
-    # than g = 2; they must still invert every unit and be a bijection.
+    # y has order below 2^m - 1, so y is not a generator of the unit
+    # group; every unit must still invert.
     F = GF2m(m, reduction)
     assert F.pow(2, order) == 1 and all(F.pow(2, e) != 1 for e in range(1, order))
     for a in F.nonzero_elements():
         assert F.mul(a, F.inv(a)) == 1
-    assert sorted(F._log[a] for a in F.nonzero_elements()) == list(range(F.order - 1))
 
 
 @pytest.mark.parametrize("m", range(1, 17))
@@ -103,21 +103,20 @@ def test_field_laws_random(m):
 
 
 @pytest.mark.parametrize("m", [13, 14, 16])
-def test_tableless_path_matches_raw(m):
+def test_inverse_and_unit_order_large_m(m):
+    # Above the reference tables' range: the inverse law and Lagrange.
     F = GF2m(m)
-    assert F._exp is None
     rng = random.Random(7)
     for _ in range(200):
         a = rng.randrange(1, F.order)
-        b = rng.randrange(1, F.order)
-        assert F.mul(a, b) == F._mul_raw(a, b)
         assert F.mul(a, F.inv(a)) == 1
+        assert F.pow(a, F.order - 1) == 1
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8])
 def test_frobenius_is_bijection(m):
     F = GF2m(m)
-    images = {F.mul(a, a) for a in F.elements()}
+    images = {F.mul(a, a) for a in range(F.order)}
     assert len(images) == F.order
 
 
@@ -136,10 +135,43 @@ def test_inv_zero_rejected():
 
 @pytest.mark.parametrize("m", [2, 3, 8, 12])
 def test_log_antilog_tables_consistent(m):
-    F = GF2m(m)
-    assert F._exp is not None
-    for a in F.nonzero_elements():
-        assert F._exp[F._log[a]] == a
+    # The reference tables the differential test reads: log is a
+    # bijection of the units onto 0 .. 2^m - 2, and antilog undoes it.
+    T = TableField(m, GF2m(m).reduction)
+    assert sorted(T.log[a] for a in range(1, T.order)) == list(range(T.order - 1))
+    for a in range(1, T.order):
+        assert T.exp[T.log[a]] == a
+
+
+@pytest.mark.parametrize("m, reduction", [(m, None) for m in range(1, 13)]
+                         + [(4, 0b11111), (8, 0x11B)])
+def test_arithmetic_matches_tables(m, reduction):
+    # Every pair for m <= 6 and the non-primitive reductions, where the
+    # tables' generator is not y; random pairs for the other m <= 12.
+    # Each pair (a, b) also checks a^e for e = b - 2^(m-1), so negative
+    # exponents are covered.
+    F = GF2m(m, reduction)
+    T = TableField(m, F.reduction)
+    if m <= 6 or reduction is not None:
+        pairs = itertools.product(range(F.order), repeat=2)
+    else:
+        rng = random.Random(31 + m)
+        pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(3000)]
+    half = F.order // 2
+    for a, b in pairs:
+        assert F.mul(a, b) == T.mul(a, b)
+        if a:
+            assert F.pow(a, b - half) == T.pow(a, b - half)
+    for a in range(F.order) if F.order <= 256 else random.Random(m).sample(range(F.order), 256):
+        assert F.sqrt(a) == T.sqrt(a)
+        assert F.pow(a, 0) == 1
+        if a:
+            assert F.inv(a) == T.inv(a)
+            for e in (1, F.order - 1, F.order, -1, -F.order, 3 * F.order + 5, -(10 ** 9)):
+                assert F.pow(a, e) == T.pow(a, e)
+    assert F.pow(0, 5) == 0
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)
 
 
 def test_sqrt_examples_and_property():
@@ -149,7 +181,7 @@ def test_sqrt_examples_and_property():
     assert F4.sqrt(2) == F4.mul(2, 2)
     for m in (2, 3, 4, 8):
         F = GF2m(m)
-        for a in F.elements():
+        for a in range(F.order):
             assert F.mul(F.sqrt(a), F.sqrt(a)) == a
 
 
@@ -185,10 +217,9 @@ def test_root_2k_rejects_zero():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 13])
 def test_trace(m):
-    # m=13 has no log tables, so its trace runs on the raw multiply.
     F = GF2m(m)
     rng = random.Random(71 + m)
-    elems = list(F.elements()) if m <= 3 else [rng.randrange(F.order) for _ in range(300)]
+    elems = list(range(F.order)) if m <= 3 else [rng.randrange(F.order) for _ in range(300)]
     for a in elems:
         b = rng.randrange(F.order)
         assert F.trace(a) in (0, 1)
