@@ -34,7 +34,10 @@ For oracle work a word is a GF(2) vector of D = m * 2*lam * N bits.
 An ideal is then an xor-closed set stable under three ring operations:
 multiply-by-x (the constacyclic shift), multiply-by-u, and (for m > 1)
 multiply by the field generator y, each a few int operations on the
-whole word.  Duals of ideals come from the GF(2) trace form, kept as a
+whole word.  They commute, so a closure closes under one at a time:
+under y, then u, then x, each pass taking every row found so far.  An
+invariance test takes an RREF basis as it is and eliminates any other
+first.  Duals of ideals come from the GF(2) trace form, kept as a
 Gram matrix.  brute_force_ideals walks up the ideal lattice from 0,
 from each ideal I to the closures of I + v for v outside I that u and
 x^n + delta_root map into I: the paper's identity u^2 = alpha^(-1) *
@@ -219,7 +222,7 @@ class Echelon:
     bit of v & piv."""
 
     def __init__(self, basis: tuple[int, ...] = ()) -> None:
-        self.rows = {b.bit_length() - 1: b for b in basis}
+        self.rows = {b.bit_length() - 1: b for b in basis if b}
         self.piv = sum(1 << lead for lead in self.rows)
 
     def reduce(self, v: int) -> int:
@@ -257,8 +260,8 @@ class BitSpace:
     The ring operations act on whole ints.  The twist, a w-digit int,
     is x^N; without one there is no multiply-by-x.  A subspace is an
     ideal when it is stable under ops: multiply-by-x if there is a
-    twist, multiply-by-u and, for m > 1, scaling by the field generator
-    y = 2.  form is the Gram matrix of the trace form."""
+    twist, multiply-by-u and, for m > 1, multiply-by-y, y = 2 the field
+    generator.  form is the Gram matrix of the trace form."""
 
     def __init__(self, F: GF2m, w: int, N: int, twist: int | None = None) -> None:
         m = self.m = F.m
@@ -273,8 +276,7 @@ class BitSpace:
         # of multiply-by-u^t, and d.
         self._twist = [(t * m, rep * ((1 << m * (w - t)) - 1), d) for t in range(w)
                        if (d := (twist or 0) >> t * m & ((1 << m) - 1))]
-        self.ops = ([self.mul_x] * (twist is not None) + [self.mul_u]
-                    + [lambda v: self.scale(v, 2)] * (m > 1))
+        self.ops = [self.mul_x] * (twist is not None) + [self.mul_u] + [self.mul_y] * (m > 1)
         # B(x, y) = Tr(top u-digit of <x, y>): coefficient i pairs only
         # with itself, u-digit t only with w-1-t, and field bit a with
         # field bit b through Tr(y^a * y^b).  Bit p of y is read at bit
@@ -293,6 +295,8 @@ class BitSpace:
         digit, moved to bit 0, times y^b * c fits in the digit, so the
         int products never carry between digits.  y^b * c is c doubled
         b times, reduced whenever bit m is set."""
+        if c == 1:
+            return v
         F, out = self.F, 0
         for b in range(self.m):
             out ^= (v >> b & self._ones) * c
@@ -300,6 +304,12 @@ class BitSpace:
             if c & F.order:
                 c ^= F.reduction
         return out
+
+    def mul_y(self, v: int) -> int:
+        """y * v: each digit moves up one bit, and a digit whose top bit
+        leaves it takes reduction - y^m in its place."""
+        top = v >> self.m - 1 & self._ones
+        return (v ^ top << self.m - 1) << 1 ^ top * (self.F.reduction ^ self.F.order)
 
     def mul_u(self, v: int) -> int:
         """u * v: the digits of each coefficient move up one, and its top
@@ -338,21 +348,29 @@ class BitSpace:
 
     def closure(self, seeds: Iterable[int], basis: tuple[int, ...] = ()) -> tuple[int, ...]:
         """RREF basis of the smallest ideal holding seeds and basis, the
-        RREF basis of an ideal: each new row's images under ops are
-        queued in turn."""
+        RREF basis of an ideal.  The ops commute, so closing a T-stable
+        space under T' keeps it T-stable (T T'^j v = T'^j T v): the seeds
+        are closed under one op at a time, last to first, each pass
+        pushing its op through every row added so far, those of basis
+        excepted.  The RREF basis of a space is unique."""
         ech = Echelon(basis)
-        stack = [v for v in seeds if v]
-        ops = self.ops
-        while stack:
-            v = ech.insert(stack.pop())
-            if v:
-                stack.extend(op(v) for op in ops)
+        new = [v for v in map(ech.insert, seeds) if v]
+        for op in reversed(self.ops):
+            for v in new:  # grows as it is walked
+                r = ech.insert(op(v))
+                if r:
+                    new.append(r)
         return ech.basis()
 
     def is_invariant(self, basis: tuple[int, ...]) -> bool:
         """Whether the span of basis is an ideal: every image of every
-        row under ops reduces to 0 against it."""
-        ech = Echelon(self.rref(basis))
+        row under ops reduces to 0 against it.  An RREF basis (distinct
+        leads, no row with a bit at another's lead) is used as it is;
+        any other is eliminated first."""
+        ech = Echelon(basis)
+        if len(ech.rows) < len(basis) or any(row & ech.piv != 1 << lead
+                                             for lead, row in ech.rows.items()):
+            ech = Echelon(self.rref(basis))
         return not any(ech.reduce(op(b)) for b in basis for op in self.ops)
 
     def colon(self, basis: tuple[int, ...], maps: list[list[int]]) -> list[int]:

@@ -111,7 +111,10 @@ class GF2m:
     # -- ring operations ----------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        """Product of two elements: carry-less shift-and-reduce."""
+        """Product of two elements: carry-less shift-and-reduce.  An
+        operand outside 0 .. 2^m - 1 raises ValueError."""
+        if not 0 <= a | b < self.order:  # a | b < 0 if either is negative
+            raise ValueError(f"operands {a}, {b} are not elements of GF(2^{self.m})")
         p = 0
         top = 1 << self.m
         while b:
@@ -125,7 +128,10 @@ class GF2m:
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero element, by the extended
-        Euclidean algorithm on bit-ints modulo the reduction polynomial."""
+        Euclidean algorithm on bit-ints modulo the reduction polynomial.
+        An int outside 0 .. 2^m - 1 raises ValueError."""
+        if not 0 <= a < self.order:
+            raise ValueError(f"{a} is not an element of GF(2^{self.m})")
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(2^m)")
         r0, s0, r1, s1 = a, 1, self.reduction, 0  # r = s*a mod reduction in each row

@@ -7,7 +7,8 @@ reduced mod M, the R-valued inner product of two words, the word ring's
 product, f-adic composition, membership in a canonical module form,
 brute-force walks of the submodules of K^2 over a chain ring K, the
 pivot-and-invert canonical module form, ideal closure through operator
-matrices with row-by-row elimination, and the greedy generator search.
+matrices with row-by-row elimination (multiply-by-y digit by digit
+through the tables), and the greedy generator search.
 """
 
 import itertools
@@ -312,10 +313,22 @@ def rref_insert(rows, v):
     return v
 
 
+def table_scale(field, bs, v, c):
+    """Every digit of the word v of bs times c, digit by digit, through
+    field, a TableField of the same reduction polynomial."""
+    mask = (1 << bs.m) - 1
+    return sum(field.mul(v >> i & mask, c) << i for i in range(0, bs.dim, bs.m))
+
+
 def matrix_closure(bs, seeds):
     """RREF basis of the smallest ideal holding seeds: every new row is
-    pushed through the matrices of the ring operations, column by column."""
-    mats = [bs.linearize(op) for op in bs.ops]
+    pushed through the matrices of the ring operations, column by column.
+    Multiply-by-x (if bs has it) and by u come from bs; multiply-by-y, for
+    m > 1, from table_scale."""
+    mats = [bs.linearize(op) for op in bs.ops if op != bs.mul_y]
+    if bs.m > 1:
+        field = TableField(bs.m, bs.F.reduction)
+        mats.append(bs.linearize(lambda v: table_scale(field, bs, v, 2)))
     rows = {}
     stack = [v for v in seeds if v]
     while stack:

@@ -11,8 +11,8 @@ from constacodes import polyring as pr
 from constacodes.factorizer import build_factor_data
 from constacodes.params import Params
 
-from reference import (amb_add, amb_mul, code_generators, greedy_generators, inner_product,
-                       matrix_closure, word_mul)
+from reference import (TableField, amb_add, amb_mul, code_generators, greedy_generators,
+                       inner_product, matrix_closure, table_scale, word_mul)
 
 
 def r_mul(F, a, b):
@@ -628,6 +628,75 @@ def test_closure_matches_matrix_reference(index):
         assert bs.is_invariant(want)
         # Seeds added to a closed basis.
         assert bs.closure(seeds[1:], matrix_closure(bs, seeds[:1])) == want
+
+
+@pytest.mark.parametrize("index", range(6), ids=["1-1-2-2", "2-1-2-2-2-3", "3-1-2-2", "twisted",
+                                                 "census-2-2", "census-3-3"])
+def test_ops_commute(index):
+    # closure closes under one op at a time, which is sound because the
+    # ring operations commute; so do the untwisted spaces of the census.
+    spaces = _closure_spaces() + [amb.BitSpace(GF2m(2), 2, 2), amb.BitSpace(GF2m(3), 3, 2)]
+    bs = spaces[index]
+    rng = random.Random(83 + index)
+    assert len(bs.ops) == (bs.m > 1) + 1 + (index < 4)
+    for _ in range(100):
+        v = rng.getrandbits(bs.dim)
+        for a, b in itertools.combinations(bs.ops, 2):
+            assert a(b(v)) == b(a(v))
+
+
+@pytest.mark.parametrize("m, reduction", [(2, None), (3, None), (4, None), (8, None),
+                                          (16, None), (8, 0x11B)])
+def test_mul_y_matches_table_field(m, reduction):
+    F = GF2m(m, reduction)
+    field = TableField(m, F.reduction)
+    rng = random.Random(89 + m)
+    for w, N in [(1, 1), (4, 2), (3, 5)]:
+        bs = amb.BitSpace(F, w, N)
+        ones = sum(1 << i for i in range(0, bs.dim, m))
+        for v in [0, (1 << bs.dim) - 1, ones << m - 1] + [rng.getrandbits(bs.dim)
+                                                         for _ in range(50)]:
+            assert bs.mul_y(v) == table_scale(field, bs, v, 2) == bs.scale(v, 2)
+
+
+def _rewritten(basis, rng):
+    """Bases of the span of an RREF basis that are not RREF: its rows
+    shuffled, one row xored into another, a row repeated, and a zero row
+    added."""
+    rows = list(basis)
+    rng.shuffle(rows)
+    mixed = list(basis)
+    i, j = rng.sample(range(len(basis)), 2)
+    mixed[i] ^= mixed[j]
+    return [tuple(rows), tuple(mixed), basis + (rng.choice(basis),), (0,) + basis]
+
+
+@pytest.mark.parametrize("point", [(1, 1, 2, 2, 1, 1), (2, 1, 2, 2, 2, 3)])
+def test_invariance_and_dual_on_bases_not_rref(point):
+    # is_invariant uses an RREF basis as it is and eliminates any other
+    # first; both must give the verdict and the dual of the RREF basis.
+    p = Params(*point)
+    fd = build_factor_data(p)
+    ctxs = en.chain_contexts(p, fd)
+    bs = amb.bit_space(p)
+    rng = random.Random(97 + p.m)
+    codes = list(itertools.islice(en.enumerate_codes(p, fd, ctxs), 400))
+    spans = [amb.code_bit_basis(p, fd, c, ctxs).basis for c in rng.sample(codes, 25)]
+    spans += [bs.rref(rng.getrandbits(bs.dim) for _ in range(rng.randint(2, 8)))
+              for _ in range(25)]
+    verdicts = []
+    for basis in [b for b in spans if len(b) > 1]:
+        verdicts.append(bs.is_invariant(basis))
+        dual = amb.dual_bit_basis(p, basis) if verdicts[-1] else None
+        for other in _rewritten(basis, rng):
+            assert bs.rref(other) == basis
+            assert bs.is_invariant(other) == verdicts[-1]
+            if dual is not None:
+                assert amb.dual_bit_basis(p, other) == dual
+            else:
+                with pytest.raises(ValueError):
+                    amb.dual_bit_basis(p, other)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_is_invariant_matches_closure(p1122, oracle_135):

@@ -452,6 +452,9 @@ STDOUT_FINGERPRINTS = [
     # Digest from the exhaustive oracle that the lattice walk replaced.
     ("oracle --m 1 --n 1",
      "8989ae508b93ffbf3c84833dd397aff791afeb2c5ac99923e2a9440a87e8f61e"),
+    # The only lattice walk at m > 1, where the ops include multiply-by-y.
+    ("oracle --m 2 --n 1",
+     "540a00108726b3d39b63fc1bd33ebe88a6c3bd5f048cfad7c9d1ec3e55023ee1"),
     # A caller's reduction polynomial: 0x11b at m = 8 and 0b11111 at
     # m = 4 are irreducible, but y does not generate their unit groups.
     ("factor --m 8 --n 15 --reduction 0x11b",

@@ -133,6 +133,22 @@ def test_inv_zero_rejected():
         F.inv(0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 16])
+def test_operands_outside_the_field_rejected(m):
+    # Without the check, a negative second operand kept mul's loop
+    # running forever (GF2m(2).mul(1, -1)), and so did inv of an
+    # unreduced int (GF2m(3).inv(GF2m(3).reduction)).
+    F = GF2m(m)
+    for a, b in [(1, -1), (-1, 1), (-F.order, 0), (F.order, 1), (1, F.order), (0, F.reduction)]:
+        with pytest.raises(ValueError):
+            F.mul(a, b)
+    for a in (-1, F.order, F.reduction, F.order << 3):
+        with pytest.raises(ValueError):
+            F.inv(a)
+    assert F.mul(F.order - 1, F.order - 1) == F.pow(F.order - 1, 2)
+    assert F.mul(F.order - 1, F.inv(F.order - 1)) == 1
+
+
 @pytest.mark.parametrize("m", [2, 3, 8, 12])
 def test_log_antilog_tables_consistent(m):
     # The reference tables the differential test reads: log is a
