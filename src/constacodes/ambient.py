@@ -2,9 +2,11 @@
 
 Two isomorphic pictures of the same ring are maintained:
 
-  * the "plain" side A + uA, where A = GF(2^m)[x]/<(x^n + d0)^(2^k*lam)>
-    and u^2 = alpha^(-1) * (x^n + d0)^(2^k); elements are pairs of
-    reduced polynomials (a0, a1) meaning a0 + u*a1;
+  * the "plain" side A + uA, where A = GF(2^m)[x]/<M>,
+    M = (x^n + d0)^(2^k*lam) = (x^N + delta)^lam, and
+    u^2 = alpha^(-1) * (x^n + d0)^(2^k) = alpha^(-1) * (x^N + delta),
+    squaring being additive; elements are pairs of reduced polynomials
+    (a0, a1) meaning a0 + u*a1;
 
   * the "word" side R[x]/<x^N - g>, N = 2^k * n, g = delta + alpha*u^2,
     over R = GF(2^m)[u]/<u^(2*lam)>.  A word is one int: field bit b of
@@ -22,7 +24,8 @@ lifts a whole chunk of N lanes at a time, into u-digit accumulators
 held in one int.  Those are GF(2)-linear in the parts, so a caller may
 lift a sum as the xor of its lifted terms.  flat_digits lays the
 accumulators out as flat u-digits, and psi_lift places those in the
-word.
+word.  psi_inverse runs the other way by Horner's rule in u^2, a
+binomial of degree N.
 
 By the CRT split a code is a sum of one ideal per factor, so its
 generators are its components' words eps_j * g, which
@@ -69,9 +72,11 @@ from .polyring import Poly
 AmbientElem = tuple[Poly, Poly]
 
 # The oracle paths refuse, before building anything, above these: the
-# GF(2) dimension of the word space, and the number of codewords.
+# GF(2) dimension of the word space, the number of codewords, and the
+# number of vectors of the submodule census.
 DEFAULT_ORACLE_DIM_CAP = 32
 DEFAULT_MAT_CAP = 1 << 24
+CENSUS_CAP = 1 << 14
 
 
 # ----------------------------------------------------------------------
@@ -83,35 +88,31 @@ _TABLES: weakref.WeakKeyDictionary[Params, dict] = weakref.WeakKeyDictionary()
 
 
 def _tables(params: Params) -> dict:
-    """Per-parameter tables: gamma_pows[l] = gamma^l for l < 2*lam, whose
-    u-digit 2j is zero for j > l and digit 2l is alpha^l for l < lam (the
-    structure map is triangular); lift, the tuple (rows, ones, span,
-    mask) of lift_digits: rows[l] holds a pair (t * span, planes) for
-    each nonzero digit t of gamma^l, planes being None if the digit is 1
-    and else its products with y^b, b < m; ones is 1 in each of N lanes,
-    span the bit width of N lanes and mask its ones; and the lazily
-    built BitSpace."""
+    """Per-parameter tables: lift, the tuple (rows, ones, span, mask) of
+    lift_digits: rows[l], l < 2*lam, holds a pair (t * span, planes) for
+    each nonzero u-digit t of gamma^l, planes being None if the digit is
+    1 and else its products with y^b, b < m; ones is 1 in each of N
+    lanes, span the bit width of N lanes and mask its ones; and the
+    lazily built BitSpace."""
     got = _TABLES.get(params)
     if got is not None:
         return got
     F = params.field
-    w = params.u_exp
-    # gamma^l = sum of binom(l, j) * delta^(l-j) * alpha^j * u^(2j), and
-    # binom(l, j) is odd exactly when j & l == j (Lucas).
-    pows = [[0] * w for _ in range(w)]
-    for l, gp in enumerate(pows):
-        for j in range(params.lam):
-            if j & l == j:
-                gp[2 * j] = F.mul(F.pow(params.delta, l - j), F.pow(params.alpha, j))
+
+    def planes(g: int) -> list[int] | None:
+        return None if g == 1 else [F.mul(g, 1 << b) for b in range(F.m)]
+
     span = params.length * F.lane
     mask = (1 << span) - 1
+    # gamma^l = sum of binom(l, j) * delta^(l-j) * alpha^j * u^(2j), and
+    # binom(l, j) is odd exactly when j & l == j (Lucas).
     rows = [
-        [(t * span, None if g == 1 else [F.mul(g, 1 << b) for b in range(F.m)])
-         for t, g in enumerate(gp) if g]
-        for gp in pows
+        [(2 * j * span, planes(F.mul(F.pow(params.delta, l - j), F.pow(params.alpha, j))))
+         for j in range(params.lam) if j & l == j]
+        for l in range(params.u_exp)
     ]
     ones = mask // ((1 << F.lane) - 1)
-    got = {"gamma_pows": pows, "lift": (rows, ones, span, mask), "bitspace": None}
+    got = {"lift": (rows, ones, span, mask), "bitspace": None}
     _TABLES[params] = got
     return got
 
@@ -184,31 +185,21 @@ def psi_lift(params: Params, amb: AmbientElem) -> int:
 
 
 def psi_inverse(params: Params, word: int) -> AmbientElem:
-    """Inverse of psi_lift by back-substitution.  Per coefficient, the
-    even u-digits carry the a0 chunks and the odd ones the a1 chunks,
-    through gamma^l, whose digit 2l is alpha^l and whose higher digits
-    are zero.  So from the top chunk down, chunk l is its digit times
-    alpha^(-l), and that multiple of gamma^l comes off the lower digits
-    of the same parity."""
+    """Inverse of psi_lift by Horner's rule.  On the plain side u^2 is
+    U = alpha^(-1) * (x^N + delta), so a word whose u-digit t of every
+    coefficient forms the polynomial D_t is a0 + u*a1 with
+    a0 = sum_j D_(2j) * U^j and a1 = sum_j D_(2j+1) * U^j.  Each D_t has
+    degree below N = deg U, so a partial sum over j < lam has degree
+    below lam*N = deg M and needs no reduction."""
     F = params.field
-    N, lam, m, w = params.length, params.lam, F.m, params.u_exp
-    pows = _tables(params)["gamma_pows"]
-    lead_inv = [F.inv(pows[l][2 * l]) for l in range(lam)]
+    N, m, w = params.length, F.m, params.u_exp
+    U = pr.pack(F, params.u_squared_poly)
     mask = (1 << m) - 1
-    xi = [0] * lam * N, [0] * lam * N
-    for i in range(N):
-        coeff = word >> i * w * m
-        for part, chunks in enumerate(xi):
-            digits = [coeff >> t * m & mask for t in range(part, w, 2)]
-            for l in reversed(range(lam)):
-                c = F.mul(digits[l], lead_inv[l])
-                if c:
-                    chunks[l * N + i] = c
-                    gp = pows[l]
-                    for j in range(l):
-                        if gp[2 * j]:
-                            digits[j] ^= F.mul(c, gp[2 * j])
-    return pr.normalize(xi[0]), pr.normalize(xi[1])
+    parts = [0, 0]
+    for t in reversed(range(w)):
+        digits = pr.pack(F, [word >> (i * w + t) * m & mask for i in range(N)])
+        parts[t & 1] = pr.k_mul(F, parts[t & 1], U) ^ digits
+    return pr.unpack(F, parts[0]), pr.unpack(F, parts[1])
 
 
 # ----------------------------------------------------------------------
@@ -496,13 +487,13 @@ def materialize_code(
     factor_data: FactorData,
     code: CodeDescriptor,
     ctxs: list[ChainCtx] | None = None,
-    cap: int = DEFAULT_MAT_CAP,
 ) -> set[int]:
-    """The full codeword set; refuses (never truncates) above the cap."""
+    """The full codeword set; refuses (never truncates) above
+    DEFAULT_MAT_CAP codewords."""
     predicted = code_size(params, factor_data, code)
-    if predicted > cap:
+    if predicted > DEFAULT_MAT_CAP:
         raise ValueError(
-            f"materialization of {predicted} codewords exceeds the cap of {cap}"
+            f"materialization of {predicted} codewords exceeds the cap of {DEFAULT_MAT_CAP}"
         )
     ideal = code_bit_basis(params, factor_data, code, ctxs)
     if ideal.size != predicted:
@@ -528,14 +519,12 @@ def _nilradical(params: Params) -> list:
     return [bs.mul_u, lambda v: bs.mul_x(v, params.n) ^ bs.scale(v, params.delta_root)]
 
 
-def brute_force_ideals(
-    params: Params, dim_cap: int = DEFAULT_ORACLE_DIM_CAP
-) -> list[IdealSet]:
+def brute_force_ideals(params: Params) -> list[IdealSet]:
     """Every ideal of the word ring, found without the enumeration:
     BitSpace.lattice walks with the generators of the nilradical."""
     dim = params.m * params.u_exp * params.length
-    if dim > dim_cap:
-        raise ValueError(f"oracle dimension {dim} exceeds the cap of {dim_cap}")
+    if dim > DEFAULT_ORACLE_DIM_CAP:
+        raise ValueError(f"oracle dimension {dim} exceeds the cap of {DEFAULT_ORACLE_DIM_CAP}")
     bs = bit_space(params)
     lattice = bs.lattice([bs.linearize(f) for f in _nilradical(params)])
     return [IdealSet(b) for b in sorted(lattice, key=lambda b: (len(b), b))]
@@ -602,14 +591,12 @@ def dual_bit_basis(params: Params, code_basis: tuple[int, ...]) -> tuple[int, ..
     return tuple(sorted(kernel.values(), reverse=True))
 
 
-def dual_code(
-    params: Params, codewords: Iterable[int], cap: int = DEFAULT_MAT_CAP
-) -> set[int]:
+def dual_code(params: Params, codewords: Iterable[int]) -> set[int]:
     """All words orthogonal to the given ideal, with the size law checked."""
     bs = bit_space(params)
     code_basis = bs.rref(codewords)
     dual_basis = dual_bit_basis(params, code_basis)
-    if (1 << len(dual_basis)) > cap:
+    if (1 << len(dual_basis)) > DEFAULT_MAT_CAP:
         raise ValueError("dual materialization exceeds the cap")
     if len(code_basis) + len(dual_basis) != bs.dim:
         raise ArithmeticError("duality size law |C|*|C_perp| = |R|^N failed")
@@ -620,12 +607,13 @@ def dual_code(
 # Generic rank-2 submodule census over a small chain ring (oracle)
 # ----------------------------------------------------------------------
 
-def brute_force_submodules(field: GF2m, e: int, cap: int = 1 << 14) -> list[tuple[int, ...]]:
+def brute_force_submodules(field: GF2m, e: int) -> list[tuple[int, ...]]:
     """RREF bases of all submodules of K^2, K = GF(q)[p]/<p^e>, walked by
     BitSpace.lattice: as words of 2 coefficients with e digits each, p
-    acts as the digit shift mul_u, and it generates the radical of K."""
+    acts as the digit shift mul_u, and it generates the radical of K.
+    Refuses above CENSUS_CAP vectors."""
     q = field.order
-    if q ** (2 * e) > cap:
+    if q ** (2 * e) > CENSUS_CAP:
         raise ValueError(f"submodule census over {q**(2*e)} vectors exceeds the cap")
     bs = BitSpace(field, e, 2)
     return bs.lattice([bs.linearize(bs.mul_u)])

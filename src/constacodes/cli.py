@@ -142,10 +142,14 @@ def _make_params(args) -> Params:
     if bits > bits_cap or bits * x > work_cap:
         raise ValueError(f"{args.cmd} over {bits_cap} bits or {work_cap} bit operations")
     if args.cmd == "selfdual":
-        codes = 1 + (1 << params.m) + (2 << 2 * params.m)
-        if codes * (16 * params.m if args.verify else 1) > SELFDUAL_CAP:
+        if _self_dual_count(params.m) * (16 * params.m if args.verify else 1) > SELFDUAL_CAP:
             raise ValueError(f"selfdual over {SELFDUAL_CAP} codes, or verified codes times 16m")
     return params
+
+
+def _self_dual_count(m: int) -> int:
+    """1 + 2^m + 2*4^m, the number of codes selfdual lists."""
+    return 1 + (1 << m) + (2 << 2 * m)
 
 
 def _open_out(args) -> ContextManager[IO[str]]:
@@ -160,6 +164,12 @@ def _open_out(args) -> ContextManager[IO[str]]:
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _write(args, params: Params, **body) -> None:
+    """One JSON document, schema and params first, to --out or stdout."""
+    with _open_out(args) as out:
+        out.write(_dump({"schema": SCHEMA, "params": params.as_dict(), **body}) + "\n")
 
 
 def _decimal(x: int, width: int = 0) -> str:
@@ -179,15 +189,10 @@ def _decimal(x: int, width: int = 0) -> str:
 def cmd_factor(args) -> int:
     params = _make_params(args)
     fd = build_factor_data(params)
-    doc = {
-        "schema": SCHEMA,
-        "params": params.as_dict(),
-        "factors": [{"degree": ent.degree, "coeffs": list(ent.f)} for ent in fd.entries],
-        "cofactors": [list(ent.cofactor) for ent in fd.entries],
-        "idempotents": [list(eps) for eps in fd.idempotents],
-    }
-    with _open_out(args) as out:
-        out.write(_dump(doc) + "\n")
+    _write(args, params,
+           factors=[{"degree": ent.degree, "coeffs": list(ent.f)} for ent in fd.entries],
+           cofactors=[list(ent.cofactor) for ent in fd.entries],
+           idempotents=[list(eps) for eps in fd.idempotents])
     return 0
 
 
@@ -200,18 +205,9 @@ def cmd_count(args) -> int:
     # on every factor, so the two totals are one product.
     counts = en.factor_counts(params, degrees)
     total = _decimal(math.prod(counts))
-    doc = {
-        "schema": SCHEMA,
-        "params": params.as_dict(),
-        "per_factor": [
-            {"degree": d, "count": _decimal(c)} for d, c in zip(degrees, counts)
-        ],
-        "count_sum_form": total,
-        "count_closed_form": total,
-        "count": total,
-    }
-    with _open_out(args) as out:
-        out.write(_dump(doc) + "\n")
+    _write(args, params,
+           per_factor=[{"degree": d, "count": _decimal(c)} for d, c in zip(degrees, counts)],
+           count_sum_form=total, count_closed_form=total, count=total)
     return 0
 
 
@@ -288,25 +284,15 @@ def cmd_oracle(args) -> int:
     missing = sorted(oracle_bases - enum_bases)
     extra = sorted(enum_bases - oracle_bases)
     status = "PASS" if not missing and not extra and len(enum_list) == len(oracle_bases) else "FAIL"
-    doc = {
-        "schema": SCHEMA,
-        "params": params.as_dict(),
-        "enumerated": len(enum_list),
-        "oracle": len(oracle_bases),
-        "status": status,
-        "missing": [[hex(r) for r in b] for b in missing],
-        "extra": [[hex(r) for r in b] for b in extra],
-        "ideals": [
-            {
-                "dim": i.dim,
-                "size": _decimal(i.size),
-                "generators": [hex(g) for g in amb.recover_generators(params, i)],
-            }
-            for i in ideals
-        ],
-    }
-    with _open_out(args) as out:
-        out.write(_dump(doc) + "\n")
+    _write(args, params,
+           enumerated=len(enum_list),
+           oracle=len(oracle_bases),
+           status=status,
+           missing=[[hex(r) for r in b] for b in missing],
+           extra=[[hex(r) for r in b] for b in extra],
+           ideals=[{"dim": i.dim, "size": _decimal(i.size),
+                    "generators": [hex(g) for g in amb.recover_generators(params, i)]}
+                   for i in ideals])
     return 0 if status == "PASS" else 1
 
 
@@ -318,29 +304,17 @@ def cmd_selfdual(args) -> int:
     entries = []
     all_ok = True
     for code in codes:
-        entry = {
-            "size": _decimal(en.code_size(params, fd, code)),
-            "components": [c.as_dict() for c in code.components],
-        }
+        entry = {"size": _decimal(en.code_size(params, fd, code)), **code.as_dict()}
         if args.verify:
             basis = amb.code_bit_basis(params, fd, code, ctxs).basis
             dual = amb.dual_bit_basis(params, basis)
             entry["self_dual"] = dual == basis
             all_ok = all_ok and entry["self_dual"]
         entries.append(entry)
-    expected = 1 + (1 << params.m) + 2 * (1 << (2 * params.m))
-    doc = {
-        "schema": SCHEMA,
-        "params": params.as_dict(),
-        "count": len(entries),
-        "expected_count": expected,
-        "verified": bool(args.verify),
-        "codes": entries,
-    }
-    status_ok = len(entries) == expected and all_ok
-    with _open_out(args) as out:
-        out.write(_dump(doc) + "\n")
-    return 0 if status_ok else 1
+    expected = _self_dual_count(params.m)
+    _write(args, params, count=len(entries), expected_count=expected,
+           verified=bool(args.verify), codes=entries)
+    return 0 if len(entries) == expected and all_ok else 1
 
 
 _DISPATCH = {

@@ -177,20 +177,17 @@ class GF2m:
     def root_2k(self, delta: int, k: int) -> int:
         """The unique nonzero r with r**(2**k) == delta.
 
-        Exists because x -> x^(2^k) permutes the multiplicative group of
-        odd order 2^m - 1; computed as delta**t with t the inverse of
-        2^k modulo 2^m - 1.
+        x -> x^2 permutes the field and m squarings are the identity, so
+        delta squared (-k mod m) times is r: r^(2^k) = delta^(2^j) with
+        j a multiple of m.
         """
         if delta == 0:
             raise ValueError("root_2k requires a nonzero element")
         if k < 1:
             raise ValueError("root_2k requires k >= 1")
-        n1 = self.order - 1
-        if n1 == 1:
-            r = 1
-        else:
-            tau = pow(pow(2, k, n1), -1, n1)
-            r = self.pow(delta, tau)
+        r = delta
+        for _ in range(-k % self.m):
+            r = self.mul(r, r)
         # x^(2^m) = x, so x^(2^k) = x^(2^(k mod m)) even for a huge k.
         if self.pow(r, 1 << (k % self.m)) != delta:
             raise ArithmeticError("root_2k postcondition failed")

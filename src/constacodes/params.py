@@ -89,14 +89,17 @@ class Params:
 
     @cached_property
     def a_modulus(self) -> Poly:
-        """(x^n + delta_root)^(2^k * lam), modulus of the big quotient ring."""
-        return pr.p_pow(self.field, self.base_poly, self.nilpotency)
+        """(x^n + delta_root)^(2^k * lam) = (x^N + delta)^lam, modulus of
+        the big quotient ring (squaring is additive in characteristic 2)."""
+        binomial = (self.delta,) + (0,) * (self.length - 1) + (1,)
+        return pr.p_pow(self.field, binomial, self.lam)
 
     @cached_property
     def u_squared_poly(self) -> Poly:
-        """alpha^(-1) * (x^n + delta_root)^(2^k), the value of u^2."""
+        """alpha^(-1) * (x^n + delta_root)^(2^k) = alpha^(-1) * (x^N + delta),
+        the value of u^2."""
         c = self.field.inv(self.alpha)
-        return pr.p_scale(self.field, pr.p_pow(self.field, self.base_poly, 1 << self.k), c)
+        return (self.field.mul(c, self.delta),) + (0,) * (self.length - 1) + (c,)
 
     def as_dict(self) -> dict:
         return {

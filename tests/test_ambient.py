@@ -97,6 +97,15 @@ def rand_amb(params, rng):
 # The structure map
 # ----------------------------------------------------------------------
 
+# (m, n, k, lam, delta, alpha): 8-bit lanes at m = 1, 2; 16 at m = 5;
+# 32 at m = 9, 16.
+LIFT_POINTS = [
+    (1, 1, 2, 2, 1, 1), (1, 5, 3, 3, 1, 1), (2, 3, 2, 4, 2, 3), (2, 5, 3, 2, 3, 2),
+    (5, 3, 2, 3, 7, 9), (5, 1, 3, 4, 19, 30), (9, 1, 2, 2, 300, 7),
+    (9, 3, 3, 3, 5, 411), (16, 1, 2, 4, 4097, 3), (16, 5, 2, 2, 40000, 12345),
+]
+
+
 def test_lift_of_one(p1122):
     assert amb.psi_lift(p1122, ((1,), ())) == 1
 
@@ -112,19 +121,45 @@ def test_lift_core_fourth_power_is_alpha_u_squared():
         assert got == want
 
 
+@pytest.mark.parametrize("mp", [
+    (1, 1, 2, 2, 1, 1), (2, 3, 3, 4, 2, 3), (5, 3, 2, 3, 7, 9),
+    (9, 1, 4, 2, 300, 7), (16, 3, 3, 5, 40000, 12345),
+])
+def test_plain_side_binomials_match_core_powers(mp):
+    # (x^n + delta_root)^(2^k) = x^N + delta, so u^2 and M are binomial
+    # expressions; here they are checked against the powers themselves.
+    p = Params(*mp)
+    F = p.field
+    core = pr.p_pow(F, p.base_poly, 1 << p.k)
+    assert p.u_squared_poly == pr.p_scale(F, core, F.inv(p.alpha))
+    assert p.a_modulus == pr.p_pow(F, p.base_poly, p.nilpotency)
+
+
 def test_inverse_of_u_squared(p1122):
     word = 0b0100  # u^2: digit 2 of coefficient 0
     xi = amb.psi_inverse(p1122, word)
     assert xi == (p1122.u_squared_poly, ())
     assert amb.psi_inverse(p1122, 0) == ((), ())
+    # Every single-digit word: c at digit t of coefficient i is c x^i u^t,
+    # and u^2 = alpha^(-1) * (x^n + delta_root)^(2^k).
+    for p in (p1122, Params(5, 1, 3, 4, 19, 30)):
+        F, m, w = p.field, p.m, p.u_exp
+        u2 = pr.p_scale(F, pr.p_pow(F, p.base_poly, 1 << p.k), F.inv(p.alpha))
+        for i in range(p.length):
+            for t in range(w):
+                part = pr.p_mul(F, (0,) * i + (1,), pr.p_pow(F, u2, t // 2))
+                for c in F.nonzero_elements():
+                    want = pr.p_scale(F, part, c)
+                    got = amb.psi_inverse(p, c << (i * w + t) * m)
+                    assert got == ((want, ()) if t % 2 == 0 else ((), want))
 
 
 @pytest.mark.parametrize("mp", [
     (1, 1, 2, 2, 1, 1), (1, 3, 2, 2, 1, 1), (2, 1, 2, 2, 1, 1),
-    # lam >= 4 with delta, alpha != 1: gamma^l has several nonzero digits,
-    # so psi_inverse's back-substitution runs through every chunk.
+    # lam >= 4 with delta, alpha != 1: psi_inverse's Horner sums run
+    # through every power of u^2 below lam.
     (3, 1, 2, 4, 5, 6), (2, 3, 3, 3, 2, 3), (4, 1, 2, 5, 7, 9),
-])
+] + LIFT_POINTS[1:])  # LIFT_POINTS[0] is the first point above
 def test_roundtrip_random(mp):
     p = Params(*mp)
     rng = random.Random(17)
@@ -213,15 +248,6 @@ def reference_lift(params, amb_elem):
     return tuple(tuple(coeff) for coeff in acc)
 
 
-# (m, n, k, lam, delta, alpha): 8-bit lanes at m = 1, 2; 16 at m = 5;
-# 32 at m = 9, 16.
-LIFT_POINTS = [
-    (1, 1, 2, 2, 1, 1), (1, 5, 3, 3, 1, 1), (2, 3, 2, 4, 2, 3), (2, 5, 3, 2, 3, 2),
-    (5, 3, 2, 3, 7, 9), (5, 1, 3, 4, 19, 30), (9, 1, 2, 2, 300, 7),
-    (9, 3, 3, 3, 5, 411), (16, 1, 2, 4, 4097, 3), (16, 5, 2, 2, 40000, 12345),
-]
-
-
 @pytest.mark.parametrize("mp", LIFT_POINTS)
 def test_lane_lift_matches_reference(mp):
     p = Params(*mp)
@@ -254,16 +280,11 @@ def test_lane_lift_matches_reference(mp):
 @pytest.mark.parametrize("mp", LIFT_POINTS)
 def test_word_ring_matches_tuple_reference(mp):
     # Each ring operation on int words against its tuple reference, on 0,
-    # 1, the all-ones word and random words; and the gamma^l table
-    # against repeated products.
+    # 1, the all-ones word and random words.
     p = Params(*mp)
     F, N, w = p.field, p.length, p.u_exp
     bs = amb.bit_space(p)
     gamma = gamma_digits(p)
-    pows = [(1,) + (0,) * (w - 1)]
-    while len(pows) < w:
-        pows.append(r_mul(F, pows[-1], gamma))
-    assert [tuple(gp) for gp in amb._tables(p)["gamma_pows"]] == pows
     rng = random.Random(str(mp))
     words = [0, 1, (1 << bs.dim) - 1, rng.getrandbits(bs.dim), rng.getrandbits(bs.dim)]
     scalars = {1, F.order - 1, rng.randrange(1, F.order)}
@@ -386,10 +407,11 @@ def test_materialize_family4_row(p1122, fd1122):
     assert len(words) == 1 << 15
 
 
-def test_materialize_cap_refusal(p1122, fd1122):
+def test_materialize_cap_refusal(p1122, fd1122, monkeypatch):
     full = en.CodeDescriptor((en.IdealDescriptor(1, 3, 0),))
+    monkeypatch.setattr(amb, "DEFAULT_MAT_CAP", 1 << 10)
     with pytest.raises(ValueError):
-        amb.materialize_code(p1122, fd1122, full, cap=1 << 10)
+        amb.materialize_code(p1122, fd1122, full)
 
 
 def test_materialized_codes_are_shift_closed(p1122, fd1122, ctx1122):
@@ -777,6 +799,7 @@ def test_census_small():
     assert len(amb.brute_force_submodules(GF2m(2), 2)) == 33
 
 
-def test_census_cap():
+def test_census_cap(monkeypatch):
+    monkeypatch.setattr(amb, "CENSUS_CAP", 1 << 10)
     with pytest.raises(ValueError):
-        amb.brute_force_submodules(GF2m(2), 4, cap=1 << 10)
+        amb.brute_force_submodules(GF2m(2), 4)

@@ -60,9 +60,10 @@ def test_count_submodules_values():
 @pytest.mark.parametrize(
     "m,e", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 4), (3, 3), (1, 8), (4, 2)]
 )
-def test_count_submodules_against_census(m, e):
+def test_count_submodules_against_census(m, e, monkeypatch):
     F = GF2m(m)
-    subs = brute_force_submodules(F, e, cap=F.order ** (2 * e))
+    monkeypatch.setattr(amb, "CENSUS_CAP", F.order ** (2 * e))
+    subs = brute_force_submodules(F, e)
     assert len(subs) == en.count_submodules_length2(F.order, e)
 
 

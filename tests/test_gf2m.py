@@ -220,10 +220,14 @@ def test_root_2k_examples():
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8])
 def test_root_2k_exhaustive(m):
     F = GF2m(m)
-    for k in (1, 2, 3):
+    # k = m, m + 1, ... wrap around the m squarings that are the identity.
+    for k in (1, 2, 3, m, m + 1, 2 * m + 3, 10**9 + 7):
         for delta in F.nonzero_elements():
             r = F.root_2k(delta, k)
-            assert F.pow(r, 1 << k) == delta
+            # 2^k reduced modulo the order of the unit group; a residue 0
+            # stands for 2^m - 1, so r = 0 still fails (0^0 would be 1)
+            e = pow(2, k, F.order - 1) or F.order - 1
+            assert F.pow(r, e) == delta
 
 
 def test_root_2k_rejects_zero():

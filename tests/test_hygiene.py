@@ -1,7 +1,7 @@
 """Source hygiene of the package, read with the standard library's ast:
-no import goes unused, no module-level private name is dead, and every
+no import goes unused, no module-level private name is dead, every
 public name is exported, traced by perfbench or used by the package or
-its demos."""
+its demos, and no module-global cache grows without bound."""
 
 import ast
 from pathlib import Path
@@ -94,3 +94,62 @@ def test_every_public_name_is_used():
               if name not in exported and name not in used
               and (module.removesuffix(".py"), qualname) not in traced]
     assert unused == []
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+GROWERS = {"append", "add", "update", "setdefault", "extend"}
+
+
+def module_containers(tree):
+    """The module-level names bound to a dict, list or set: a display, a
+    comprehension, or a dict(), list() or set() call."""
+    out = set()
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(value, CONTAINERS) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set")):
+            out.update(bound_names(node))
+    return out
+
+
+def called_name(node):
+    """The last name of a bare or dotted reference: cache, lru_cache."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def unbounded_cache(decorator):
+    """Whether a decorator is functools.cache or lru_cache(maxsize=None)."""
+    if not isinstance(decorator, ast.Call):
+        return called_name(decorator) == "cache"
+    sizes = decorator.args[:1] + [kw.value for kw in decorator.keywords if kw.arg == "maxsize"]
+    return called_name(decorator.func) == "lru_cache" and any(
+        isinstance(s, ast.Constant) and s.value is None for s in sizes)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_unbounded_module_caches(module):
+    # A module-level container is never written inside a function, and an
+    # unbounded memo decorates only a function without parameters, which
+    # holds one entry.
+    tree = TREES[module]
+    containers = module_containers(tree)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        if any(map(unbounded_cache, getattr(fn, "decorator_list", []))) and (
+                a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+            found.append((fn.name, "cache"))
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                target = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in GROWERS):
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in containers:
+                found.append((getattr(fn, "name", "lambda"), target.id))
+    assert found == []
