@@ -52,8 +52,7 @@ independent oracle; brute_force_submodules walks K^2 the same way.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import polyring as pr
 from .chainring import ChainCtx
@@ -419,8 +418,7 @@ def bit_space(params: Params) -> BitSpace:
     return tabs["bitspace"]
 
 
-@dataclass(frozen=True)
-class IdealSet:
+class IdealSet(NamedTuple):
     """An ideal of the word ring, identified by its RREF basis."""
 
     basis: tuple[int, ...]

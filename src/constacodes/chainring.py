@@ -53,7 +53,6 @@ number; nothing of size q is stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import xor
 from typing import Iterator
@@ -66,15 +65,13 @@ from .params import Params
 Vec2 = tuple[Poly, Poly]
 
 
-@dataclass(frozen=True)
 class ChainCtx:
-    field: GF2m
-    f: Poly
-    d: int
-    e: int
-    f_pows: tuple[Poly, ...]      # f^0 .. f^e
-    u2_unit: Poly | None = None   # the unit w with u^2 = w^2 * f^(2^k)
-    u_squared: Poly | None = None
+    def __init__(self, field: GF2m, f: Poly, d: int, e: int, f_pows: tuple[Poly, ...],
+                 u2_unit: Poly | None = None, u_squared: Poly | None = None) -> None:
+        self.field, self.f, self.d, self.e = field, f, d, e
+        self.f_pows = f_pows          # f^0 .. f^e
+        self.u2_unit = u2_unit        # the unit w with u^2 = w^2 * f^(2^k)
+        self.u_squared = u_squared
 
     @property
     def q(self) -> int:
@@ -98,7 +95,7 @@ def make_plain_ctx(field: GF2m, f: Poly, e: int) -> ChainCtx:
     pows = [pr.P_ONE]
     for _ in range(e):
         pows.append(pr.p_mul(field, pows[-1], f))
-    return ChainCtx(field=field, f=f, d=d, e=e, f_pows=tuple(pows))
+    return ChainCtx(field, f, d, e, tuple(pows))
 
 
 def make_chain_ctx(params: Params, f: Poly, cofactor: Poly) -> ChainCtx:
@@ -124,7 +121,7 @@ def make_chain_ctx(params: Params, f: Poly, cofactor: Poly) -> ChainCtx:
     expect = pr.p_mod(F, params.u_squared_poly, modulus)
     if u2 != expect:
         raise ArithmeticError("u^2 congruence failed; upstream factorization is broken")
-    return replace(base, u2_unit=w, u_squared=u2)
+    return ChainCtx(F, f, base.d, e, base.f_pows, w, u2)
 
 
 # ----------------------------------------------------------------------

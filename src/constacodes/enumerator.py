@@ -50,8 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import chainring as cr
 from . import polyring as pr
@@ -61,8 +60,7 @@ from .params import Params
 from .polyring import Poly
 
 
-@dataclass(frozen=True)
-class IdealDescriptor:
+class IdealDescriptor(NamedTuple):
     """One ideal of K + uK for a single factor index (1-based)."""
 
     factor: int
@@ -81,8 +79,7 @@ class IdealDescriptor:
         }
 
 
-@dataclass(frozen=True)
-class CodeDescriptor:
+class CodeDescriptor(NamedTuple):
     """One code: a choice of ideal descriptor per factor."""
 
     components: tuple[IdealDescriptor, ...]

@@ -36,8 +36,8 @@ So the degrees are the sizes of the cosets that partition that set
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .gf2m import GF2m, _factor_int
 from . import polyring as pr
@@ -142,19 +142,17 @@ def factor_degrees(F: GF2m, n: int, c: int) -> list[int]:
     return sorted(degrees)
 
 
-@dataclass(frozen=True)
-class FactorEntry:
+class FactorEntry(NamedTuple):
     f: Poly
     degree: int
     cofactor: Poly      # (x^n + delta_root) / f, exactly
 
 
-@dataclass(frozen=True)
 class FactorData:
     """The factors of the core polynomial; global split data on demand."""
 
-    params: Params
-    entries: tuple[FactorEntry, ...]
+    def __init__(self, params: Params, entries: tuple[FactorEntry, ...]) -> None:
+        self.params, self.entries = params, entries
 
     @property
     def r(self) -> int:
@@ -205,4 +203,4 @@ def build_factor_data(params: Params) -> FactorData:
         if rem:
             raise ArithmeticError(f"factor {f} does not divide the core polynomial")
         entries.append(FactorEntry(f, d, cof))
-    return FactorData(params=params, entries=tuple(entries))
+    return FactorData(params, tuple(entries))

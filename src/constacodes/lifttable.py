@@ -4,8 +4,6 @@ h, since the lift is affine in h inside a block."""
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import ambient as amb
 from . import enumerator as en
 from . import polyring as pr
@@ -38,7 +36,7 @@ class LiftTable:
         # Each lifted word: N coefficients of 2*lam u-digits.
         word = self.word = "[%s]" % ",".join(["[%s]" % ",".join(["%d"] * params.u_exp)]
                                              * params.length)
-        gens = amb.component_generators(params, fd, j, dataclasses.replace(desc, h=()), ctx)
+        gens = amb.component_generators(params, fd, j, desc._replace(h=()), ctx)
         self.base, *self.rest = [amb.lift_digits(params, g) for g in gens]
         self.tail = "".join("," + word % tuple(amb.flat_digits(params, acc)) for acc in self.rest)
         p = desc.s + (en.ideal_gap(params, desc.family, desc.s, desc.t) + 1) // 2

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -276,9 +275,8 @@ def test_failed_certificate_exit_1(monkeypatch, capsys):
     def corrupted(params):
         fd = real(params)
         first = fd.entries[0]
-        bad = dataclasses.replace(
-            first, cofactor=pr.p_add(params.field, first.cofactor, (0, 1, 1)))
-        return dataclasses.replace(fd, entries=(bad,) + fd.entries[1:])
+        bad = first._replace(cofactor=pr.p_add(params.field, first.cofactor, (0, 1, 1)))
+        return factorizer.FactorData(params, (bad,) + fd.entries[1:])
 
     monkeypatch.setattr(cli, "build_factor_data", corrupted)
     assert cli.main(["factor", "--m", "1", "--n", "7"]) == 1

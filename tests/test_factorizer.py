@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 import types
@@ -191,9 +190,9 @@ def test_certificate_rejects_corrupted_cofactor(corrupt):
     params = Params(1, 7, 2, 2, 1, 1)
     fd = build_factor_data(params)
     cofactors = corrupt(params.field, tuple(ent.cofactor for ent in fd.entries))
-    entries = tuple(dataclasses.replace(ent, cofactor=c) for ent, c in zip(fd.entries, cofactors))
+    entries = tuple(ent._replace(cofactor=c) for ent, c in zip(fd.entries, cofactors))
     with pytest.raises(ArithmeticError, match="idempotents do not sum to 1"):
-        dataclasses.replace(fd, entries=entries).idempotents
+        factorizer.FactorData(params, entries).idempotents
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Source hygiene of the package, read with the standard library's ast:
-no import goes unused, no module-level private name is dead, every
-public name is exported, traced by perfbench or used by the package or
-its demos, and no module-global cache grows without bound."""
+no import goes unused in the package, its tests or its demos, no
+module-level private name is dead, every public name is exported,
+traced by perfbench or used by the package or its demos, and no
+module-global cache grows without bound.  Importing the package and its
+CLI loads none of the standard library's heavy introspection modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "constacodes"
 TREES = {path.name: ast.parse(path.read_text(), str(path))
          for path in sorted(PACKAGE.glob("*.py"))}
-DEMOS = [ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / "demos").glob("*.py"))]
+# The tests and demos, by their path from the repo root.
+SCRIPTS = {f"{folder}/{path.name}": ast.parse(path.read_text(), str(path))
+           for folder in ("tests", "demos") for path in sorted((ROOT / folder).glob("*.py"))}
+DEMOS = [tree for name, tree in SCRIPTS.items() if name.startswith("demos/")]
 
 
 def literal(tree, name):
@@ -69,11 +77,25 @@ def public_definitions(body, prefix=""):
             yield from public_definitions(node.body, prefix + node.name + ".")
 
 
-@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}) + sorted(SCRIPTS))
 def test_every_import_is_used(module):
-    tree = TREES[module]
+    tree = (TREES | SCRIPTS)[module]
     used = references(tree)
     assert [name for name in imported_names(tree) if name not in used] == []
+
+
+# dataclasses pulls in inspect, which pulls in ast, dis and tokenize:
+# about a quarter of the package's cold import, paid by every CLI run.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_import_loads_no_introspection_modules():
+    # -S keeps site (and whatever .pth files it runs) out of the count.
+    code = ("import sys, constacodes, constacodes.cli; "
+            f"print(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_every_private_name_is_referenced():
