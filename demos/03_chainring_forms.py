@@ -14,7 +14,7 @@ from constacodes import chainring as cr
 from constacodes import polyring as pr
 
 F2 = GF2m(1)
-ctx = cr.make_plain_ctx(F2, (1, 1), 8)   # K = GF(2)[x]/<(x+1)^8>
+ctx = cr.ChainCtx(F2, (1, 1), 8)   # K = GF(2)[x]/<(x+1)^8>
 
 # Digit expansions: every element is sum b_i * f^i with digits below deg f.
 a = (0, 1, 1, 0, 1)   # x + x^2 + x^4

@@ -464,7 +464,7 @@ def code_ambient_generators(
     and not reduced mod M, as lift_digits takes them."""
     if ctxs is None:
         ctxs = chain_contexts(params, factor_data)
-    return [g for j, (ctx, desc) in enumerate(zip(ctxs, code.components))
+    return [g for j, (ctx, desc) in enumerate(zip(ctxs, code.components, strict=True))
             for g in component_generators(params, factor_data, j, desc, ctx)]
 
 

@@ -6,9 +6,10 @@ Every element has a unique f-adic digit expansion with digits of degree
 below d, and is a unit iff digit 0 is nonzero.  Elements are reduced
 polynomials (tuples); a rank-2 module vector is a pair of them.
 
-In the u-extension K + uK, u^2 = U = w^2 * f^(2^k) for the context's
-unit w, so u sends a0 + u*a1 to U*a1 + u*a0; make_chain_ctx checks U
-against the ring's u^2, and satisfies_u_closure needs nothing more.
+In the u-extension K + uK, u^2 = U = w^2 * f^(2^k) for a unit w, so u
+sends a0 + u*a1 to U*a1 + u*a0.  A context builds U, and w with its
+certificate, on first use: satisfies_u_closure needs U alone, and only
+the family-1 and family-6 generators (see enumerator) need w.
 
 canonical_module_form reduces any generating set of a K-submodule of
 K^2 to the invariants (t0, t1, a) that fix it (Howell, Lin. Multilin.
@@ -66,12 +67,23 @@ Vec2 = tuple[Poly, Poly]
 
 
 class ChainCtx:
-    def __init__(self, field: GF2m, f: Poly, d: int, e: int, f_pows: tuple[Poly, ...],
-                 u2_unit: Poly | None = None, u_squared: Poly | None = None) -> None:
+    """K = GF(2^m)[x]/<f^e> and f^0 .. f^e.  Given params and f's core
+    cofactor, it builds the u-extension on first use; without them,
+    reading the u-extension raises ValueError."""
+
+    def __init__(self, field: GF2m, f: Poly, e: int, params: Params | None = None,
+                 cofactor: Poly | None = None) -> None:
+        d = pr.deg(f)
+        if d < 1:
+            raise ValueError("f must be nonconstant")
+        if e < 1:
+            raise ValueError("e must be >= 1")
         self.field, self.f, self.d, self.e = field, f, d, e
-        self.f_pows = f_pows          # f^0 .. f^e
-        self.u2_unit = u2_unit        # the unit w with u^2 = w^2 * f^(2^k)
-        self.u_squared = u_squared
+        self.params, self.cofactor = params, cofactor
+        pows = [pr.P_ONE]
+        for _ in range(e):
+            pows.append(pr.p_mul(field, pows[-1], f))
+        self.f_pows = tuple(pows)
 
     @property
     def q(self) -> int:
@@ -84,44 +96,32 @@ class ChainCtx:
         F = self.field
         return tuple(pr.k_divisor(F, pr.pack(F, p)) for p in self.f_pows)
 
+    @cached_property
+    def u_squared(self) -> Poly:
+        """u^2 = alpha^(-1) * (x^N + delta) modulo f^e."""
+        if self.params is None:
+            raise ValueError("context carries no u-extension")
+        return pr.p_mod(self.field, self.params.u_squared_poly, self.f_pows[self.e])
 
-def make_plain_ctx(field: GF2m, f: Poly, e: int) -> ChainCtx:
-    """Chain ring context without the u-extension (no unit attached)."""
-    d = pr.deg(f)
-    if d < 1:
-        raise ValueError("f must be nonconstant")
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    pows = [pr.P_ONE]
-    for _ in range(e):
-        pows.append(pr.p_mul(field, pows[-1], f))
-    return ChainCtx(field, f, d, e, tuple(pows))
+    @cached_property
+    def u2_unit(self) -> Poly:
+        """w = alpha_root * cofactor^(2^(k-1)), certified: digit 0 is
+        nonzero and w^2 * f^(2^k) == u^2 mod f^e, or the factor data
+        upstream is inconsistent."""
+        u2, params, F = self.u_squared, self.params, self.field  # ValueError if no params
+        modulus = self.f_pows[self.e]
+        w = pr.p_powmod(F, self.cofactor, 1 << (params.k - 1), modulus)
+        w = pr.p_mod(F, pr.p_scale(F, w, params.alpha_root), modulus)
+        if not pr.p_mod(F, w, self.f):  # digit 0 of w vanishes
+            raise ArithmeticError("u^2 unit is not invertible; cofactor shares a root with f")
+        if pr.p_mod(F, pr.p_mul(F, pr.p_mul(F, w, w), self.f_pows[1 << params.k]), modulus) != u2:
+            raise ArithmeticError("u^2 congruence failed; upstream factorization is broken")
+        return w
 
 
 def make_chain_ctx(params: Params, f: Poly, cofactor: Poly) -> ChainCtx:
-    """Context for one irreducible factor f of the core polynomial.
-
-    Attaches the unit w = alpha_root * cofactor^(2^(k-1)) and checks
-    the defining congruence
-
-        w^2 * f^(2^k)  ==  alpha^(-1) * (x^n + delta_root)^(2^k)
-
-    modulo f^e.  A failure here means the factor data upstream is
-    inconsistent.
-    """
-    F = params.field
-    e = params.nilpotency
-    base = make_plain_ctx(F, f, e)
-    modulus = base.f_pows[e]
-    w = pr.p_powmod(F, cofactor, 1 << (params.k - 1), modulus)
-    w = pr.p_mod(F, pr.p_scale(F, w, params.alpha_root), modulus)
-    if not pr.p_mod(F, w, f):  # digit 0 of w vanishes
-        raise ArithmeticError("u^2 unit is not invertible; cofactor shares a root with f")
-    u2 = pr.p_mod(F, pr.p_mul(F, pr.p_mul(F, w, w), base.f_pows[1 << params.k]), modulus)
-    expect = pr.p_mod(F, params.u_squared_poly, modulus)
-    if u2 != expect:
-        raise ArithmeticError("u^2 congruence failed; upstream factorization is broken")
-    return ChainCtx(F, f, base.d, e, base.f_pows, w, u2)
+    """Context for one irreducible factor f of the core polynomial."""
+    return ChainCtx(params.field, f, params.nilpotency, params, cofactor)
 
 
 # ----------------------------------------------------------------------
@@ -254,8 +254,6 @@ def satisfies_u_closure(ctx: ChainCtx, gens) -> bool:
     generator g; each u*g = (u^2*a1, a0) is tested, on packed ints,
     against the one canonical form.
     """
-    if ctx.u_squared is None:
-        raise ValueError("context carries no u-extension")
     gens = list(gens)
     t0, t1, a = canonical_module_form(ctx, gens)
     F, modulus = ctx.field, ctx.packed_pows[ctx.e]

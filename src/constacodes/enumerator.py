@@ -210,7 +210,7 @@ def ideal_size(params: Params, d: int, desc: IdealDescriptor) -> int:
 
 def code_size(params: Params, factor_data: FactorData, code: CodeDescriptor) -> int:
     total = 1
-    for ent, desc in zip(factor_data.entries, code.components):
+    for ent, desc in zip(factor_data.entries, code.components, strict=True):
         total *= ideal_size(params, ent.degree, desc)
     return total
 
@@ -333,7 +333,7 @@ def list_self_dual_length4(params: Params) -> list[CodeDescriptor]:
             f"got n={params.n}, k={params.k}, lambda={params.lam}, delta={params.delta}"
         )
     # delta = 1 makes the core polynomial x + 1 itself: nothing to factor.
-    ctx = cr.make_plain_ctx(params.field, (1, 1), params.nilpotency)
+    ctx = cr.ChainCtx(params.field, (1, 1), params.nilpotency)
     q = ctx.q
     out = [IdealDescriptor(1, 3, 4, None, ())]
     out += [IdealDescriptor(1, 5, 3, 2, h) for h in iter_h(ctx, 1)]

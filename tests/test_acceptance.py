@@ -251,7 +251,7 @@ def test_criterion_6_structural_invariants():
             assert pr.p_mod(F, pr.p_mul(F, eps, eps), M) == eps
         assert pr.p_mod(F, total, M) == (1,)
 
-        ctxs = en.chain_contexts(params, fd)  # unit congruence asserted inside
+        ctxs = en.chain_contexts(params, fd)  # unit congruence asserted on first use of u2_unit
         for ent, ctx in zip(fd.entries, ctxs):
             lhs = cr.c_mul(ctx, cr.c_mul(ctx, ctx.u2_unit, ctx.u2_unit),
                            ctx.f_pows[1 << params.k])

@@ -414,6 +414,19 @@ def test_materialize_cap_refusal(p1122, fd1122, monkeypatch):
         amb.materialize_code(p1122, fd1122, full)
 
 
+def test_component_count_must_match_factors(p1322, fd1322, ctxs1322):
+    # (1,3) has two factors: a code with one or three components is
+    # malformed, and is neither sized nor lifted as if it had two.
+    calls = [lambda code: en.code_size(p1322, fd1322, code),
+             lambda code: amb.code_ambient_generators(p1322, fd1322, code, ctxs1322),
+             lambda code: amb.materialize_code(p1322, fd1322, code, ctxs1322)]
+    full = en.IdealDescriptor(1, 3, 0)
+    for components in [(full,), (full, full._replace(factor=2), full._replace(factor=3))]:
+        for call in calls:
+            with pytest.raises(ValueError, match="zip"):
+                call(en.CodeDescriptor(components))
+
+
 def test_materialized_codes_are_shift_closed(p1122, fd1122, ctx1122):
     bs = amb.bit_space(p1122)
     rng = random.Random(37)

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from constacodes.gf2m import GF2m
+from constacodes import ambient as amb
 from constacodes import chainring as cr
 from constacodes import enumerator as en
 from constacodes import polyring as pr
 from constacodes.factorizer import build_factor_data
+from constacodes.lifttable import LiftTable
 from constacodes.params import Params
 
 from reference import (adic_compose, canonical_module_form as reference_form, materialize_submodule,
@@ -22,7 +24,7 @@ FORM_FIELDS = [GF2m(m) for m in (1, 2, 3, 8, 16)] + [GF2m(8, 0x11B)]
 
 
 def plain8():
-    return cr.make_plain_ctx(F2, (1, 1), 8)
+    return cr.ChainCtx(F2, (1, 1), 8)
 
 
 def rand_elem(ctx, rng):
@@ -60,7 +62,7 @@ def test_non_unit_rejected():
     with pytest.raises(ZeroDivisionError):
         cr.c_inv(ctx, ())
     # the packed inverse refuses a non-unit too, at every precision
-    ctx = cr.make_plain_ctx(F2, (1, 1, 0, 1), 4)
+    ctx = cr.ChainCtx(F2, (1, 1, 0, 1), 4)
     for t in range(1, 5):
         with pytest.raises(ZeroDivisionError, match=r"element is not a unit \(digit 0 vanishes\)"):
             cr._unit_inverse(ctx, pr.pack(F2, ctx.f), t)
@@ -79,7 +81,7 @@ def _form_contexts(F):
     for d in (1, 2, 3):
         f = _irreducible(F, d, rng)
         for e in (1, 2, 3, 5, 8):
-            yield cr.make_plain_ctx(F, f, e)
+            yield cr.ChainCtx(F, f, e)
 
 
 @pytest.mark.parametrize("F", FORM_FIELDS, ids=repr)
@@ -111,7 +113,7 @@ def test_adic_expansion_examples():
 
 @pytest.mark.parametrize("field,f,e,seed", [(F2, (1, 1), 8, 5), (F2, (1, 1, 1), 6, 6), (F4, (2, 1), 5, 7)])
 def test_adic_roundtrip_random(field, f, e, seed):
-    ctx = cr.make_plain_ctx(field, f, e)
+    ctx = cr.ChainCtx(field, f, e)
     rng = random.Random(seed)
     for _ in range(1000):
         a = rand_elem(ctx, rng)
@@ -146,8 +148,8 @@ def test_pi_degree():
             assert cr.pi_degree(ctx, a) == s
     # the binary search against repeated division, at deg f = 1, 2 and
     # 3: every t in 0..e, f^(e-1) times a unit, and the zero element
-    for ctx in (plain8(), cr.make_plain_ctx(F2, (1, 1, 1), 5),
-                cr.make_plain_ctx(F2, (1, 1, 0, 1), 4), cr.make_plain_ctx(F4, (2, 1), 7)):
+    for ctx in (plain8(), cr.ChainCtx(F2, (1, 1, 1), 5),
+                cr.ChainCtx(F2, (1, 1, 0, 1), 4), cr.ChainCtx(F4, (2, 1), 7)):
         for t in range(ctx.e + 1):
             for _ in range(6):
                 a = cr.c_mul(ctx, ctx.f_pows[t], _unit(ctx, rng))
@@ -183,6 +185,61 @@ def test_unit_for_n3_factor():
     assert pr.p_mod(F2, pr.p_pow(F2, ctx.u_squared, params.lam), ctx.f_pows[ctx.e]) == pr.P_ZERO
 
 
+# The unit w = alpha_root * C^(2^(k-1)) of a degree-3 factor f at n = 7,
+# built from a corrupted cofactor C.  C -> f makes digit 0 of w vanish.
+# C -> C + f fails the congruence only at lam >= 3: (C + f)^(2^k) =
+# C^(2^k) + f^(2^k), so w^2 f^(2^k) gains f^(2^(k+1)), which is f^e, and
+# zero, at lam = 2.  C -> C + 1 fails it at lam = 2 as well.
+CORRUPTED_COFACTORS = [
+    pytest.param(3, lambda ent: ent.f, "u\\^2 unit is not invertible", id="f"),
+    pytest.param(3, lambda ent: pr.p_add(F2, ent.cofactor, ent.f), "u\\^2 congruence failed",
+                 id="cofactor+f"),
+    pytest.param(3, lambda ent: pr.p_add(F2, ent.cofactor, pr.P_ONE), "u\\^2 congruence failed",
+                 id="cofactor+1"),
+    pytest.param(2, lambda ent: pr.p_add(F2, ent.cofactor, pr.P_ONE), "u\\^2 congruence failed",
+                 id="cofactor+1-lam2"),
+]
+
+
+@pytest.mark.parametrize("lam, corrupt, message", CORRUPTED_COFACTORS)
+def test_unit_certificate_rejects_corrupted_cofactor(lam, corrupt, message):
+    params = Params(1, 7, 2, lam, 1, 1)
+    ent = next(e for e in build_factor_data(params).entries if e.degree == 3)
+    ctx = cr.make_chain_ctx(params, ent.f, corrupt(ent))  # builds no unit
+    with pytest.raises(ArithmeticError, match=message):
+        ctx.u2_unit
+
+
+def test_plain_context_has_no_u_extension():
+    ctx = cr.ChainCtx(F2, (1, 1), 4)
+    for read in (lambda: ctx.u_squared, lambda: ctx.u2_unit,
+                 lambda: cr.satisfies_u_closure(ctx, [((1,), ())])):
+        with pytest.raises(ValueError, match="context carries no u-extension"):
+            read()
+
+
+def test_code_stream_builds_no_unit():
+    params = Params(2, 7, 2, 2, 3, 2)
+    fd = build_factor_data(params)
+    ctxs = en.chain_contexts(params, fd)
+    codes = list(itertools.islice(en.enumerate_codes(params, fd, ctxs, start=12345), 500))
+    assert len(codes) == 500
+    assert all("u2_unit" not in vars(ctx) for ctx in ctxs)
+
+
+def test_lifting_generators_builds_the_unit():
+    # Family 1 at s = 0 has gap e > 2^k, so its generator holds w.
+    params = Params(1, 3, 2, 2, 1, 1)
+    fd = build_factor_data(params)
+    ctxs = en.chain_contexts(params, fd)
+    desc = en.IdealDescriptor(1, 1, 0)
+    LiftTable(params, fd, 0, desc, ctxs[0])
+    assert "u2_unit" in vars(ctxs[0]) and "u2_unit" not in vars(ctxs[1])
+    ctxs = en.chain_contexts(params, fd)
+    amb.code_bit_basis(params, fd, en.CodeDescriptor((desc, desc._replace(factor=2))), ctxs)
+    assert all("u2_unit" in vars(ctx) for ctx in ctxs)
+
+
 # ----------------------------------------------------------------------
 # Residue iterator
 # ----------------------------------------------------------------------
@@ -207,7 +264,7 @@ def digit_sum(ctx, counter, ell):
     (GF2m(8), (1, 1, 0, 1), 2), # d=3, q=2^24
 ])
 def test_iter_h_matches_digit_sum(field, f, ell):
-    ctx = cr.make_plain_ctx(field, f, 4)
+    ctx = cr.ChainCtx(field, f, 4)
     assert list(cr.iter_h(ctx, 0)) == [pr.P_ZERO]
     assert list(cr.iter_h(ctx, 0, 1)) == []
     q, size = ctx.q, ctx.q ** ell
@@ -242,7 +299,7 @@ def test_all_ideals_are_f_powers_d1():
 
 def test_ideal_sizes_d2_by_rank():
     # |<f^l>| = q^(e-l) read off as GF(2)-rank of the multiplication map
-    ctx = cr.make_plain_ctx(F2, (1, 1, 1), 8)
+    ctx = cr.ChainCtx(F2, (1, 1, 1), 8)
     nbits = ctx.d * ctx.e
     for l in range(9):
         rows = {}
@@ -402,7 +459,7 @@ def test_canonical_form_equality_matches_materialization():
     # the definitive oracle: form equality <=> element-set equality;
     # over GF(4) the units' leads need not be 1
     rng = random.Random(123)
-    for ctx in (cr.make_plain_ctx(F2, (1, 1), 6), cr.make_plain_ctx(F4, (2, 1), 3)):
+    for ctx in (cr.ChainCtx(F2, (1, 1), 6), cr.ChainCtx(F4, (2, 1), 3)):
         mods = [_random_shape_module(ctx, rng) for _ in range(28)]
         forms = [cr.canonical_module_form(ctx, rows) for rows in mods]
         sets = [materialize_submodule(ctx, rows) for rows in mods]
@@ -427,8 +484,8 @@ def test_module_contains_and_size():
     # deg f = 1 and deg f = 2 over GF(2), and deg f = 1 over GF(4),
     # where the units' leads need not be 1
     rng = random.Random(55)
-    for ctx in (plain8(), cr.make_plain_ctx(F2, (1, 1, 1), 3),
-                cr.make_plain_ctx(F4, (2, 1), 3)):
+    for ctx in (plain8(), cr.ChainCtx(F2, (1, 1, 1), 3),
+                cr.ChainCtx(F4, (2, 1), 3)):
         for _ in range(40):
             rows = _random_shape_module(ctx, rng)
             form = cr.canonical_module_form(ctx, rows)
@@ -443,7 +500,7 @@ def test_module_contains_and_size():
 
 def test_size_law_from_row_degrees():
     # for the echelon shapes the row pi-degrees determine the size
-    ctx = cr.make_plain_ctx(F2, (1, 1), 6)
+    ctx = cr.ChainCtx(F2, (1, 1), 6)
     rng = random.Random(99)
     for _ in range(60):
         rows = _random_shape_module(ctx, rng)

@@ -1,7 +1,8 @@
 """The package's records.  Descriptors, factor entries and ideal sets are
 immutable named tuples: equal, and hashed alike, when their fields are,
-with their defaults and their field-by-field reprs.  Chain contexts and
-factor data compute each cached member once per instance."""
+with their defaults and their field-by-field reprs.  Chain contexts
+(powers and u-extension) and factor data compute each cached member
+once per instance."""
 
 import pytest
 
@@ -64,6 +65,14 @@ def test_packed_pows_computed_once_per_context(point):
     first = [ctx.packed_pows for ctx in ctxs]
     assert all(ctx.packed_pows is pows for ctx, pows in zip(ctxs, first))
     assert first[0] is not first[1]
+
+
+def test_u_extension_computed_once_per_context(point):
+    _, ctxs = point
+    for name in ("u_squared", "u2_unit"):
+        first = [getattr(ctx, name) for ctx in ctxs]
+        assert all(getattr(ctx, name) is value for ctx, value in zip(ctxs, first))
+        assert first[0] is not first[1]
 
 
 def test_idempotents_computed_once_per_factor_data(point):
