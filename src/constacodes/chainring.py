@@ -27,8 +27,9 @@ w*a1 - (a0/f^t0)*g1.  Scaling a row by a unit keeps the span, so t1 is
 the least valuation of these second coordinates, found without an
 inverse.  Only a = w^-1 * g1 mod f^t1 needs one, so w is inverted only
 modulo f^t1, and not at all when t0 = e or t1 = 0: polyring.k_invmod
-inverts it modulo f, and Newton steps lift that to f^t1 (von zur
-Gathen and Gerhard, Modern Computer Algebra, 9.1).
+inverts it modulo f, and Newton steps lift that to f^t1, each with w
+reduced to the precision it reaches (von zur Gathen and Gerhard, Modern
+Computer Algebra, 9.1).
 
 The form serves two jobs.  Equality of forms certifies that two
 generator sets span the same module, which keeps the enumerated codes
@@ -40,8 +41,9 @@ lies in it (satisfies_u_closure).
 The certificate runs on packed ints (see polyring) from entry to
 verdict: the context carries f^0 .. f^e packed as divisors
 (packed_pows), the valuation pi_degree is the largest t with f^t | a,
-found by binary search over them, the form is computed on the packed
-rows, and each u-multiple is reduced against it without unpacking.
+found by a binary search whose every step divides only what the last
+one left, the form is computed on the packed rows, and each u-multiple
+is reduced against it without unpacking.
 
 iter_h is the one residue iterator: every walk over residues mod f^l
 (the ideal enumeration, the self-dual list and the tests' submodule
@@ -147,18 +149,22 @@ def c_inv(ctx: ChainCtx, a: Poly) -> Poly:
 
 def _unit_inverse(ctx: ChainCtx, w: int, t: int) -> int:
     """Inverse of a packed unit modulo f^t, 1 <= t <= e, lifted from f
-    as the module docstring says: x -> w*x^2 modulo f^(2k), capped at
-    f^t.  In characteristic 2, if w*x = 1 + h with f^k dividing h, then
-    w*(w*x^2) = (1 + h)^2 = 1 + h^2."""
+    as the module docstring says.  w is reduced down the ladder t,
+    ceil(t/2), .., 1, each rung from the one above, and the step up to
+    rung k is x -> w*x^2 mod f^k with w taken mod f^k.  In
+    characteristic 2, if w*x = 1 + h with f^j dividing h, then
+    w*(w*x^2) = (1 + h)^2 = 1 + h^2, and 2*ceil(k/2) >= k."""
     F, pows = ctx.field, ctx.packed_pows
-    x = pr.k_mod(F, w, pows[1])
+    rungs = [(t, pr.k_mod(F, w, pows[t]))]  # (k, w mod f^k)
+    while rungs[-1][0] > 1:
+        k = (rungs[-1][0] + 1) // 2
+        rungs.append((k, pr.k_mod(F, rungs[-1][1], pows[k])))
+    x = rungs.pop()[1]
     if not x:
         raise ZeroDivisionError("element is not a unit (digit 0 vanishes)")
     x = pr.k_invmod(F, x, pows[1])
-    k = 1
-    while k < t:
-        k = min(2 * k, t)
-        x = pr.k_mod(F, pr.k_mul(F, w, pr.k_sqr(F, x)), pows[k])
+    for k, wk in reversed(rungs):
+        x = pr.k_mod(F, pr.k_mul(F, wk, pr.k_sqr(F, x)), pows[k])
     return x
 
 
@@ -180,15 +186,19 @@ def pi_degree(ctx: ChainCtx, a: Poly) -> int:
 
 def _valuation(ctx: ChainCtx, a: int) -> int:
     """The largest t <= e with f^t dividing the packed element a, by
-    binary search: f^t divides a for every t up to it and none above."""
+    binary search on what is left: a = f^lo * b, and one division of b
+    by f^(mid-lo) either leaves no remainder, and b becomes the
+    quotient, or shows v(b) < mid-lo, and b becomes the remainder,
+    which agrees with b below that and so has its valuation."""
     F, pows = ctx.field, ctx.packed_pows
     lo, hi = 0, ctx.e
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if pr.k_mod(F, a, pows[mid]):
-            hi = mid - 1
+        q, r = pr.k_divmod(F, a, pows[mid - lo])
+        if r:
+            a, hi = r, mid - 1
         else:
-            lo = mid
+            a, lo = q, mid
     return lo
 
 

@@ -219,6 +219,10 @@ def cmd_enumerate(args) -> int:
     params = _make_params(args)
     fd = build_factor_data(params)
     ctxs = en.chain_contexts(params, fd)
+    if args.with_generators:  # run the certificates before any output
+        fd.idempotents
+        for ctx in ctxs:
+            ctx.u2_unit
     total = en.count_codes(params, fd)
     stream = en.enumerate_codes(params, fd, ctxs, start=args.offset)
     window = itertools.islice(stream, args.limit)

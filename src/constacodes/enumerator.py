@@ -298,7 +298,7 @@ def enumerate_codes(
     indices.reverse()
     streams = [
         enumerate_ideals(params, ctx, j, idx)
-        for j, (ctx, idx) in enumerate(zip(ctxs, indices), start=1)
+        for j, (ctx, idx) in enumerate(zip(ctxs, indices, strict=True), start=1)
     ]
     current = [next(stream) for stream in streams]
     while True:

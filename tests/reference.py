@@ -4,18 +4,19 @@ Each is written plainly and apart from the package's fast paths: field
 arithmetic through log/antilog tables, the plain side's constants and
 ring operations on coefficient tuples, a code's two combined generators
 reduced mod M, the R-valued inner product of two words, the word ring's
-product, f-adic composition, membership in a canonical module form,
-brute-force walks of the submodules of K^2 over a chain ring K, the
-pivot-and-invert canonical module form, ideal closure through operator
-matrices with row-by-row elimination (multiply-by-y digit by digit
-through the tables), and the greedy generator search.
+product, f-adic composition, the valuation by repeated division,
+membership in a canonical module form, brute-force walks of the
+submodules of K^2 over a chain ring K, the pivot-and-invert canonical
+module form, ideal closure through operator matrices with row-by-row
+elimination (multiply-by-y digit by digit through the tables), and the
+greedy generator search.
 """
 
 import itertools
 
 from constacodes import polyring as pr
 from constacodes.ambient import bit_space, component_generators
-from constacodes.chainring import _contains, _valuation, c_mul, iter_h, pi_degree
+from constacodes.chainring import _contains, c_mul, iter_h
 from constacodes.enumerator import chain_contexts
 from constacodes.gf2m import _factor_int
 
@@ -223,6 +224,18 @@ def unit_inverse_by_xgcd(ctx, w):
     return x
 
 
+def valuation_by_division(ctx, a):
+    """The largest t <= e with f^t dividing the polynomial a: divide by
+    f until a remainder."""
+    t = 0
+    while t < ctx.e:
+        a, rem = pr.p_divmod(ctx.field, a, ctx.f)
+        if rem:
+            break
+        t += 1
+    return t
+
+
 def module_contains(ctx, form, v):
     """Whether the pair of polynomials v lies in the module of canonical
     form (t0, t1, a): chainring's packed test on unpacked inputs."""
@@ -240,7 +253,7 @@ def canonical_module_form(ctx, gens):
     modulus = pows[e]
 
     # Pivot for column 0: smallest pi-degree among first coordinates.
-    degs = [_valuation(ctx, g0) for g0, _ in rows]
+    degs = [valuation_by_division(ctx, pr.unpack(F, g0)) for g0, _ in rows]
     t0 = min(degs, default=e)
     second_gens = []
     lead = 0
@@ -255,7 +268,7 @@ def canonical_module_form(ctx, gens):
         qfac = pr.k_divmod(F, a0, pows[t0])[0]  # exact by minimality of t0
         second_gens.append(a1 ^ pr.k_mod(F, pr.k_mul(F, qfac, lead), modulus))
 
-    t1 = min((_valuation(ctx, b) for b in second_gens), default=e)
+    t1 = min((valuation_by_division(ctx, pr.unpack(F, b)) for b in second_gens), default=e)
     return t0, t1, pr.unpack(F, pr.k_mod(F, lead, pows[t1]))
 
 
@@ -278,7 +291,7 @@ def enumerate_all_submodules(ctx):
                 yield (t0, t1, pr.P_ZERO), kernel
                 continue
             for a in iter_h(ctx, t1):
-                if a and t1 > e - t0 + pi_degree(ctx, a):
+                if a and t1 > e - t0 + valuation_by_division(ctx, a):
                     continue
                 yield (t0, t1, a), [(ctx.f_pows[t0], a), *kernel]
 

@@ -285,6 +285,35 @@ def test_failed_certificate_exit_1(monkeypatch, capsys):
     assert captured.err.startswith("error: idempotents do not sum to 1")
 
 
+# A corrupted first cofactor at (1,7): C + x + x^2 breaks the idempotent
+# sum; C + (x^7 + 1) = C*(1 + f) keeps it mod x^7 + 1 and breaks the u^2
+# congruence by w^2 * f^(2^(k+1)), which is nonzero mod f^e at lam = 3.
+@pytest.mark.parametrize("lam, corrupt, message", [
+    (2, lambda F, ent, base: pr.p_add(F, ent.cofactor, (0, 1, 1)), "idempotents do not sum to 1"),
+    (3, lambda F, ent, base: pr.p_add(F, ent.cofactor, base), "u^2 congruence failed"),
+])
+def test_enumerate_with_generators_certifies_before_output(monkeypatch, capsys, tmp_path,
+                                                           lam, corrupt, message):
+    real = cli.build_factor_data
+
+    def corrupted(params):
+        fd = real(params)
+        first = fd.entries[0]
+        bad = first._replace(cofactor=corrupt(params.field, first, params.base_poly))
+        return factorizer.FactorData(params, (bad,) + fd.entries[1:])
+
+    monkeypatch.setattr(cli, "build_factor_data", corrupted)
+    argv = ["enumerate", "--m", "1", "--n", "7", "--lambda", str(lam), "--limit", "3",
+            "--with-generators"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+    out = tmp_path / "codes.json"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_failed_alpha_root_certificate_exit_1(monkeypatch, capsys):
     real = GF2m.sqrt
     monkeypatch.setattr(GF2m, "sqrt", lambda self, a: real(self, a) ^ 1)

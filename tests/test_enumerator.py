@@ -341,6 +341,14 @@ def test_enumerate_codes_seek_is_mixed_radix():
         assert list(window) == expected, i
 
 
+def test_enumerate_codes_needs_one_context_per_factor(p1322, fd1322, ctxs1322):
+    # a short context list would drop the factors it misses
+    yielded = []
+    with pytest.raises(ValueError):
+        yielded.extend(en.enumerate_codes(p1322, fd1322, ctxs1322[:1]))
+    assert yielded == []
+
+
 def test_negative_start_rejected(p1322, fd1322, ctxs1322):
     with pytest.raises(ValueError):
         next(en.enumerate_codes(p1322, fd1322, ctxs1322, -1))

@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with the standard library's ast:
 no import goes unused in the package, its tests or its demos, no
 module-level private name is dead, every public name is exported,
-traced by perfbench or used by the package or its demos, and no
+traced by perfbench or used by the package or its demos (a method name
+that several classes define, on a receiver of its own class), and no
 module-global cache grows without bound.  Importing the package and its
 CLI loads none of the standard library's heavy introspection modules."""
 
@@ -9,6 +10,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -105,15 +107,97 @@ def test_every_private_name_is_referenced():
     assert dead == []
 
 
+# A method name defined on more than one class (a namesake) counts as
+# used only where the receiver's class can be read from the code: self
+# in the class's own methods, a constructor or function call, a
+# parameter, a variable bound to one of these, a class attribute, or an
+# element of a container annotated with the class.
+CLASSES = {node.name: node for tree in TREES.values() for node in ast.walk(tree)
+           if isinstance(node, ast.ClassDef)}
+RETURNS = {node.name: node.returns for tree in TREES.values() for node in tree.body
+           if isinstance(node, ast.FunctionDef) and node.returns}
+FIELDS = {(cls, node.target.id): node.annotation for cls, c in CLASSES.items()
+          for node in c.body if isinstance(node, ast.AnnAssign)}
+
+
+def class_of(ann):
+    """The package class an annotation names: C, mod.C, "C" or C | None."""
+    if isinstance(ann, ast.BinOp):
+        return class_of(ann.left) or class_of(ann.right)
+    name = ann.value if isinstance(ann, ast.Constant) else called_name(ann)
+    return name if name in CLASSES else None
+
+
+def element_of(ann):
+    """The element annotation of list[C], tuple[C, ...], Iterator[C] and the like."""
+    if not isinstance(ann, ast.Subscript):
+        return None
+    return ann.slice.elts[0] if isinstance(ann.slice, ast.Tuple) else ann.slice
+
+
+def annotation_of(expr, env):
+    """The annotation of an expression's value, where the code gives it."""
+    if isinstance(expr, ast.Name):
+        return env.get(expr.id)
+    if isinstance(expr, ast.Call):
+        name = called_name(expr.func)
+        return ast.Name(name) if name in CLASSES else RETURNS.get(name)
+    if isinstance(expr, ast.Attribute):
+        return FIELDS.get((class_of(annotation_of(expr.value, env)), expr.attr))
+    return None
+
+
+def scopes(tree):
+    """(statements, class) of the module's top level and of each function
+    and method; a nested function shares its parent's scope."""
+    yield [n for n in tree.body if not isinstance(n, (ast.FunctionDef, ast.ClassDef))], None
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield [node], None
+        elif isinstance(node, ast.ClassDef):
+            yield from (([fn], node.name) for fn in node.body if isinstance(fn, ast.FunctionDef))
+
+
+def class_uses(tree):
+    """(class, attribute) of every attribute read whose receiver's class
+    the code gives."""
+    out = set()
+    for statements, cls in scopes(tree):
+        nodes = [n for s in statements for n in ast.walk(s)]
+        env = {"self": ast.Name(cls)} if cls else {}
+        for _ in range(2):  # a binding may read one bound later in the walk
+            for node in nodes:
+                if isinstance(node, ast.arg) and node.annotation:
+                    env[node.arg] = node.annotation
+                elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                    env[node.targets[0].id] = annotation_of(node.value, env)
+                elif (isinstance(node, (ast.For, ast.comprehension))
+                      and isinstance(node.target, ast.Name)):
+                    env[node.target.id] = element_of(annotation_of(node.iter, env))
+        out.update((class_of(annotation_of(n.value, env)), n.attr)
+                   for n in nodes if isinstance(n, ast.Attribute))
+    return out
+
+
 def test_every_public_name_is_used():
     exported = set(literal(TREES["__init__.py"], "__all__"))
     tracer = ROOT / "perfbench" / "tracer.py"
     traced = {(module, qualname) for _, module, qualname, _ in
               literal(ast.parse(tracer.read_text(), str(tracer)), "TARGETS")}
-    used = set().union(*map(references, [*TREES.values(), *DEMOS]))
-    unused = [(module, qualname) for module, tree in TREES.items() if module != "__init__.py"
-              for qualname, name in public_definitions(tree.body)
-              if name not in exported and name not in used
+    trees = [*TREES.values(), *DEMOS]
+    used = set().union(*map(references, trees))
+    tied = set().union(*map(class_uses, trees))
+    definitions = [(module, qualname, name) for module, tree in TREES.items()
+                   if module != "__init__.py" for qualname, name in public_definitions(tree.body)]
+    owners = Counter(name for _, qualname, name in definitions if "." in qualname)
+
+    def is_used(qualname, name):
+        if owners[name] > 1:  # a namesake: its own class must be read
+            return (qualname.split(".")[-2], name) in tied
+        return name in used
+
+    unused = [(module, qualname) for module, qualname, name in definitions
+              if name not in exported and not is_used(qualname, name)
               and (module.removesuffix(".py"), qualname) not in traced]
     assert unused == []
 
