@@ -18,14 +18,14 @@ Two isomorphic pictures of the same ring are maintained:
 psi_lift / psi_inverse realize the structure map between the sides; it
 is linear by construction and its multiplicativity is property-tested,
 not assumed.  It is the ring map x -> x, u -> u from GF(2^m)[x], which
-sends M = (x^N + delta)^lam to (alpha*u^2)^lam = 0, so lift_digits, the
-one lift, takes packed parts whether or not they are reduced mod M and
-lifts a whole chunk of N lanes at a time, into u-digit accumulators
-held in one int.  Those are GF(2)-linear in the parts, so a caller may
-lift a sum as the xor of its lifted terms.  flat_digits lays the
-accumulators out as flat u-digits, and psi_lift places those in the
-word.  psi_inverse runs the other way by Horner's rule in u^2, a
-binomial of degree N.
+sends x^N to gamma and M = (x^N + delta)^lam to (alpha*u^2)^lam = 0, so
+lift_digits, the one lift, takes packed parts of any degree, reduced mod
+M or not, and lifts each by Horner's rule in gamma, a chunk of N lanes
+at a time, into u-digit accumulators held in one int.  Those are
+GF(2)-linear in the parts, so a caller may lift a sum as the xor of its
+lifted terms.  flat_digits lays the accumulators out as flat u-digits,
+and psi_lift places those in the word.  psi_inverse runs the other way
+by Horner's rule in u^2, a binomial of degree N.
 
 By the CRT split a code is a sum of one ideal per factor, so its
 generators are its components' words eps_j * g, which
@@ -79,82 +79,54 @@ CENSUS_CAP = 1 << 14
 
 
 # ----------------------------------------------------------------------
-# Per-parameter cached tables
-# ----------------------------------------------------------------------
-
-# Keyed by the Params instance, so the tables live and die with it.
-_TABLES: weakref.WeakKeyDictionary[Params, dict] = weakref.WeakKeyDictionary()
-
-
-def _tables(params: Params) -> dict:
-    """Per-parameter tables: lift, the tuple (rows, ones, span, mask) of
-    lift_digits: rows[l], l < 2*lam, holds a pair (t * span, planes) for
-    each nonzero u-digit t of gamma^l, planes being None if the digit is
-    1 and else its products with y^b, b < m; ones is 1 in each of N
-    lanes, span the bit width of N lanes and mask its ones; and the
-    lazily built BitSpace."""
-    got = _TABLES.get(params)
-    if got is not None:
-        return got
-    F = params.field
-
-    def planes(g: int) -> list[int] | None:
-        return None if g == 1 else [F.mul(g, 1 << b) for b in range(F.m)]
-
-    span = params.length * F.lane
-    mask = (1 << span) - 1
-    # gamma^l = sum of binom(l, j) * delta^(l-j) * alpha^j * u^(2j), and
-    # binom(l, j) is odd exactly when j & l == j (Lucas).
-    rows = [
-        [(2 * j * span, planes(F.mul(F.pow(params.delta, l - j), F.pow(params.alpha, j))))
-         for j in range(params.lam) if j & l == j]
-        for l in range(params.u_exp)
-    ]
-    ones = mask // ((1 << F.lane) - 1)
-    got = {"lift": (rows, ones, span, mask), "bitspace": None}
-    _TABLES[params] = got
-    return got
-
-
-# ----------------------------------------------------------------------
 # The structure map between the two sides
 # ----------------------------------------------------------------------
+
+def _scale(F: GF2m, v: int, c: int, ones: int) -> int:
+    """Every digit of v times the field element c, each digit in a slot
+    of at least m bits whose bit 0 is set in ones.  Bit b of each digit,
+    moved to bit 0, times y^b * c fits in the slot, so the int products
+    never carry between slots.  y^b * c is c doubled b times, reduced
+    whenever bit m is set."""
+    if c == 1:
+        return v
+    out = 0
+    for b in range(F.m):
+        out ^= (v >> b & ones) * c
+        c <<= 1
+        if c & F.order:
+            c ^= F.reduction
+    return out
+
 
 def lift_digits(params: Params, parts: tuple[int, int]) -> int:
     """psi(a0 + u*a1) from the packed a0 and a1, as its u-digit
     accumulators in one int: digit t of coefficient i in lane t*N + i.
 
-    The parts need not be reduced mod M, since psi(M) = 0, but must be
-    below degree 2 * deg M = 2*lam*N, as a product of two reduced
-    polynomials is: chunk l < 2*lam lands on gamma^l, and digits at or
-    above 2*lam drop out with u^(2*lam) = 0.  a1 is lifted first and
-    moved up one digit, u*a1.
+    x^N lifts to gamma = delta + alpha*u^2, so a0 + u*a1, whose chunks
+    of N lanes are c_l = a0_l + u*a1_l, lifts to sum c_l * gamma^l, by
+    Horner's rule from the top chunk down: the accumulators are scaled
+    by delta, xored with themselves two digits up scaled by alpha, cut
+    at u^(2*lam) = 0, and xored with the next chunk, a1's part one digit
+    up.  Parts of any degree lift, reduced mod M or not, since
+    psi(M) = 0.
 
-    A chunk is scaled by a digit g plane by plane: bit b of every lane,
-    moved to bit 0, times the field element y^b * g.  Each lane then
-    holds 0 or y^b * g, which fits in it, so the int products never
-    carry between lanes and need no fold.  Every step is an xor, a
-    shift or such a product, so the accumulators are GF(2)-linear in
-    the parts: the lift of a xor b is the xor of the lifts.  Each digit
-    of a word is one field element, so equal words have equal
-    accumulators, however their parts were reduced.
+    Every step is an xor, a shift, a cut or a scaling by a constant, so
+    the accumulators are GF(2)-linear in the parts: the lift of a xor b
+    is the xor of the lifts.  Each digit of a word is one field element,
+    so equal words have equal accumulators, however their parts were
+    reduced.
     """
-    rows, ones, span, mask = _tables(params)["lift"]
+    F, delta, alpha = params.field, params.delta, params.alpha
+    span = params.length * F.lane
+    mask, top = (1 << span) - 1, (1 << params.u_exp * span) - 1
+    ones = top // ((1 << F.lane) - 1)
+    a0, a1 = parts
     acc = 0
-    for part in reversed(parts):
-        acc <<= span
-        l = 0
-        while part:
-            chunk = part & mask
-            for shift, planes in rows[l]:
-                if planes is None:  # the digit is 1
-                    acc ^= chunk << shift
-                else:
-                    for b, c in enumerate(planes):
-                        acc ^= (chunk >> b & ones) * c << shift
-            part >>= span
-            l += 1
-    return acc & ((1 << params.u_exp * span) - 1)
+    for shift in reversed(range(0, max(a0.bit_length(), a1.bit_length()), span)):
+        acc = _scale(F, acc, delta, ones) ^ _scale(F, acc << 2 * span, alpha, ones)
+        acc = acc & top ^ a0 >> shift & mask ^ (a1 >> shift & mask) << span
+    return acc
 
 
 def flat_digits(params: Params, acc: int) -> list[int]:
@@ -189,9 +161,12 @@ def psi_inverse(params: Params, word: int) -> AmbientElem:
     coefficient forms the polynomial D_t is a0 + u*a1 with
     a0 = sum_j D_(2j) * U^j and a1 = sum_j D_(2j+1) * U^j.  Each D_t has
     degree below N = deg U, so a partial sum over j < lam has degree
-    below lam*N = deg M and needs no reduction."""
+    below lam*N = deg M and needs no reduction.  A word outside
+    0 .. 2^dim - 1, dim = m * 2*lam * N, raises ValueError."""
     F = params.field
     N, m, w = params.length, F.m, params.u_exp
+    if not 0 <= word < 1 << m * w * N:
+        raise ValueError(f"{word} is not a word of {m * w * N} bits")
     U = pr.pack(F, params.u_squared_poly)
     mask = (1 << m) - 1
     parts = [0, 0]
@@ -281,19 +256,8 @@ class BitSpace:
     # -- the ring operations ------------------------------------------
 
     def scale(self, v: int, c: int) -> int:
-        """Every digit of v times the field element c.  Bit b of each
-        digit, moved to bit 0, times y^b * c fits in the digit, so the
-        int products never carry between digits.  y^b * c is c doubled
-        b times, reduced whenever bit m is set."""
-        if c == 1:
-            return v
-        F, out = self.F, 0
-        for b in range(self.m):
-            out ^= (v >> b & self._ones) * c
-            c <<= 1
-            if c & F.order:
-                c ^= F.reduction
-        return out
+        """Every digit of v times the field element c."""
+        return _scale(self.F, v, c, self._ones)
 
     def mul_y(self, v: int) -> int:
         """y * v: each digit moves up one bit, and a digit whose top bit
@@ -409,13 +373,18 @@ class BitSpace:
             yield v
 
 
+# Keyed by the Params instance, so a space lives and dies with it.
+_SPACES: weakref.WeakKeyDictionary[Params, BitSpace] = weakref.WeakKeyDictionary()
+
+
 def bit_space(params: Params) -> BitSpace:
-    tabs = _tables(params)
-    if tabs["bitspace"] is None:
+    """The word space of params, built on first use."""
+    bs = _SPACES.get(params)
+    if bs is None:
         # gamma = delta + alpha*u^2
-        tabs["bitspace"] = BitSpace(params.field, params.u_exp, params.length,
-                                    params.delta | params.alpha << 2 * params.m)
-    return tabs["bitspace"]
+        bs = _SPACES[params] = BitSpace(params.field, params.u_exp, params.length,
+                                        params.delta | params.alpha << 2 * params.m)
+    return bs
 
 
 class IdealSet(NamedTuple):

@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -154,6 +156,15 @@ def test_inverse_of_u_squared(p1122):
                     assert got == ((want, ()) if t % 2 == 0 else ((), want))
 
 
+def test_inverse_refuses_words_outside_the_space(p1122):
+    # 16 bits at (1,1,2,2,1,1): 1 << 16 and -1 are no words, and would
+    # not lift back to themselves.
+    assert amb.psi_lift(p1122, amb.psi_inverse(p1122, (1 << 16) - 1)) == (1 << 16) - 1
+    for word in (1 << 16, -1):
+        with pytest.raises(ValueError):
+            amb.psi_inverse(p1122, word)
+
+
 @pytest.mark.parametrize("mp", [
     (1, 1, 2, 2, 1, 1), (1, 3, 2, 2, 1, 1), (2, 1, 2, 2, 1, 1),
     # lam >= 4 with delta, alpha != 1: psi_inverse's Horner sums run
@@ -278,6 +289,26 @@ def test_lane_lift_matches_reference(mp):
 
 
 @pytest.mark.parametrize("mp", LIFT_POINTS)
+def test_long_part_lifts_as_its_reduction(mp):
+    # A part of degree 2*lam*N .. 3*lam*N - 1, past what a product of two
+    # reduced parts reaches, lifts as its reduction mod M, as a0 and as a1.
+    p = Params(*mp)
+    F = p.field
+    rng = random.Random(str(mp))
+    width = p.lam * p.length
+    longs = [(0,) * 2 * width + (1,)]  # x^(2*lam*N)
+    for _ in range(5):
+        degree = rng.randrange(2 * width, 3 * width)
+        longs.append(pr.normalize([rng.randrange(F.order) for _ in range(degree)]
+                                  + [rng.randrange(1, F.order)]))
+    for part in longs:
+        assert 2 * width <= len(part) - 1 < 3 * width
+        long, reduced = pr.pack(F, part), pr.pack(F, pr.p_mod(F, part, p.a_modulus))
+        assert amb.lift_digits(p, (long, 0)) == amb.lift_digits(p, (reduced, 0))
+        assert amb.lift_digits(p, (0, long)) == amb.lift_digits(p, (0, reduced))
+
+
+@pytest.mark.parametrize("mp", LIFT_POINTS)
 def test_word_ring_matches_tuple_reference(mp):
     # Each ring operation on int words against its tuple reference, on 0,
     # 1, the all-ones word and random words.
@@ -305,6 +336,20 @@ def test_word_ring_matches_tuple_reference(mp):
             for x, y in zip(ta, tb):
                 inner = [s ^ d for s, d in zip(inner, r_mul(F, x, y))]
             assert inner_product(p, a, b) == to_int(p, [inner])
+
+
+def test_bit_space_lives_and_dies_with_its_params():
+    # One space per Params instance, equal values or not, held no longer
+    # than the instance.
+    p, twin = Params(1, 3, 2, 2, 1, 1), Params(1, 3, 2, 2, 1, 1)
+    bs = amb.bit_space(p)
+    assert amb.bit_space(p) is bs
+    assert amb.bit_space(twin) is not bs
+    ref = weakref.ref(bs)
+    del p, bs
+    gc.collect()
+    assert ref() is None
+    assert amb.bit_space(twin).dim == 48
 
 
 def test_lift_needs_no_reduction_mod_m():

@@ -203,19 +203,25 @@ def test_every_public_name_is_used():
 
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "WeakKeyDictionary", "WeakValueDictionary",
+                   "defaultdict", "OrderedDict", "Counter", "deque"}
 GROWERS = {"append", "add", "update", "setdefault", "extend"}
 
 
 def module_containers(tree):
-    """The module-level names bound to a dict, list or set: a display, a
-    comprehension, or a dict(), list() or set() call."""
-    out = set()
+    """The module-level names bound to a container, each with its kind:
+    "display" for a display or comprehension, else the name called, one
+    of CONTAINER_CALLS, bare or dotted."""
+    out = {}
     for node in tree.body:
         value = getattr(node, "value", None)
-        if isinstance(value, CONTAINERS) or (
-                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
-                and value.func.id in ("dict", "list", "set")):
-            out.update(bound_names(node))
+        if isinstance(value, CONTAINERS):
+            kind = "display"
+        elif isinstance(value, ast.Call) and called_name(value.func) in CONTAINER_CALLS:
+            kind = called_name(value.func)
+        else:
+            continue
+        out.update(dict.fromkeys(bound_names(node), kind))
     return out
 
 
@@ -233,12 +239,11 @@ def unbounded_cache(decorator):
         isinstance(s, ast.Constant) and s.value is None for s in sizes)
 
 
-@pytest.mark.parametrize("module", sorted(TREES))
-def test_no_unbounded_module_caches(module):
-    # A module-level container is never written inside a function, and an
-    # unbounded memo decorates only a function without parameters, which
-    # holds one entry.
-    tree = TREES[module]
+def unbounded_caches(tree):
+    """(function, name) of every unbounded cache in a module: a write
+    inside a function to a module-level container other than a
+    WeakKeyDictionary, whose entries die with their keys, and an
+    unbounded memo on a function with parameters, as (function, "cache")."""
     containers = module_containers(tree)
     found = []
     for fn in ast.walk(tree):
@@ -256,6 +261,28 @@ def test_no_unbounded_module_caches(module):
                 target = node.func.value
             else:
                 continue
-            if isinstance(target, ast.Name) and target.id in containers:
+            if isinstance(target, ast.Name) and containers.get(target.id) not in (
+                    None, "WeakKeyDictionary"):
                 found.append((getattr(fn, "name", "lambda"), target.id))
-    assert found == []
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_unbounded_module_caches(module):
+    # A module-level container is never written inside a function, unless
+    # it is a WeakKeyDictionary, and an unbounded memo decorates only a
+    # function without parameters, which holds one entry.
+    assert unbounded_caches(TREES[module]) == []
+
+
+def test_cache_check_sees_every_container_kind():
+    # Each kind of module-level container, written inside a function, is
+    # caught, however it was built; a WeakKeyDictionary alone may be written.
+    kinds = ["{}", "[]", "{1}", "{k: 0 for k in ()}", "dict()", "set()",
+             "weakref.WeakKeyDictionary()", "weakref.WeakValueDictionary()",
+             "collections.defaultdict(list)", "OrderedDict()", "Counter()", "deque()"]
+    source = "".join(f"C{i} = {kind}\n" for i, kind in enumerate(kinds))
+    source += "def f(key):\n" + "".join(f"    C{i}[key] = 1\n" for i in range(len(kinds)))
+    source += "def g(key):\n    C8.append(key)\n"
+    found = unbounded_caches(ast.parse(source))
+    assert found == [("f", f"C{i}") for i in range(len(kinds)) if i != 6] + [("g", "C8")]
