@@ -22,15 +22,17 @@ times word dimension 16m.  No cap has a flag.
 cosets (factorizer.factor_degrees).  Counts and sizes print in full,
 however many digits they have.
 
-`enumerate` writes a JSON or CSV page from per-factor fragments.  The
-stream is an odometer whose last factor moves fastest, so a factor's
-descriptor text (JSON, or CSV fields, from one format string), ideal
-size and lifted-word JSON are built when its descriptor changes and
-reused by the codes that follow.  Lifted words come from one
-lifttable.LiftTable per (factor, family, s, t) block the request
-reaches, kept for that request only: in a block the generators are
-affine in h, so a descriptor's lift is the block's lift at h = 0 with
-one row xored in per set bit of its packed h.
+`enumerate` writes a JSON or CSV page block by block.  The ideals of a
+factor come in (family, s, t) blocks of descriptors that differ only in
+h, so for each (factor, family, s, t) block the request reaches it keeps,
+built on the block's first descriptor and for that request only: the
+descriptor text (JSON, or CSV fields) before h's digits, the ideal size
+and, with --with-generators, a lifttable.LiftTable.  A descriptor's
+text is then that prefix, h's digits and a fixed suffix.  The stream is
+an odometer whose last factor moves fastest, so the code's size and the
+text and lifted words of the leading factors are rebuilt only when a
+leading factor moves or the last factor enters a new block; every other
+code formats only its last factor's h and lifted words.
 """
 
 from __future__ import annotations
@@ -228,10 +230,24 @@ def cmd_enumerate(args) -> int:
     window = itertools.islice(stream, args.limit)
 
     csv = args.format == "csv"
-    # A descriptor's CSV fields or JSON: t, or "" or null when it has
-    # none, and the digits of h joined by ";" or ",".
-    desc_format, no_t, sep = (("%d,%d,%d,%s,%s", "", ";") if csv else
-                              ('{"factor":%d,"family":%d,"s":%d,"t":%s,"h":[%s]}', "null", ","))
+    # A descriptor's CSV fields or JSON, split around the digits of h,
+    # which are joined by ";" or ","; t is "" or null when it has none.
+    desc_format, no_t, sep, close = ((",%d,%d,%d,%s,", "", ";", "") if csv else
+                                     ('{"factor":%d,"family":%d,"s":%d,"t":%s,"h":[', "null",
+                                      ",", "]}"))
+    # Per (factor, family, s, t) block the page reaches: a descriptor's
+    # text before h, its ideal size and, with generators, its lift table.
+    blocks: dict[tuple, tuple] = {}
+
+    def block(j: int, desc: en.IdealDescriptor) -> tuple:
+        at = (j, desc.family, desc.s, desc.t)
+        if at not in blocks:
+            blocks[at] = (desc_format % (desc.factor, desc.family, desc.s,
+                                          no_t if desc.t is None else desc.t),
+                           en.ideal_size(params, fd.entries[j].degree, desc),
+                           args.with_generators and LiftTable(params, fd, j, desc, ctxs[j]))
+        return blocks[at]
+
     with _open_out(args) as out:
         if csv:
             out.write("index,factor,family,s,t,h,size\n")
@@ -239,34 +255,30 @@ def cmd_enumerate(args) -> int:
             limit = "null" if args.limit is None else str(args.limit)
             out.write('{"schema":%d,"params":%s,"total":"%s","offset":%d,"limit":%s,"codes":['
                       % (SCHEMA, _dump(params.as_dict()), _decimal(total), args.offset, limit))
-        tables: dict[tuple, LiftTable] = {}
-        # Per factor: (descriptor, its CSV fields or JSON, its ideal size,
-        # its lifted words' JSON).  The stream passes a factor's
-        # descriptor on while it is unchanged, so a new object is a new
-        # descriptor (or, at worst, an equal one, rebuilt).
-        slots = [(None, "", 1, "")] * fd.r
+        # The code's size and leading text, rebuilt when a leading factor
+        # moves or the last one enters a new block.
+        lead = key = None
         for i, code in enumerate(window):
-            for j, desc in enumerate(code.components):
-                if slots[j][0] is not desc:
-                    lifted = ""
-                    if args.with_generators:
-                        block = (j, desc.family, desc.s, desc.t)
-                        if block not in tables:
-                            tables[block] = LiftTable(params, fd, j, desc, ctxs[j])
-                        lifted = tables[block].json(desc.h)
-                    size = en.ideal_size(params, fd.entries[j].degree, desc)
-                    text = desc_format % (desc.factor, desc.family, desc.s,
-                                          no_t if desc.t is None else desc.t,
-                                          sep.join(map(str, desc.h)))
-                    slots[j] = (desc, text, size, lifted)
-            size = _decimal(math.prod(slot[2] for slot in slots))
+            *leading, desc = code.components
+            if leading != lead or (desc.family, desc.s, desc.t) != key:
+                lead, key = leading, (desc.family, desc.s, desc.t)
+                entries = [block(j, d) for j, d in enumerate(code.components)]
+                size = _decimal(math.prod(e[1] for e in entries))
+                prefix, _, table = entries.pop()
+                texts = [e[0] + sep.join(map(str, d.h)) + close for e, d in zip(entries, lead)]
+                if csv:
+                    end = "," + size + "\n"
+                    rows = ["", *(t + end for t in texts), ""]
+                else:
+                    head = '{"size":"%s","components":[%s' % (size, "".join(t + "," for t in texts))
+                    end = close + ('],"generators_lifted":[' + "".join(
+                        e[2].json(d.h) + "," for e, d in zip(entries, lead)) if table else "]}")
+            h = sep.join(map(str, desc.h))
             if csv:
-                out.write("".join(f"{args.offset + i},{slot[1]},{size}\n" for slot in slots))
-                continue
-            entry = '{"size":"%s","components":[%s]' % (size, ",".join(slot[1] for slot in slots))
-            if args.with_generators:
-                entry += ',"generators_lifted":[%s]' % ",".join(slot[3] for slot in slots)
-            out.write(("," if i else "") + entry + "}")
+                out.write(str(args.offset + i).join(rows) + prefix + h + end)
+            else:
+                out.write(("," if i else "") + head + prefix + h + end
+                          + (table.json(desc.h) + "]}" if table else ""))
         if not csv:
             out.write("]}\n")
     return 0

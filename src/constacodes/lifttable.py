@@ -4,6 +4,8 @@ h, since the lift is affine in h inside a block."""
 
 from __future__ import annotations
 
+import operator
+
 from . import ambient as amb
 from . import enumerator as en
 from . import polyring as pr
@@ -27,18 +29,23 @@ class LiftTable:
     element, so the accumulators, and the JSON, are those of lifting
     component_generators at h.  The words after the first are the same at
     every h, and their JSON is built once.
+
+    A word's JSON comes straight from the packed accumulators: they are
+    unpacked once, padded to 2*lam*N lanes (unpack drops the top zero
+    lanes), and a lane permutation reads them in coefficient order,
+    lane t*N + i for digit t of coefficient i, into a format template
+    of N coefficients of 2*lam digits.
     """
 
     def __init__(self, params: Params, fd: FactorData, j: int, desc: en.IdealDescriptor,
                  ctx: ChainCtx) -> None:
-        F = params.field
-        self.params, self.rows = params, {}
-        # Each lifted word: N coefficients of 2*lam u-digits.
-        word = self.word = "[%s]" % ",".join(["[%s]" % ",".join(["%d"] * params.u_exp)]
-                                             * params.length)
+        F, N, w = params.field, params.length, params.u_exp
+        self.params, self.rows, self.lanes = params, {}, w * N
+        self.word = "[%s]" % ",".join(["[%s]" % ",".join(["%d"] * w)] * N)
+        self.order = operator.itemgetter(*[t * N + i for i in range(N) for t in range(w)])
         gens = amb.component_generators(params, fd, j, desc._replace(h=()), ctx)
         self.base, *self.rest = [amb.lift_digits(params, g) for g in gens]
-        self.tail = "".join("," + word % tuple(amb.flat_digits(params, acc)) for acc in self.rest)
+        self.tail = "".join("," + self._text(acc) for acc in self.rest)
         p = desc.s + (en.ideal_gap(params, desc.family, desc.s, desc.t) + 1) // 2
         self.h_factor = pr.k_mul(F, pr.pack(F, fd.idempotents[j]), pr.pack(F, ctx.f_pows[p]))
 
@@ -55,6 +62,11 @@ class LiftTable:
             bits ^= low
         return acc
 
+    def _text(self, acc: int) -> str:
+        """The JSON of one lifted word from its accumulators."""
+        lanes = pr.unpack(self.params.field, acc)
+        return self.word % self.order(lanes + (0,) * (self.lanes - len(lanes)))
+
     def json(self, h: pr.Poly) -> str:
         """The JSON of the block's lifted words at h."""
-        return self.word % tuple(amb.flat_digits(self.params, self.first(h))) + self.tail
+        return self._text(self.first(h)) + self.tail

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -562,23 +563,121 @@ def test_enumerate_builds_each_component_once(monkeypatch, tmp_path, offset, lim
     assert all(args[3].h == () for args in built)
 
 
-def test_enumerate_csv_sizes_each_component_once(monkeypatch, tmp_path):
-    # 100 codes of three components: the first code sizes all three, each
-    # later one only its last, the one component that changed.
-    sized = []
-    real = en.ideal_size
+@pytest.mark.parametrize("flags", [["--format", "csv"], [], ["--with-generators"]],
+                         ids=["csv", "json", "generators"])
+@pytest.mark.parametrize("offset, blocks", [
+    # 100 codes of three components: every code lies in block (1, 0, None)
+    # of factors 1 and 2, and factor 3 crosses no block boundary
+    (3000, 3),
+    # factor 3 wraps from block (6, 0, 7) to (1, 0, None)
+    (18125645, 4),
+])
+def test_enumerate_sizes_each_block_once(monkeypatch, tmp_path, offset, blocks, flags):
+    # A page sizes each (factor, family, s, t) block it reaches once, not
+    # each descriptor, and formats lifted words without flat_digits,
+    # which only a table build may call.
+    calls = {"ideal_size": [], "flat_digits": [], "component_generators": []}
+    for module, name in ((en, "ideal_size"), (amb, "flat_digits"),
+                         (amb, "component_generators")):
+        def counted(*args, _real=getattr(module, name), _seen=calls[name]):
+            _seen.append(args)
+            return _real(*args)
 
-    def counted(*args):
-        sized.append(args)
-        return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    out = tmp_path / "page"
+    argv = ["enumerate", "--m", "2", "--n", "7", "--delta", "3", "--offset", str(offset),
+            "--limit", "100", "--out", str(out)]
+    assert cli.main(argv + flags) == 0
+    text = out.read_text()
+    if flags[:1] == ["--format"]:
+        rows = [row.split(",") for row in text.splitlines()[1:]]
+        assert len(rows) == 3 * 100
+        reached = {tuple(row[1:5]) for row in rows}
+    else:
+        codes = json.loads(text)["codes"]
+        assert len(codes) == 100
+        reached = {(c["factor"], c["family"], c["s"], c["t"])
+                   for code in codes for c in code["components"]}
+    assert len(reached) == blocks
+    assert len(calls["ideal_size"]) == blocks
+    tables = len(calls["component_generators"])
+    assert tables == blocks * ("--with-generators" in flags)
+    assert len(calls["flat_digits"]) <= tables
 
-    monkeypatch.setattr(en, "ideal_size", counted)
-    out = tmp_path / "page.csv"
-    argv = ["enumerate", "--m", "2", "--n", "7", "--delta", "3", "--offset", "3000",
-            "--limit", "100", "--format", "csv", "--out", str(out)]
-    assert cli.main(argv) == 0
-    assert len(out.read_text().splitlines()) == 1 + 3 * 100
-    assert len(sized) == 102
+
+# (m, n, k, lam, delta, alpha): 8-bit lanes and three factors, 16-bit
+# lanes with lam = 3, 32-bit lanes and one factor.
+PAGE_TEXT_POINTS = [(2, 7, 2, 2, 3, 2), (5, 3, 2, 3, 7, 9), (9, 1, 2, 2, 7, 300)]
+
+
+def _page_offsets(params, fd, ctxs):
+    """Offsets of 6-code windows that cross the last factor's first two
+    block boundaries and, with more than one factor, its wrap, where
+    the factor before it moves."""
+    q = ctxs[-1].q
+    bounds, at = [], 0
+    for block in itertools.islice(en.ideal_blocks(params), 2):
+        at += q ** en.h_space_exponent(params, *block)
+        bounds.append(at)
+    if fd.r > 1:
+        wrap = en.factor_counts(params, [fd.entries[-1].degree])[0]
+        bounds += [wrap, 2 * wrap]
+    return [bound - 3 for bound in bounds]
+
+
+def _lifted_word(params, g):
+    """A generator's lifted word: its flat u-digits, one list per coefficient."""
+    flat = amb.flat_digits(params, amb.lift_digits(params, g))
+    w = params.u_exp
+    return [flat[i:i + w] for i in range(0, len(flat), w)]
+
+
+def _reference_page(params, fd, ctxs, offset, limit, with_gens):
+    """The page enumerate should print, from the descriptors' own dicts."""
+    codes = []
+    for code in itertools.islice(en.enumerate_codes(params, fd, ctxs, start=offset), limit):
+        entry = {"size": str(en.code_size(params, fd, code)),
+                 "components": [d.as_dict() for d in code.components]}
+        if with_gens:
+            entry["generators_lifted"] = [
+                _lifted_word(params, g) for j, d in enumerate(code.components)
+                for g in amb.component_generators(params, fd, j, d, ctxs[j])]
+        codes.append(entry)
+    return codes
+
+
+@pytest.mark.parametrize("point", PAGE_TEXT_POINTS)
+def test_enumerate_page_matches_reference(tmp_path, point):
+    # Pages whose windows cross a block boundary of the last factor, or
+    # where a leading factor moves, parse to the page rebuilt from
+    # enumerate_codes, IdealDescriptor.as_dict and code_size; their lifted
+    # words are the flat u-digits of lifting component_generators.
+    params = Params(*point)
+    fd = factorizer.build_factor_data(params)
+    ctxs = en.chain_contexts(params, fd)
+    total = en.count_codes(params, fd)
+    flags = ["--m", "--n", "--k", "--lambda", "--delta", "--alpha"]
+    base = ["enumerate", *(x for pair in zip(flags, map(str, point)) for x in pair)]
+    out = tmp_path / "page"
+    offsets = _page_offsets(params, fd, ctxs)
+    assert len(offsets) == (4 if fd.r > 1 else 2)
+    for offset in offsets:
+        assert 0 <= offset and offset + 6 <= total
+        page = base + ["--offset", str(offset), "--limit", "6", "--out", str(out)]
+        for with_gens in (False, True):
+            assert cli.main(page + ["--with-generators"] * with_gens) == 0
+            want = _reference_page(params, fd, ctxs, offset, 6, with_gens)
+            assert json.loads(out.read_text()) == {
+                "schema": cli.SCHEMA, "params": params.as_dict(), "total": str(total),
+                "offset": offset, "limit": 6, "codes": want}
+        assert cli.main(page + ["--format", "csv"]) == 0
+        rows = [["index", "factor", "family", "s", "t", "h", "size"]]
+        for i, code in enumerate(want):
+            for d in code["components"]:
+                rows.append([str(offset + i), str(d["factor"]), str(d["family"]), str(d["s"]),
+                             "" if d["t"] is None else str(d["t"]),
+                             ";".join(map(str, d["h"])), code["size"]])
+        assert [line.split(",") for line in out.read_text().splitlines()] == rows
 
 
 def test_enumerate_csv_with_generators_exit_2(tmp_path):
