@@ -69,19 +69,17 @@ Vec2 = tuple[Poly, Poly]
 
 
 class ChainCtx:
-    """K = GF(2^m)[x]/<f^e> and f^0 .. f^e.  Given params and f's core
-    cofactor, it builds the u-extension on first use; without them,
-    reading the u-extension raises ValueError."""
+    """K = GF(2^m)[x]/<f^e> and f^0 .. f^e.  Given params, with f a
+    factor of their core polynomial, it builds the u-extension on first
+    use; without them, reading the u-extension raises ValueError."""
 
-    def __init__(self, field: GF2m, f: Poly, e: int, params: Params | None = None,
-                 cofactor: Poly | None = None) -> None:
+    def __init__(self, field: GF2m, f: Poly, e: int, params: Params | None = None) -> None:
         d = pr.deg(f)
         if d < 1:
             raise ValueError("f must be nonconstant")
         if e < 1:
             raise ValueError("e must be >= 1")
-        self.field, self.f, self.d, self.e = field, f, d, e
-        self.params, self.cofactor = params, cofactor
+        self.field, self.f, self.d, self.e, self.params = field, f, d, e, params
         pows = [pr.P_ONE]
         for _ in range(e):
             pows.append(pr.p_mul(field, pows[-1], f))
@@ -106,10 +104,20 @@ class ChainCtx:
         return pr.p_mod(self.field, self.params.u_squared_poly, self.f_pows[self.e])
 
     @cached_property
+    def cofactor(self) -> Poly:
+        """C mod f^e, C = (x^n + delta_root) / f.  As f*C = x^n + delta_root,
+        it is the quotient of x^n mod f^(e+1) by f, with remainder delta_root."""
+        F = self.field
+        if self.params is None:
+            raise ValueError("context carries no u-extension")
+        xn = pr.p_powmod(F, pr.P_X, self.params.n, pr.p_mul(F, self.f_pows[self.e], self.f))
+        return pr.p_divmod(F, xn, self.f)[0]
+
+    @cached_property
     def u2_unit(self) -> Poly:
-        """w = alpha_root * cofactor^(2^(k-1)), certified: digit 0 is
-        nonzero and w^2 * f^(2^k) == u^2 mod f^e, or the factor data
-        upstream is inconsistent."""
+        """w = alpha_root * C^(2^(k-1)) mod f^e, C the cofactor,
+        certified: digit 0 is nonzero and w^2 * f^(2^k) == u^2 mod f^e,
+        or f is no factor of the core polynomial or C is wrong."""
         u2, params, F = self.u_squared, self.params, self.field  # ValueError if no params
         modulus = self.f_pows[self.e]
         w = pr.p_powmod(F, self.cofactor, 1 << (params.k - 1), modulus)
@@ -121,9 +129,9 @@ class ChainCtx:
         return w
 
 
-def make_chain_ctx(params: Params, f: Poly, cofactor: Poly) -> ChainCtx:
+def make_chain_ctx(params: Params, f: Poly) -> ChainCtx:
     """Context for one irreducible factor f of the core polynomial."""
-    return ChainCtx(params.field, f, params.nilpotency, params, cofactor)
+    return ChainCtx(params.field, f, params.nilpotency, params)
 
 
 # ----------------------------------------------------------------------

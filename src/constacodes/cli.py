@@ -193,7 +193,7 @@ def cmd_factor(args) -> int:
     fd = build_factor_data(params)
     _write(args, params,
            factors=[{"degree": ent.degree, "coeffs": list(ent.f)} for ent in fd.entries],
-           cofactors=[list(ent.cofactor) for ent in fd.entries],
+           cofactors=[list(cof) for cof in fd.cofactors],
            idempotents=[list(eps) for eps in fd.idempotents])
     return 0
 

@@ -265,9 +265,7 @@ def ideal_membership_check(params: Params, ctx: ChainCtx, desc: IdealDescriptor)
 # ----------------------------------------------------------------------
 
 def chain_contexts(params: Params, factor_data: FactorData) -> list[ChainCtx]:
-    return [
-        cr.make_chain_ctx(params, ent.f, ent.cofactor) for ent in factor_data.entries
-    ]
+    return [cr.make_chain_ctx(params, ent.f) for ent in factor_data.entries]
 
 
 def enumerate_codes(

@@ -6,11 +6,11 @@ irreducible factors.  Equal-degree splitting uses the absolute trace
 map h + h^2 + h^4 + ... down to GF(2), the characteristic-2 substitute
 for the odd-characteristic exponentiation split.
 
-build_factor_data keeps, for every factor f_j of g = x^n + c, only its
-degree d_j and the exact cofactor C_j = g / f_j: all that counting and
-enumeration need.  The orthogonal idempotents eps_j of GF(2^m)[x]/<M>,
-M = g^e with e = 2^k * lam, are built on first use in closed form.  As
-n is odd, x * g' = x^n = c (mod g) and g' = sum_l f_l' * C_l, so
+build_factor_data keeps, for every factor f_j of g = x^n + c, only f_j
+and its degree d_j: all that counting and enumeration need.  The exact
+cofactors C_j = g / f_j, and from them the orthogonal idempotents eps_j
+of GF(2^m)[x]/<M>, M = g^e with e = 2^k * lam, are built on first use.
+As n is odd, x * g' = x^n = c (mod g) and g' = sum_l f_l' * C_l, so
 
     eps0_j = x * f_j' * C_j / c  mod g
 
@@ -145,7 +145,6 @@ def factor_degrees(F: GF2m, n: int, c: int) -> list[int]:
 class FactorEntry(NamedTuple):
     f: Poly
     degree: int
-    cofactor: Poly      # (x^n + delta_root) / f, exactly
 
 
 class FactorData:
@@ -154,27 +153,29 @@ class FactorData:
     def __init__(self, params: Params, entries: tuple[FactorEntry, ...]) -> None:
         self.params, self.entries = params, entries
 
-    @property
-    def r(self) -> int:
-        return len(self.entries)
-
-    @property
-    def modulus(self) -> Poly:
-        """M = (x^n + delta_root)^e, e = 2^k * lam, built on first use."""
-        return self.params.a_modulus
+    @cached_property
+    def cofactors(self) -> tuple[Poly, ...]:
+        """The C_j = (x^n + delta_root) / f_j, exactly, one per factor."""
+        F, base = self.params.field, self.params.base_poly
+        out = []
+        for ent in self.entries:
+            cof, rem = pr.p_divmod(F, base, ent.f)
+            if rem:
+                raise ArithmeticError(f"factor {ent.f} does not divide the core polynomial")
+            out.append(cof)
+        return tuple(out)
 
     @cached_property
     def idempotents(self) -> tuple[Poly, ...]:
         """The eps_j, one per factor, from the closed form of the module
         docstring; raises ArithmeticError if the eps0_j do not sum to 1."""
-        params = self.params
-        F = params.field
+        params, F = self.params, self.params.field
         g = pr.k_divisor(F, pr.pack(F, params.base_poly))
         inv = F.inv(params.delta_root)
         base, total = [], 0
-        for ent in self.entries:
+        for ent, cof in zip(self.entries, self.cofactors):
             xdf = pr.p_scale(F, pr.normalize(c if i & 1 else 0 for i, c in enumerate(ent.f)), inv)
-            base.append(pr.k_mod(F, pr.k_mul(F, pr.pack(F, xdf), pr.pack(F, ent.cofactor)), g))
+            base.append(pr.k_mod(F, pr.k_mul(F, pr.pack(F, xdf), pr.pack(F, cof)), g))
             total ^= base[-1]
         if total != 1:
             raise ArithmeticError("idempotents do not sum to 1")
@@ -190,17 +191,10 @@ class FactorData:
     def modulus_divisor(self) -> pr.Divisor:
         """M packed and prepared for long division, built on first use."""
         F = self.params.field
-        return pr.k_divisor(F, pr.pack(F, self.modulus))
+        return pr.k_divisor(F, pr.pack(F, self.params.a_modulus))
 
 
 def build_factor_data(params: Params) -> FactorData:
-    """Factor the core polynomial and divide out each factor's cofactor."""
-    F = params.field
-    base = params.base_poly
-    entries = []
-    for f, d in factor_xn_delta(F, params.n, params.delta_root):
-        cof, rem = pr.p_divmod(F, base, f)
-        if rem:
-            raise ArithmeticError(f"factor {f} does not divide the core polynomial")
-        entries.append(FactorEntry(f, d, cof))
-    return FactorData(params, tuple(entries))
+    """Factor the core polynomial; the rest is built on first use."""
+    factors = factor_xn_delta(params.field, params.n, params.delta_root)
+    return FactorData(params, tuple(FactorEntry(f, d) for f, d in factors))

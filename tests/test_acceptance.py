@@ -244,7 +244,7 @@ def test_criterion_6_structural_invariants():
         params = Params(m, n, 2, 2, 1, 1)
         fd = build_factor_data(params)
         F = params.field
-        M = fd.modulus
+        M = params.a_modulus
         total = pr.P_ZERO
         for eps in fd.idempotents:  # certified when built
             total = pr.p_add(F, total, eps)

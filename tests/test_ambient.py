@@ -359,7 +359,7 @@ def test_lift_needs_no_reduction_mod_m():
     F = p.field
     fd = build_factor_data(p)
     ctxs = en.chain_contexts(p, fd)
-    assert fd.r > 2
+    assert len(fd.entries) > 2
     dv = fd.modulus_divisor
     rng = random.Random(47)
     above = 0

@@ -154,7 +154,8 @@ def test_pi_degree():
 def test_unit_is_alpha_root_when_single_factor():
     params = Params(1, 1, 2, 2, 1, 1)
     fd = build_factor_data(params)
-    ctx = cr.make_chain_ctx(params, fd.entries[0].f, fd.entries[0].cofactor)
+    ctx = cr.make_chain_ctx(params, fd.entries[0].f)
+    assert ctx.cofactor == (1,)
     assert ctx.u2_unit == (1,)
     assert ctx.u_squared == pr.p_pow(F2, (1, 1), 4)
 
@@ -163,7 +164,7 @@ def test_unit_for_n3_factor():
     params = Params(1, 3, 2, 2, 1, 1)
     fd = build_factor_data(params)
     ent = next(e for e in fd.entries if e.degree == 1)  # f = x + 1
-    ctx = cr.make_chain_ctx(params, ent.f, ent.cofactor)
+    ctx = cr.make_chain_ctx(params, ent.f)
     # cofactor^2 = (x^2+x+1)^2 = x^4+x^2+1
     assert ctx.u2_unit == (1, 0, 1, 0, 1)
     lhs = cr.c_mul(ctx, cr.c_mul(ctx, ctx.u2_unit, ctx.u2_unit), ctx.f_pows[4])
@@ -174,17 +175,18 @@ def test_unit_for_n3_factor():
 
 
 # The unit w = alpha_root * C^(2^(k-1)) of a degree-3 factor f at n = 7,
-# built from a corrupted cofactor C.  C -> f makes digit 0 of w vanish.
+# built from a corrupted local cofactor C (C mod f^e, which the context
+# works out itself).  C -> f makes digit 0 of w vanish.
 # C -> C + f fails the congruence only at lam >= 3: (C + f)^(2^k) =
 # C^(2^k) + f^(2^k), so w^2 f^(2^k) gains f^(2^(k+1)), which is f^e, and
 # zero, at lam = 2.  C -> C + 1 fails it at lam = 2 as well.
 CORRUPTED_COFACTORS = [
-    pytest.param(3, lambda ent: ent.f, "u\\^2 unit is not invertible", id="f"),
-    pytest.param(3, lambda ent: pr.p_add(F2, ent.cofactor, ent.f), "u\\^2 congruence failed",
+    pytest.param(3, lambda ctx: ctx.f, "u\\^2 unit is not invertible", id="f"),
+    pytest.param(3, lambda ctx: pr.p_add(F2, ctx.cofactor, ctx.f), "u\\^2 congruence failed",
                  id="cofactor+f"),
-    pytest.param(3, lambda ent: pr.p_add(F2, ent.cofactor, pr.P_ONE), "u\\^2 congruence failed",
+    pytest.param(3, lambda ctx: pr.p_add(F2, ctx.cofactor, pr.P_ONE), "u\\^2 congruence failed",
                  id="cofactor+1"),
-    pytest.param(2, lambda ent: pr.p_add(F2, ent.cofactor, pr.P_ONE), "u\\^2 congruence failed",
+    pytest.param(2, lambda ctx: pr.p_add(F2, ctx.cofactor, pr.P_ONE), "u\\^2 congruence failed",
                  id="cofactor+1-lam2"),
 ]
 
@@ -193,14 +195,16 @@ CORRUPTED_COFACTORS = [
 def test_unit_certificate_rejects_corrupted_cofactor(lam, corrupt, message):
     params = Params(1, 7, 2, lam, 1, 1)
     ent = next(e for e in build_factor_data(params).entries if e.degree == 3)
-    ctx = cr.make_chain_ctx(params, ent.f, corrupt(ent))  # builds no unit
+    ctx = cr.make_chain_ctx(params, ent.f)
+    ctx.cofactor = corrupt(ctx)  # builds no unit
+    assert "u2_unit" not in vars(ctx)
     with pytest.raises(ArithmeticError, match=message):
         ctx.u2_unit
 
 
 def test_plain_context_has_no_u_extension():
     ctx = cr.ChainCtx(F2, (1, 1), 4)
-    for read in (lambda: ctx.u_squared, lambda: ctx.u2_unit,
+    for read in (lambda: ctx.u_squared, lambda: ctx.cofactor, lambda: ctx.u2_unit,
                  lambda: cr.satisfies_u_closure(ctx, [((1,), ())])):
         with pytest.raises(ValueError, match="context carries no u-extension"):
             read()

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import itertools
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from constacodes import ambient as amb
+from constacodes import chainring as cr
 from constacodes import cli
 from constacodes import enumerator as en
 from constacodes import factorizer
@@ -275,9 +277,8 @@ def test_failed_certificate_exit_1(monkeypatch, capsys):
 
     def corrupted(params):
         fd = real(params)
-        first = fd.entries[0]
-        bad = first._replace(cofactor=pr.p_add(params.field, first.cofactor, (0, 1, 1)))
-        return factorizer.FactorData(params, (bad,) + fd.entries[1:])
+        fd.cofactors = (pr.p_add(params.field, fd.cofactors[0], (0, 1, 1)),) + fd.cofactors[1:]
+        return fd
 
     monkeypatch.setattr(cli, "build_factor_data", corrupted)
     assert cli.main(["factor", "--m", "1", "--n", "7"]) == 1
@@ -286,24 +287,28 @@ def test_failed_certificate_exit_1(monkeypatch, capsys):
     assert captured.err.startswith("error: idempotents do not sum to 1")
 
 
-# A corrupted first cofactor at (1,7): C + x + x^2 breaks the idempotent
-# sum; C + (x^7 + 1) = C*(1 + f) keeps it mod x^7 + 1 and breaks the u^2
-# congruence by w^2 * f^(2^(k+1)), which is nonzero mod f^e at lam = 3.
+# A corrupted first cofactor at (1,7), set on the factor data or on the
+# first chain context: C + x + x^2 breaks the idempotent sum; C*(1 + f),
+# which is C + (x^7 + 1) mod f^e, breaks the u^2 congruence by
+# w^2 * f^(2^(k+1)), which is nonzero mod f^e at lam = 3.
 @pytest.mark.parametrize("lam, corrupt, message", [
-    (2, lambda F, ent, base: pr.p_add(F, ent.cofactor, (0, 1, 1)), "idempotents do not sum to 1"),
-    (3, lambda F, ent, base: pr.p_add(F, ent.cofactor, base), "u^2 congruence failed"),
+    (2, lambda F, fd, ctx: setattr(fd, "cofactors", (pr.p_add(F, fd.cofactors[0], (0, 1, 1)),)
+                                   + fd.cofactors[1:]),
+     "idempotents do not sum to 1"),
+    (3, lambda F, fd, ctx: setattr(ctx, "cofactor",
+                                   cr.c_mul(ctx, ctx.cofactor, pr.p_add(F, ctx.f, pr.P_ONE))),
+     "u^2 congruence failed"),
 ])
 def test_enumerate_with_generators_certifies_before_output(monkeypatch, capsys, tmp_path,
                                                            lam, corrupt, message):
-    real = cli.build_factor_data
+    real = en.chain_contexts
 
-    def corrupted(params):
-        fd = real(params)
-        first = fd.entries[0]
-        bad = first._replace(cofactor=corrupt(params.field, first, params.base_poly))
-        return factorizer.FactorData(params, (bad,) + fd.entries[1:])
+    def corrupted(params, fd):
+        ctxs = real(params, fd)
+        corrupt(params.field, fd, ctxs[0])
+        return ctxs
 
-    monkeypatch.setattr(cli, "build_factor_data", corrupted)
+    monkeypatch.setattr(en, "chain_contexts", corrupted)
     argv = ["enumerate", "--m", "1", "--n", "7", "--lambda", str(lam), "--limit", "3",
             "--with-generators"]
     assert cli.main(argv) == 1
@@ -313,6 +318,39 @@ def test_enumerate_with_generators_certifies_before_output(monkeypatch, capsys, 
     out = tmp_path / "codes.json"
     assert cli.main(argv + ["--out", str(out)]) == 1
     assert not out.exists()
+
+
+def _record_cofactor_builds(monkeypatch):
+    """Wrap FactorData.cofactors so that every build of the cofactors,
+    one per instance that reads them, is recorded in the returned list."""
+    real = factorizer.FactorData.cofactors.func
+    builds = []
+
+    def counted(fd):
+        builds.append(fd)
+        return real(fd)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(factorizer.FactorData, "cofactors")
+    monkeypatch.setattr(factorizer.FactorData, "cofactors", prop)
+    return builds
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("enumerate --m 1 --n 63 --limit 5", 0),
+    ("enumerate --m 1 --n 63 --limit 5 --format csv", 0),
+    ("enumerate --m 1 --n 63 --limit 5 --with-generators", 1),
+    ("factor --m 1 --n 63", 1),
+    ("oracle --m 1 --n 1", 1),
+])
+def test_cofactors_divided_only_when_read(monkeypatch, capsys, argv, expected):
+    # Only the idempotents (which the lifted words of --with-generators and
+    # the oracle's bit bases need) and the factor output read the full
+    # cofactors; the chain contexts work out their own C mod f^e.
+    builds = _record_cofactor_builds(monkeypatch)
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out
+    assert len(builds) == expected
 
 
 def test_failed_alpha_root_certificate_exit_1(monkeypatch, capsys):
@@ -619,7 +657,7 @@ def _page_offsets(params, fd, ctxs):
     for block in itertools.islice(en.ideal_blocks(params), 2):
         at += q ** en.h_space_exponent(params, *block)
         bounds.append(at)
-    if fd.r > 1:
+    if len(fd.entries) > 1:
         wrap = en.factor_counts(params, [fd.entries[-1].degree])[0]
         bounds += [wrap, 2 * wrap]
     return [bound - 3 for bound in bounds]
@@ -660,7 +698,7 @@ def test_enumerate_page_matches_reference(tmp_path, point):
     base = ["enumerate", *(x for pair in zip(flags, map(str, point)) for x in pair)]
     out = tmp_path / "page"
     offsets = _page_offsets(params, fd, ctxs)
-    assert len(offsets) == (4 if fd.r > 1 else 2)
+    assert len(offsets) == (4 if len(fd.entries) > 1 else 2)
     for offset in offsets:
         assert 0 <= offset and offset + 6 <= total
         page = base + ["--offset", str(offset), "--limit", "6", "--out", str(out)]

@@ -7,6 +7,7 @@ import pytest
 from constacodes.gf2m import GF2m, _factor_int
 from constacodes import factorizer
 from constacodes import polyring as pr
+from constacodes.chainring import make_chain_ctx
 from constacodes.factorizer import (
     build_factor_data,
     factor_degrees,
@@ -93,7 +94,7 @@ def test_factor_data_idempotent_identities(m, n):
     params = Params(m, n, 2, 2, 1, 1)
     fd = build_factor_data(params)
     F = params.field
-    M = fd.modulus
+    M = params.a_modulus
     total = pr.P_ZERO
     for eps in fd.idempotents:  # raises if the certificate fails
         total = pr.p_add(F, total, eps)
@@ -109,9 +110,9 @@ def test_r_equals_one_gives_unit_idempotent():
     # x + 1 is already irreducible: single factor, idempotent 1
     params = Params(1, 1, 2, 2, 1, 1)
     fd = build_factor_data(params)
-    assert fd.r == 1
+    assert len(fd.entries) == 1
     assert fd.idempotents[0] == (1,)
-    assert fd.entries[0].cofactor == (1,)
+    assert fd.cofactors == ((1,),)
 
 
 def test_idempotent_kills_own_factor_power():
@@ -122,7 +123,7 @@ def test_idempotent_kills_own_factor_power():
     e = params.nilpotency
     for ent, eps in zip(fd.entries, fd.idempotents):
         fe = pr.p_pow(F, ent.f, e)
-        assert pr.p_mod(F, pr.p_mul(F, eps, fe), fd.modulus) == ()
+        assert pr.p_mod(F, pr.p_mul(F, eps, fe), params.a_modulus) == ()
 
 
 def test_power_reassembly():
@@ -132,7 +133,7 @@ def test_power_reassembly():
     prod = pr.P_ONE
     for ent in fd.entries:
         prod = pr.p_mul(F, prod, pr.p_pow(F, ent.f, params.nilpotency))
-    assert prod == fd.modulus
+    assert prod == params.a_modulus
 
 
 def test_pairwise_coprime():
@@ -154,12 +155,12 @@ _XGCD_POINTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "m,n,k,lam,delta,alpha",
-    # a point at k = lam = 2, delta = alpha = 1 is named by m and n alone
-    [pytest.param(*pt, id="-".join(map(str, pt[:2] if pt[2:] == (2, 2, 1, 1) else pt)))
-     for pt in _XGCD_POINTS],
-)
+# a point at k = lam = 2, delta = alpha = 1 is named by m and n alone
+_XGCD_CASES = [pytest.param(*pt, id="-".join(map(str, pt[:2] if pt[2:] == (2, 2, 1, 1) else pt)))
+               for pt in _XGCD_POINTS]
+
+
+@pytest.mark.parametrize("m,n,k,lam,delta,alpha", _XGCD_CASES)
 def test_lazy_idempotents_match_global_xgcd(m, n, k, lam, delta, alpha):
     # reference: one xgcd of C_j^e against f_j^e at the full degree e*n
     params = Params(m, n, k, lam, delta, alpha)
@@ -167,11 +168,11 @@ def test_lazy_idempotents_match_global_xgcd(m, n, k, lam, delta, alpha):
     F = params.field
     e = params.nilpotency
     expect = []
-    for ent in fd.entries:
-        cof_e = pr.p_pow(F, ent.cofactor, e)
+    for ent, cof in zip(fd.entries, fd.cofactors):
+        cof_e = pr.p_pow(F, cof, e)
         g, s, _ = pr.p_xgcd(F, cof_e, pr.p_pow(F, ent.f, e))
         assert g == (1,)
-        expect.append(pr.p_mod(F, pr.p_mul(F, s, cof_e), fd.modulus))
+        expect.append(pr.p_mod(F, pr.p_mul(F, s, cof_e), params.a_modulus))
     assert fd.idempotents == tuple(expect)
 
 
@@ -189,10 +190,32 @@ def test_lazy_idempotents_match_global_xgcd(m, n, k, lam, delta, alpha):
 def test_certificate_rejects_corrupted_cofactor(corrupt):
     params = Params(1, 7, 2, 2, 1, 1)
     fd = build_factor_data(params)
-    cofactors = corrupt(params.field, tuple(ent.cofactor for ent in fd.entries))
-    entries = tuple(ent._replace(cofactor=c) for ent, c in zip(fd.entries, cofactors))
+    fd.cofactors = corrupt(params.field, fd.cofactors)
     with pytest.raises(ArithmeticError, match="idempotents do not sum to 1"):
-        factorizer.FactorData(params, entries).idempotents
+        fd.idempotents
+
+
+def test_certificate_rejects_factor_of_another_polynomial():
+    # x^2 + x + 1 divides x^3 + 1, not x^7 + 1
+    params = Params(1, 7, 2, 2, 1, 1)
+    fd = factorizer.FactorData(params, (factorizer.FactorEntry((1, 1, 1), 2),))
+    with pytest.raises(ArithmeticError, match=r"factor \(1, 1, 1\) does not divide"):
+        fd.cofactors
+
+
+@pytest.mark.parametrize("m,n,k,lam,delta,alpha", _XGCD_CASES)
+def test_local_cofactor_matches_full_cofactor(m, n, k, lam, delta, alpha):
+    # reference: the full cofactor reduced mod f^e, and w from it by the
+    # formula alpha_root * C^(2^(k-1)) mod f^e
+    params = Params(m, n, k, lam, delta, alpha)
+    fd = build_factor_data(params)
+    F = params.field
+    for ent, cof in zip(fd.entries, fd.cofactors):
+        ctx = make_chain_ctx(params, ent.f)
+        fe = ctx.f_pows[ctx.e]
+        assert ctx.cofactor == pr.p_mod(F, cof, fe)
+        w = pr.p_powmod(F, cof, 1 << (k - 1), fe)
+        assert ctx.u2_unit == pr.p_mod(F, pr.p_scale(F, w, params.alpha_root), fe)
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,7 @@ RECORDS = [
     pytest.param(CodeDescriptor, ((IdealDescriptor(2, 1, 0),),),
                  "CodeDescriptor(components=(IdealDescriptor(factor=2, family=1, s=0, t=None, h=()),))",
                  id="CodeDescriptor"),
-    pytest.param(FactorEntry, ((1, 1), 1, (1,)),
-                 "FactorEntry(f=(1, 1), degree=1, cofactor=(1,))", id="FactorEntry"),
+    pytest.param(FactorEntry, ((1, 1), 1), "FactorEntry(f=(1, 1), degree=1)", id="FactorEntry"),
     pytest.param(IdealSet, ((3, 5),), "IdealSet(basis=(3, 5))", id="IdealSet"),
 ]
 
@@ -69,7 +68,7 @@ def test_packed_pows_computed_once_per_context(point):
 
 def test_u_extension_computed_once_per_context(point):
     _, ctxs = point
-    for name in ("u_squared", "u2_unit"):
+    for name in ("u_squared", "cofactor", "u2_unit"):
         first = [getattr(ctx, name) for ctx in ctxs]
         assert all(getattr(ctx, name) is value for ctx, value in zip(ctxs, first))
         assert first[0] is not first[1]
@@ -81,3 +80,11 @@ def test_idempotents_computed_once_per_factor_data(point):
     assert fd.idempotents is eps
     again = build_factor_data(fd.params)
     assert again.idempotents is not eps and again.idempotents == eps
+
+
+def test_cofactors_computed_once_per_factor_data(point):
+    fd, _ = point
+    cofactors = fd.cofactors
+    assert fd.cofactors is cofactors
+    again = build_factor_data(fd.params)
+    assert again.cofactors is not cofactors and again.cofactors == cofactors
