@@ -612,10 +612,11 @@ def test_enumerate_builds_each_component_once(monkeypatch, tmp_path, offset, lim
 ])
 def test_enumerate_sizes_each_block_once(monkeypatch, tmp_path, offset, blocks, flags):
     # A page sizes each (factor, family, s, t) block it reaches once, not
-    # each descriptor, and formats lifted words without flat_digits,
-    # which only a table build may call.
-    calls = {"ideal_size": [], "flat_digits": [], "component_generators": []}
-    for module, name in ((en, "ideal_size"), (amb, "flat_digits"),
+    # each descriptor.  Each lift a table builds is put in coefficient
+    # order once, by one flat_digits call, and no code formats its words
+    # through flat_digits: 100 codes make fewer lifts than codes.
+    calls = {"ideal_size": [], "flat_digits": [], "lift_digits": [], "component_generators": []}
+    for module, name in ((en, "ideal_size"), (amb, "flat_digits"), (amb, "lift_digits"),
                          (amb, "component_generators")):
         def counted(*args, _real=getattr(module, name), _seen=calls[name]):
             _seen.append(args)
@@ -640,7 +641,9 @@ def test_enumerate_sizes_each_block_once(monkeypatch, tmp_path, offset, blocks, 
     assert len(calls["ideal_size"]) == blocks
     tables = len(calls["component_generators"])
     assert tables == blocks * ("--with-generators" in flags)
-    assert len(calls["flat_digits"]) <= tables
+    lifts = len(calls["lift_digits"])
+    assert len(calls["flat_digits"]) == lifts < 100
+    assert (lifts > 0) == (tables > 0)
 
 
 # (m, n, k, lam, delta, alpha): 8-bit lanes and three factors, 16-bit
