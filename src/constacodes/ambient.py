@@ -133,8 +133,8 @@ def flat_digits(params: Params, acc: int) -> list[int]:
     """The flat u-digits of lift_digits' accumulators: coefficient i,
     digit t at index i * 2*lam + t."""
     N, w = params.length, params.u_exp
-    # unpack drops the top zero lanes
-    lanes = pr.unpack(params.field, acc) + (0,) * w * N
+    lanes = pr.unpack(params.field, acc)
+    lanes += (0,) * (w * N - len(lanes))  # unpack drops the top zero lanes
     flat = [0] * (w * N)
     for t in range(w):
         flat[t::w] = lanes[t * N:t * N + N]

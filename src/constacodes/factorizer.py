@@ -1,10 +1,14 @@
 """Factor x^n + c (n odd, c nonzero) over GF(2^m) and build split data.
 
-n odd makes x^n + c squarefree, so distinct-degree factorization
-followed by equal-degree splitting yields pairwise distinct monic
-irreducible factors.  Equal-degree splitting uses the absolute trace
-map h + h^2 + h^4 + ... down to GF(2), the characteristic-2 substitute
-for the odd-characteristic exponentiation split.
+n odd makes x^n + c squarefree (its derivative x^(n-1) is prime to it),
+so it has exactly r distinct monic irreducible factors, r the number of
+q-cyclotomic cosets below, whose sizes factor_degrees gives first.
+They steer the split: the distinct-degree gcd runs only at degrees that
+occur, and the largest degree's part is what is left (von zur Gathen
+and Gerhard, Modern Computer Algebra, 14.2-14.3).  Equal-degree
+splitting uses the absolute trace map h + h^2 + h^4 + ... down to
+GF(2).  They also certify it: r monic nonconstant parts with product
+x^n + c are all irreducible, so no part pays Rabin's test.
 
 build_factor_data keeps, for every factor f_j of g = x^n + c, only f_j
 and its degree d_j: all that counting and enumeration need.  The exact
@@ -49,17 +53,15 @@ def _trace_split(F: GF2m, g: Poly, d: int, rng: random.Random) -> tuple[Poly, Po
     """Split a product g of degree-d irreducibles into two proper parts."""
     bits = F.m * d
     dv = pr.k_divisor(F, pr.pack(F, g))
-    while True:
-        h = pr.normalize(rng.randrange(F.order) for _ in range(pr.deg(g)))
-        if not h:
-            continue
-        tr = acc = pr.pack(F, h)
+    for _ in range(64):  # a draw splits with probability >= 1/2 if d is right
+        tr = acc = pr.pack(F, pr.normalize(rng.randrange(F.order) for _ in range(pr.deg(g))))
         for _ in range(bits - 1):
             acc = pr.k_mod(F, pr.k_sqr(F, acc), dv)
             tr ^= acc
         w = pr.p_gcd(F, pr.unpack(F, tr), g) if tr else pr.P_ZERO
         if w and 0 < pr.deg(w) < pr.deg(g):
             return w, pr.p_divmod(F, g, w)[0]
+    raise ArithmeticError(f"no split of a degree-{pr.deg(g)} part into degree-{d} factors")
 
 
 def _equal_degree(F: GF2m, g: Poly, d: int, rng: random.Random) -> list[Poly]:
@@ -72,38 +74,35 @@ def _equal_degree(F: GF2m, g: Poly, d: int, rng: random.Random) -> list[Poly]:
 def factor_xn_delta(F: GF2m, n: int, delta0: int) -> list[tuple[Poly, int]]:
     """Distinct monic irreducible factors of x^n + delta0, with degrees.
 
-    Output is sorted by (degree, coefficient tuple), so it does not depend
-    on the random splits; those draw from a fixed seed, so that the time
-    a call takes does not vary either.
+    Each distinct-degree part must have the degree the cosets give, and
+    the sorted degrees must be the coset sizes, or ArithmeticError names
+    the parts that fail Rabin's test.  Output is sorted by (degree,
+    coefficients), so it does not depend on the random splits; those
+    draw from a fixed seed, so the time a call takes does not vary.
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"n must be odd, got {n}")
-    if delta0 == 0:
-        raise ValueError("delta0 must be nonzero")
+    degrees = factor_degrees(F, n, delta0)  # also rejects even n and zero delta0
     target = pr.normalize((delta0,) + (0,) * (n - 1) + (1,))
     rng = random.Random(0)
 
     factors: list[Poly] = []
-    rem = target
-    frob = pr.p_mod(F, pr.P_X, rem)  # x^(q^d) mod rem, advanced per degree
-    d = 0
-    while pr.deg(rem) > 0:
-        d += 1
-        if 2 * d > pr.deg(rem):
-            factors.append(pr.monic(F, rem))
-            break
-        frob = pr.p_powmod(F, frob, F.order, rem)
+    rem, frob, last = target, pr.P_X, 0  # frob = x^(q^last) mod rem
+    *low, top = sorted(set(degrees))
+    for d in low:
+        frob = pr.p_powmod(F, frob, F.order ** (d - last), rem)
         g = pr.p_gcd(F, pr.p_add(F, frob, pr.P_X), rem)
-        if pr.deg(g) > 0:
-            factors.extend(_equal_degree(F, g, d, rng))
-            rem = pr.p_divmod(F, rem, g)[0]
-            frob = pr.p_mod(F, frob, rem)
+        if pr.deg(g) != d * degrees.count(d):
+            raise ArithmeticError(f"the degree-{d} part has degree {pr.deg(g)}, "
+                                  f"not {d} * {degrees.count(d)}")
+        factors.extend(_equal_degree(F, g, d, rng))
+        rem, last = pr.p_divmod(F, rem, g)[0], d
+    factors.extend(_equal_degree(F, rem, top, rng))
 
     factors.sort(key=lambda f: (pr.deg(f), f))
+    if [pr.deg(f) for f in factors] != degrees:
+        bad = [f for f in factors if not is_irreducible(F, f)]
+        raise ArithmeticError(f"factor degrees differ from the coset sizes; reducible: {bad}")
     prod = pr.P_ONE
     for f in factors:
-        if not is_irreducible(F, f):
-            raise ArithmeticError(f"factor {f} failed the irreducibility test")
         prod = pr.p_mul(F, prod, f)
     if prod != target:
         raise ArithmeticError("factor product does not reassemble the input")

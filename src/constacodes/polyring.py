@@ -27,8 +27,8 @@ once (Divisor) as the rows y^j * b, j < m, and a step with quotient
 coefficient c xors in the rows of the set bits of c, shifted into place.
 k_invmod inverts modulo a prepared divisor by a Euclid that keeps one
 cofactor and stops at the first constant remainder.
-is_irreducible, Rabin's test, runs on it over any GF(2^m); over GF(2)
-it checks a caller's field reduction polynomial.
+is_irreducible, Rabin's test, runs on it over any GF(2^m); it checks a
+caller's field reduction polynomial and names a factorizer's bad parts.
 """
 
 from __future__ import annotations

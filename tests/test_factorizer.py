@@ -5,16 +5,12 @@ import types
 import pytest
 
 from constacodes.gf2m import GF2m, _factor_int
-from constacodes import factorizer
+from constacodes import cli, factorizer
 from constacodes import polyring as pr
 from constacodes.chainring import make_chain_ctx
-from constacodes.factorizer import (
-    build_factor_data,
-    factor_degrees,
-    factor_xn_delta,
-    is_irreducible,
-)
+from constacodes.factorizer import build_factor_data, factor_degrees, factor_xn_delta
 from constacodes.params import Params
+from constacodes.polyring import is_irreducible
 
 F2 = GF2m(1)
 F4 = GF2m(2)
@@ -265,12 +261,80 @@ def _degree_cases():
 
 
 def test_factor_degrees_match_factorizer():
+    # The factorizer certifies its factors by factor_degrees, so Rabin's
+    # test checks each of them here, independently of the cosets.
     cases = 0
     for F, n, c in _degree_cases():
-        expect = sorted(d for _, d in factor_xn_delta(F, n, c))
-        assert factor_degrees(F, n, c) == expect, (F, n, c)
+        factors = factor_xn_delta(F, n, c)
+        assert all(is_irreducible(F, f) for f, _ in factors), (F, n, c)
+        assert factor_degrees(F, n, c) == sorted(d for _, d in factors), (F, n, c)
         cases += 1
     assert cases == 180
+
+
+# ----------------------------------------------------------------------
+# The coset certificate: no Rabin test on the request path, and a
+# factorizer that emits a reducible or wrong-degree part is rejected
+# ----------------------------------------------------------------------
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name (and every package binding of it) to count calls."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+    for mod in (pr, factorizer):
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 7), (2, 7), (4, 15), (8, 51), (8, 255)])
+def test_build_factor_data_runs_no_rabin_test(monkeypatch, m, n):
+    params = Params(m, n, 2, 2, 1, 1)
+    rabin = _counting(monkeypatch, pr, "is_irreducible")
+    powmod = _counting(monkeypatch, pr, "p_powmod")
+    fd = build_factor_data(params)
+    assert rabin == []
+    assert [ent.degree for ent in fd.entries] == factor_degrees(params.field, n, 1)
+    # one distinct degree: the whole polynomial goes to the equal-degree
+    # split, with no Frobenius powering
+    assert (powmod == []) == (len(set(factor_degrees(params.field, n, 1))) == 1)
+
+
+def test_unsplit_part_is_rejected(monkeypatch, capsys):
+    # x^7 + 1 = (x + 1) * two cubics; the cubics' part comes back whole
+    monkeypatch.setattr(factorizer, "_equal_degree", lambda F, g, d, rng: [g])
+    with pytest.raises(ArithmeticError, match=r"reducible: \[\(1, 1, 1, 1, 1, 1, 1\)\]"):
+        factor_xn_delta(F2, 7, 1)
+    assert cli.main(["factor", "--m", "1", "--n", "7"]) == 1
+    assert "differ from the coset sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "degrees,message",
+    [
+        pytest.param([1, 2, 4], r"the degree-2 part has degree 0, not 2 \* 1", id="no-such-degree"),
+        # the degree-3 gcd also collects x + 1
+        pytest.param([3, 4], r"the degree-3 part has degree 7, not 3 \* 1", id="divisor-degree"),
+        pytest.param([1, 1, 5], r"the degree-1 part has degree 1, not 1 \* 2", id="count"),
+        # the cubics never split into quadratics, so the draws run out
+        pytest.param([1, 2, 2, 2], "no split of a degree-3 part into degree-2 factors", id="top-degree"),
+    ],
+)
+def test_wrong_degree_list_is_rejected(monkeypatch, degrees, message):
+    monkeypatch.setattr(factorizer, "factor_degrees", lambda F, n, c: degrees)
+    with pytest.raises(ArithmeticError, match=message):
+        factor_xn_delta(F2, 7, 1)
+
+
+def test_part_of_wrong_degree_is_rejected(monkeypatch):
+    # a Frobenius that returns x makes the degree-1 gcd the whole input
+    monkeypatch.setattr(pr, "p_powmod", lambda F, base, e, modulus: pr.P_X)
+    with pytest.raises(ArithmeticError, match=r"the degree-1 part has degree 7, not 1 \* 1"):
+        factor_xn_delta(F2, 7, 1)
 
 
 def test_factor_degrees_large_order_small_memory():
