@@ -6,10 +6,13 @@ Every element has a unique f-adic digit expansion with digits of degree
 below d, and is a unit iff digit 0 is nonzero.  Elements are reduced
 polynomials (tuples); a rank-2 module vector is a pair of them.
 
-In the u-extension K + uK, u^2 = U = w^2 * f^(2^k) for a unit w, so u
-sends a0 + u*a1 to U*a1 + u*a0.  A context builds U, and w with its
-certificate, on first use: satisfies_u_closure needs U alone, and only
-the family-1 and family-6 generators (see enumerator) need w.
+In the u-extension K + uK, u^2 = U = alpha^(-1) * (x^N + delta), so u
+sends a0 + u*a1 to U*a1 + u*a0.  Squaring is additive in characteristic
+2, so U = v^2 for v = alpha_root * (x^(N/2) + sqrt(delta)), and
+v = alpha_root * C^(2^(k-1)) * f^(2^(k-1)) with C = (x^n + delta_root) / f
+prime to f.  A context builds U, and v with its certificates, on first
+use: satisfies_u_closure needs U alone, and only the family-1 and
+family-6 generators (see enumerator) need v.
 
 canonical_module_form reduces any generating set of a K-submodule of
 K^2 to the invariants (t0, t1, a) that fix it (Howell, Lin. Multilin.
@@ -99,34 +102,30 @@ class ChainCtx:
     @cached_property
     def u_squared(self) -> Poly:
         """u^2 = alpha^(-1) * (x^N + delta) modulo f^e."""
-        if self.params is None:
+        params = self.params
+        if params is None:
             raise ValueError("context carries no u-extension")
-        return pr.p_mod(self.field, self.params.u_squared_poly, self.f_pows[self.e])
+        return self._binomial(params.length, params.delta, self.field.inv(params.alpha))
 
     @cached_property
-    def cofactor(self) -> Poly:
-        """C mod f^e, C = (x^n + delta_root) / f.  As f*C = x^n + delta_root,
-        it is the quotient of x^n mod f^(e+1) by f, with remainder delta_root."""
-        F = self.field
-        if self.params is None:
-            raise ValueError("context carries no u-extension")
-        xn = pr.p_powmod(F, pr.P_X, self.params.n, pr.p_mul(F, self.f_pows[self.e], self.f))
-        return pr.p_divmod(F, xn, self.f)[0]
-
-    @cached_property
-    def u2_unit(self) -> Poly:
-        """w = alpha_root * C^(2^(k-1)) mod f^e, C the cofactor,
-        certified: digit 0 is nonzero and w^2 * f^(2^k) == u^2 mod f^e,
-        or f is no factor of the core polynomial or C is wrong."""
+    def u_root(self) -> Poly:
+        """v = alpha_root * (x^(N/2) + sqrt(delta)) modulo f^e, certified:
+        its valuation is 2^(k-1), as it is iff f is a squarefree divisor of
+        the core polynomial, and v^2 == u^2 mod f^e."""
         u2, params, F = self.u_squared, self.params, self.field  # ValueError if no params
-        modulus = self.f_pows[self.e]
-        w = pr.p_powmod(F, self.cofactor, 1 << (params.k - 1), modulus)
-        w = pr.p_mod(F, pr.p_scale(F, w, params.alpha_root), modulus)
-        if not pr.p_mod(F, w, self.f):  # digit 0 of w vanishes
-            raise ArithmeticError("u^2 unit is not invertible; cofactor shares a root with f")
-        if pr.p_mod(F, pr.p_mul(F, pr.p_mul(F, w, w), self.f_pows[1 << params.k]), modulus) != u2:
-            raise ArithmeticError("u^2 congruence failed; upstream factorization is broken")
-        return w
+        v = self._binomial(params.length // 2, F.sqrt(params.delta), params.alpha_root)
+        if (val := pi_degree(self, v)) != 1 << (params.k - 1):
+            raise ArithmeticError(f"{self.f} is no simple factor of the core polynomial "
+                                  f"(v has valuation {val})")
+        if c_mul(self, v, v) != u2:
+            raise ArithmeticError("u^2 congruence failed; v^2 differs from u^2")
+        return v
+
+    def _binomial(self, exponent: int, c: int, scale: int) -> Poly:
+        """scale * (x^exponent + c) modulo f^e, by one power of x."""
+        F = self.field
+        xe = pr.p_powmod(F, pr.P_X, exponent, self.f_pows[self.e])
+        return pr.p_scale(F, pr.p_add(F, xe, (c,)), scale)
 
 
 def make_chain_ctx(params: Params, f: Poly) -> ChainCtx:

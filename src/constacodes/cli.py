@@ -224,7 +224,7 @@ def cmd_enumerate(args) -> int:
     if args.with_generators:  # run the certificates before any output
         fd.idempotents
         for ctx in ctxs:
-            ctx.u2_unit
+            ctx.u_root
     total = en.count_codes(params, fd)
     stream = en.enumerate_codes(params, fd, ctxs, start=args.offset)
     window = itertools.islice(stream, args.limit)

@@ -1,11 +1,11 @@
 """Enumerate and count the ideal families of the u-extended chain rings.
 
-For one irreducible factor f of degree d, with e = 2^k * lam and w the
-context unit (u^2 = w^2 * f^(2^k)), every ideal of K + uK has one shape
+For one irreducible factor f of degree d, e = 2^k * lam and v the root
+of u^2 in chainring, f^(2^(k-1)) times a unit, each ideal of K + uK is
 
-    <a + u*f^s, f^(s+t)>,   a = [w*f^(2^(k-1)+s)] + f^(s+ceil(t/2))*h,
+    <a + u*f^s, f^(s+t)>,   a = [v*f^s] + f^(s+ceil(t/2))*h,
 
-for s + t <= e, h a residue mod f^(floor(t/2)), and the w-term present
+for s + t <= e, h a residue mod f^(floor(t/2)), and the v-term present
 exactly when the gap t exceeds 2^k.  Gap 0 is <f^s>, and at s + t = e
 the second generator f^e is zero.  The ideal has 2^(m*d*(2e-2s-t))
 codewords, the pi-degree size law for rows of degrees s and s + t.
@@ -14,7 +14,7 @@ the gaps 2j and 2j+1 give the term (1+4i) * q^(half-i) of the paper's
 sum form, i = half - j, half = e/2.  The printed labels are the
 paper's six families, which split the shape by gap:
 
-  1. <w*f^(2^(k-1)+s) + f^(half+ceil(s/2))*h + u*f^s>,
+  1. <v*f^s + f^(half+ceil(s/2))*h + u*f^s>,
          0 <= s <= 2^k*(lam-1)-1,      h mod f^(half-ceil(s/2))
   2. <f^(half+ceil(s/2))*h + u*f^s>,
          2^k*(lam-1) <= s <= e-1,      h mod f^(half-ceil(s/2))
@@ -22,12 +22,12 @@ paper's six families, which split the shape by gap:
   4. <u*f^s, f^(s+1)>,                   0 <= s <= e-2
   5. <f^(s+ceil(t/2))*h + u*f^s, f^(s+t)>,
          2 <= t <= 2^k,      0 <= s <= e-1-t,   h mod f^(floor(t/2))
-  6. <w*f^(2^(k-1)+s) + f^(s+ceil(t/2))*h + u*f^s, f^(s+t)>,
+  6. <v*f^s + f^(s+ceil(t/2))*h + u*f^s, f^(s+t)>,
          2^k+1 <= t <= e-1,  0 <= s <= e-1-t,   h mod f^(floor(t/2))
 
 Families 1-2 have gap e - s, family 3 gap 0, families 4-6 gap t;
 ideal_gap is the one place they are told apart.  For t <= 2^k the
-w-term is a multiple of f^(s+ceil(t/2)) and would only relabel h within
+v-term is a multiple of f^(s+ceil(t/2)) and would only relabel h within
 its block; for t > 2^k the u-action needs it.  So families 1 and 2 part at
 e - s = 2^k, s = 2^k*(lam-1).  The u-closure check below certifies
 every emitted descriptor, and the materialization oracle in the test
@@ -232,7 +232,7 @@ def descriptor_generators(
         return [(fs, pr.P_ZERO)]
     a = pr.P_ZERO
     if t > 1 << params.k:
-        a = cr.c_mul(ctx, ctx.u2_unit, ctx.f_pows[(1 << (params.k - 1)) + s])
+        a = cr.c_mul(ctx, ctx.u_root, ctx.f_pows[s])
     if h:
         a = pr.p_add(params.field, a, cr.c_mul(ctx, ctx.f_pows[s + (t + 1) // 2], h))
     rows = [(a, fs)]

@@ -251,12 +251,15 @@ def test_criterion_6_structural_invariants():
             assert pr.p_mod(F, pr.p_mul(F, eps, eps), M) == eps
         assert pr.p_mod(F, total, M) == (1,)
 
-        ctxs = en.chain_contexts(params, fd)  # unit congruence asserted on first use of u2_unit
-        for ent, ctx in zip(fd.entries, ctxs):
-            lhs = cr.c_mul(ctx, cr.c_mul(ctx, ctx.u2_unit, ctx.u2_unit),
-                           ctx.f_pows[1 << params.k])
-            rhs = cr.c_reduce(ctx, params.u_squared_poly)
-            assert lhs == rhs
+        # the paper's unit w = alpha_root * C^(2^(k-1)), C the cofactor:
+        # w^2 * f^(2^k) == u^2, and w * f^(2^(k-1)) is the context's root v
+        ctxs = en.chain_contexts(params, fd)
+        for cof, ctx in zip(fd.cofactors, ctxs):
+            fe, half = ctx.f_pows[ctx.e], 1 << (params.k - 1)
+            w = pr.p_scale(F, pr.p_powmod(F, cof, half, fe), params.alpha_root)
+            lhs = cr.c_mul(ctx, cr.c_mul(ctx, w, w), ctx.f_pows[1 << params.k])
+            assert lhs == pr.p_mod(F, params.u_squared_poly, fe)
+            assert cr.c_mul(ctx, w, ctx.f_pows[half]) == ctx.u_root
 
         for j, (ent, ctx) in enumerate(zip(fd.entries, ctxs), start=1):
             for d in en.enumerate_ideals(params, ctx, j):

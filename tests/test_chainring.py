@@ -148,15 +148,15 @@ def test_pi_degree():
 
 
 # ----------------------------------------------------------------------
-# The attached unit and the u-extension
+# The square root of u^2 and the u-extension
 # ----------------------------------------------------------------------
 
 def test_unit_is_alpha_root_when_single_factor():
+    # n = 1: f = x + 1 is the core polynomial, so v = alpha_root * f^(2^(k-1))
     params = Params(1, 1, 2, 2, 1, 1)
     fd = build_factor_data(params)
     ctx = cr.make_chain_ctx(params, fd.entries[0].f)
-    assert ctx.cofactor == (1,)
-    assert ctx.u2_unit == (1,)
+    assert ctx.u_root == ctx.f_pows[2] == (1, 0, 1)
     assert ctx.u_squared == pr.p_pow(F2, (1, 1), 4)
 
 
@@ -165,46 +165,49 @@ def test_unit_for_n3_factor():
     fd = build_factor_data(params)
     ent = next(e for e in fd.entries if e.degree == 1)  # f = x + 1
     ctx = cr.make_chain_ctx(params, ent.f)
-    # cofactor^2 = (x^2+x+1)^2 = x^4+x^2+1
-    assert ctx.u2_unit == (1, 0, 1, 0, 1)
-    lhs = cr.c_mul(ctx, cr.c_mul(ctx, ctx.u2_unit, ctx.u2_unit), ctx.f_pows[4])
+    # v = x^6 + 1 = w * f^2 with w = cofactor^2 = (x^2+x+1)^2 = x^4+x^2+1
+    assert ctx.u_root == (1, 0, 0, 0, 0, 0, 1)
+    w = (1, 0, 1, 0, 1)
+    assert cr.c_mul(ctx, w, ctx.f_pows[2]) == ctx.u_root
+    lhs = cr.c_mul(ctx, cr.c_mul(ctx, w, w), ctx.f_pows[4])
     rhs = cr.c_reduce(ctx, pr.p_pow(F2, (1, 0, 0, 1), 4))
-    assert lhs == rhs
+    assert lhs == rhs == ctx.u_squared
     # u^(2*lam) = 0 in K + uK
     assert pr.p_mod(F2, pr.p_pow(F2, ctx.u_squared, params.lam), ctx.f_pows[ctx.e]) == pr.P_ZERO
 
 
-# The unit w = alpha_root * C^(2^(k-1)) of a degree-3 factor f at n = 7,
-# built from a corrupted local cofactor C (C mod f^e, which the context
-# works out itself).  C -> f makes digit 0 of w vanish.
-# C -> C + f fails the congruence only at lam >= 3: (C + f)^(2^k) =
-# C^(2^k) + f^(2^k), so w^2 f^(2^k) gains f^(2^(k+1)), which is f^e, and
-# zero, at lam = 2.  C -> C + 1 fails it at lam = 2 as well.
-CORRUPTED_COFACTORS = [
-    pytest.param(3, lambda ctx: ctx.f, "u\\^2 unit is not invertible", id="f"),
-    pytest.param(3, lambda ctx: pr.p_add(F2, ctx.cofactor, ctx.f), "u\\^2 congruence failed",
-                 id="cofactor+f"),
-    pytest.param(3, lambda ctx: pr.p_add(F2, ctx.cofactor, pr.P_ONE), "u\\^2 congruence failed",
-                 id="cofactor+1"),
-    pytest.param(2, lambda ctx: pr.p_add(F2, ctx.cofactor, pr.P_ONE), "u\\^2 congruence failed",
-                 id="cofactor+1-lam2"),
+# The certificates of v at n = 7 (factors x + 1, x^3 + x + 1 and
+# x^3 + x^2 + 1): a context built at a polynomial that divides the core
+# polynomial once, and at no other, reads valuation 2^(k-1).  x^2 + x + 1
+# divides x^3 + 1, not x^7 + 1, so v is a unit; (x + 1)^2 = x^2 + 1 is a
+# square, and v has half the valuation.  A corrupted u^2 fails the
+# congruence v^2 == u^2 however v is right.
+U_ROOT_CERTIFICATES = [
+    pytest.param(2, (1, 1, 1), None, "is no simple factor .*valuation 0", id="non-factor"),
+    pytest.param(3, (1, 1, 1), None, "is no simple factor .*valuation 0", id="non-factor-k3"),
+    pytest.param(2, (1, 0, 1), None, "is no simple factor .*valuation 1", id="square"),
+    pytest.param(3, (1, 0, 1), None, "is no simple factor .*valuation 2", id="square-k3"),
+    pytest.param(2, (1, 1, 0, 1), lambda ctx, u2: pr.p_add(F2, u2, pr.P_ONE),
+                 "u\\^2 congruence failed", id="u_squared+1"),
+    pytest.param(3, (1, 1, 0, 1), lambda ctx, u2: cr.c_mul(ctx, u2, (0, 1)),
+                 "u\\^2 congruence failed", id="x*u_squared"),
 ]
 
 
-@pytest.mark.parametrize("lam, corrupt, message", CORRUPTED_COFACTORS)
-def test_unit_certificate_rejects_corrupted_cofactor(lam, corrupt, message):
-    params = Params(1, 7, 2, lam, 1, 1)
-    ent = next(e for e in build_factor_data(params).entries if e.degree == 3)
-    ctx = cr.make_chain_ctx(params, ent.f)
-    ctx.cofactor = corrupt(ctx)  # builds no unit
-    assert "u2_unit" not in vars(ctx)
+@pytest.mark.parametrize("k, f, corrupt, message", U_ROOT_CERTIFICATES)
+def test_u_root_certificates_reject(k, f, corrupt, message):
+    params = Params(1, 7, k, 2, 1, 1)
+    ctx = cr.make_chain_ctx(params, f)
+    if corrupt:
+        ctx.u_squared = corrupt(ctx, ctx.u_squared)  # builds no root
+    assert "u_root" not in vars(ctx)
     with pytest.raises(ArithmeticError, match=message):
-        ctx.u2_unit
+        ctx.u_root
 
 
 def test_plain_context_has_no_u_extension():
     ctx = cr.ChainCtx(F2, (1, 1), 4)
-    for read in (lambda: ctx.u_squared, lambda: ctx.cofactor, lambda: ctx.u2_unit,
+    for read in (lambda: ctx.u_squared, lambda: ctx.u_root,
                  lambda: cr.satisfies_u_closure(ctx, [((1,), ())])):
         with pytest.raises(ValueError, match="context carries no u-extension"):
             read()
@@ -216,20 +219,20 @@ def test_code_stream_builds_no_unit():
     ctxs = en.chain_contexts(params, fd)
     codes = list(itertools.islice(en.enumerate_codes(params, fd, ctxs, start=12345), 500))
     assert len(codes) == 500
-    assert all("u2_unit" not in vars(ctx) for ctx in ctxs)
+    assert all("u_root" not in vars(ctx) for ctx in ctxs)
 
 
 def test_lifting_generators_builds_the_unit():
-    # Family 1 at s = 0 has gap e > 2^k, so its generator holds w.
+    # Family 1 at s = 0 has gap e > 2^k, so its generator holds v.
     params = Params(1, 3, 2, 2, 1, 1)
     fd = build_factor_data(params)
     ctxs = en.chain_contexts(params, fd)
     desc = en.IdealDescriptor(1, 1, 0)
     LiftTable(params, fd, 0, desc, ctxs[0])
-    assert "u2_unit" in vars(ctxs[0]) and "u2_unit" not in vars(ctxs[1])
+    assert "u_root" in vars(ctxs[0]) and "u_root" not in vars(ctxs[1])
     ctxs = en.chain_contexts(params, fd)
     amb.code_bit_basis(params, fd, en.CodeDescriptor((desc, desc._replace(factor=2))), ctxs)
-    assert all("u2_unit" in vars(ctx) for ctx in ctxs)
+    assert all("u_root" in vars(ctx) for ctx in ctxs)
 
 
 # ----------------------------------------------------------------------

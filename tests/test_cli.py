@@ -287,16 +287,16 @@ def test_failed_certificate_exit_1(monkeypatch, capsys):
     assert captured.err.startswith("error: idempotents do not sum to 1")
 
 
-# A corrupted first cofactor at (1,7), set on the factor data or on the
-# first chain context: C + x + x^2 breaks the idempotent sum; C*(1 + f),
-# which is C + (x^7 + 1) mod f^e, breaks the u^2 congruence by
-# w^2 * f^(2^(k+1)), which is nonzero mod f^e at lam = 3.
+# A corruption at (1,7), set on the factor data or on the first chain
+# context: C + x + x^2, C the first cofactor, breaks the idempotent sum;
+# u^2 * (1 + f), a unit multiple of the right u^2, breaks the congruence
+# v^2 == u^2, as u^2 * f is nonzero mod f^e.
 @pytest.mark.parametrize("lam, corrupt, message", [
     (2, lambda F, fd, ctx: setattr(fd, "cofactors", (pr.p_add(F, fd.cofactors[0], (0, 1, 1)),)
                                    + fd.cofactors[1:]),
      "idempotents do not sum to 1"),
-    (3, lambda F, fd, ctx: setattr(ctx, "cofactor",
-                                   cr.c_mul(ctx, ctx.cofactor, pr.p_add(F, ctx.f, pr.P_ONE))),
+    (3, lambda F, fd, ctx: setattr(ctx, "u_squared",
+                                   cr.c_mul(ctx, ctx.u_squared, pr.p_add(F, ctx.f, pr.P_ONE))),
      "u^2 congruence failed"),
 ])
 def test_enumerate_with_generators_certifies_before_output(monkeypatch, capsys, tmp_path,
@@ -499,6 +499,14 @@ STDOUT_FINGERPRINTS = [
      "40618b8c40427e94832d55a9f07431a099b548968f4078ac1714fe1e937675c8"),
     ("enumerate --m 1 --n 7 --k 3 --offset 100000 --limit 20 --with-generators",
      "e63b1dd515488f09e41a738b07c6cf6a2fa53ed1e90a13a813942eae56636fe5"),
+    # Family 6 at a factor of degree above 1, so that v is no constant
+    # multiple of a power of f: components (1,0), (1,0) and (6,0,9) in
+    # the first code of the first window.
+    ("enumerate --m 2 --n 5 --k 3 --delta 3 --alpha 2 --offset 4868238065 --limit 20 "
+     "--with-generators",
+     "f5a6de1a495f4297750b7f2a68d34a844836bb22078ee83693eeb4d63a2c3f3a"),
+    ("enumerate --m 1 --n 7 --k 3 --offset 21614921 --limit 20 --with-generators",
+     "7c5c267a517b809e75e36a75bf463a6274de06cb597649c9d4c4645ff6101e97"),
     # Lifted words at more lane widths and u-digit counts: 16-bit lanes
     # with lam = 3; lam = 4, where an unreduced eps_j * g spans 7 chunks
     # of N lanes; 32-bit lanes at the largest m.

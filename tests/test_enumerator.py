@@ -491,13 +491,16 @@ def _ref_ideal_size(params, d, desc):
     return 1 << (md * expo)
 
 
-def _ref_lead_entry(params, ctx, desc):
+def _ref_lead_entry(params, fd, ctx, desc):
     F = params.field
     half = (1 << (params.k - 1)) * params.lam
     fam, s, t, h = desc.family, desc.s, desc.t, desc.h
     acc = pr.P_ZERO
-    if fam in (1, 6):
-        acc = cr.c_mul(ctx, ctx.u2_unit, ctx.f_pows[(1 << (params.k - 1)) + s])
+    if fam in (1, 6):  # the paper's w * f^(2^(k-1)+s), w = alpha_root * C^(2^(k-1))
+        cof = fd.cofactors[desc.factor - 1]
+        w = pr.p_scale(F, pr.p_powmod(F, cof, 1 << (params.k - 1), ctx.f_pows[ctx.e]),
+                       params.alpha_root)
+        acc = cr.c_mul(ctx, w, ctx.f_pows[(1 << (params.k - 1)) + s])
     if fam in (1, 2):
         hidx = half + (s + 1) // 2
     else:
@@ -508,18 +511,18 @@ def _ref_lead_entry(params, ctx, desc):
     return acc
 
 
-def _ref_descriptor_generators(params, ctx, desc):
+def _ref_descriptor_generators(params, fd, ctx, desc):
     fam, s, t = desc.family, desc.s, desc.t
     fs = cr.c_reduce(ctx, ctx.f_pows[s])
     if fam in (1, 2):
-        return [(_ref_lead_entry(params, ctx, desc), fs)]
+        return [(_ref_lead_entry(params, fd, ctx, desc), fs)]
     if fam == 3:
         return [(fs, pr.P_ZERO)]
     if fam == 4:
         return [(pr.P_ZERO, fs), (cr.c_reduce(ctx, ctx.f_pows[s + 1]), pr.P_ZERO)]
     assert t is not None
     return [
-        (_ref_lead_entry(params, ctx, desc), fs),
+        (_ref_lead_entry(params, fd, ctx, desc), fs),
         (cr.c_reduce(ctx, ctx.f_pows[s + t]), pr.P_ZERO),
     ]
 
@@ -537,7 +540,7 @@ def test_one_shape_matches_six_families(m, n, k, lam, delta, alpha):
     fd = build_factor_data(p)
     for j, (ent, ctx) in enumerate(zip(fd.entries, en.chain_contexts(p, fd)), 1):
         for d in en.enumerate_ideals(p, ctx, j):
-            ref = _ref_descriptor_generators(p, ctx, d)
+            ref = _ref_descriptor_generators(p, fd, ctx, d)
             assert en.descriptor_generators(p, ctx, d) == ref, d
             if d.family == 3:
                 ref.append((pr.P_ZERO, ref[0][0]))

@@ -201,17 +201,17 @@ def test_certificate_rejects_factor_of_another_polynomial():
 
 @pytest.mark.parametrize("m,n,k,lam,delta,alpha", _XGCD_CASES)
 def test_local_cofactor_matches_full_cofactor(m, n, k, lam, delta, alpha):
-    # reference: the full cofactor reduced mod f^e, and w from it by the
-    # formula alpha_root * C^(2^(k-1)) mod f^e
+    # reference: the context's root v of u^2, a binomial worked out
+    # without the cofactor, is w * f^(2^(k-1)) mod f^e for the unit
+    # w = alpha_root * C^(2^(k-1)), C the full cofactor
     params = Params(m, n, k, lam, delta, alpha)
     fd = build_factor_data(params)
     F = params.field
     for ent, cof in zip(fd.entries, fd.cofactors):
         ctx = make_chain_ctx(params, ent.f)
         fe = ctx.f_pows[ctx.e]
-        assert ctx.cofactor == pr.p_mod(F, cof, fe)
-        w = pr.p_powmod(F, cof, 1 << (k - 1), fe)
-        assert ctx.u2_unit == pr.p_mod(F, pr.p_scale(F, w, params.alpha_root), fe)
+        w = pr.p_scale(F, pr.p_powmod(F, cof, 1 << (k - 1), fe), params.alpha_root)
+        assert ctx.u_root == pr.p_mod(F, pr.p_mul(F, w, ctx.f_pows[1 << (k - 1)]), fe)
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_packed_pows_computed_once_per_context(point):
 
 def test_u_extension_computed_once_per_context(point):
     _, ctxs = point
-    for name in ("u_squared", "cofactor", "u2_unit"):
+    for name in ("u_squared", "u_root"):
         first = [getattr(ctx, name) for ctx in ctxs]
         assert all(getattr(ctx, name) is value for ctx, value in zip(ctxs, first))
         assert first[0] is not first[1]
