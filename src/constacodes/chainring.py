@@ -22,31 +22,33 @@ coordinate paired with f^t0, reduced mod f^t1 (() when t0 = e).  The
 module is the span of (f^t0, a) and (0, f^t1), and two generator sets
 span the same submodule iff their triples are equal.
 
-The form clears rows without dividing by the pivot.  The pivot (g0,
-g1) is a row whose g0 = w*f^t0, w a unit, has the least valuation t0;
-f^(e-t0) times it is (0, f^(e-t0)*g1), and every other row (a0, a1)
-becomes w*(a0, a1) - (a0/f^t0)*(g0, g1), whose second coordinate is
-w*a1 - (a0/f^t0)*g1.  Scaling a row by a unit keeps the span, so t1 is
-the least valuation of these second coordinates, found without an
-inverse.  Only a = w^-1 * g1 mod f^t1 needs one, so w is inverted only
-modulo f^t1, and not at all when t0 = e or t1 = 0: polyring.k_invmod
-inverts it modulo f, and Newton steps lift that to f^t1, each with w
-reduced to the precision it reaches (von zur Gathen and Gerhard, Modern
-Computer Algebra, 9.1).
+The form clears rows without dividing by the pivot (_pivot_form).  The
+pivot (g0, g1) is a row whose g0 = w*f^t0, w a unit, has the least
+valuation t0; f^(e-t0) times it is (0, f^(e-t0)*g1), and every other
+row (a0, a1) becomes w*(a0, a1) - (a0/f^t0)*(g0, g1), whose second
+coordinate is w*a1 - (a0/f^t0)*g1.  Scaling a row by a unit keeps the
+span, so t1 is the least valuation of these second coordinates, found
+without an inverse, and the module is the span of the pivot row and
+(0, f^t1).  Only the canonical triple inverts w: a = w^-1 * g1 mod f^t1
+needs w only modulo f^t1, and no inverse at all when g1 = 0 (always
+so when t0 = e) or t1 = 0.  polyring.k_invmod inverts w modulo f, and
+Newton steps lift that to f^t1, each with w reduced to the precision it
+reaches (von zur Gathen and Gerhard, Modern Computer Algebra, 9.1).
 
 The form serves two jobs.  Equality of forms certifies that two
 generator sets span the same module, which keeps the enumerated codes
-distinct.  Reduction against a form decides membership
-(_contains), and membership decides u-stability: the u-action is
-K-linear, so the span is u-stable iff the u-multiple of each generator
-lies in it (satisfies_u_closure).
+distinct.  Membership reduces against the pivot row (_contains), and
+membership decides u-stability: the u-action is K-linear, so the span
+is u-stable iff the u-multiple of each generator lies in it
+(satisfies_u_closure).
 
 The certificate runs on packed ints (see polyring) from entry to
 verdict: the context carries f^0 .. f^e packed as divisors
 (packed_pows), the valuation pi_degree is the largest t with f^t | a,
 found by a binary search whose every step divides only what the last
-one left, the form is computed on the packed rows, and each u-multiple
-is reduced against it without unpacking.
+one left, each generator is packed once, the pivot row is found on the
+packed rows, and each u-multiple is reduced against it without
+unpacking or inverting anything.
 
 iter_h is the one residue iterator: every walk over residues mod f^l
 (the ideal enumeration, the self-dual list and the tests' submodule
@@ -216,31 +218,39 @@ def _valuation(ctx: ChainCtx, a: int) -> int:
 CanonForm = tuple[int, int, Poly]
 
 
-def canonical_module_form(ctx: ChainCtx, gens) -> CanonForm:
-    """The invariants (t0, t1, a) of the K-span of gens in K^2, by the
-    pivot-free clearing of the module docstring, on the packed rows;
-    only a is unpacked."""
+def _pivot_form(ctx: ChainCtx, rows: list[tuple[int, int]]) -> tuple[int, int, int, int]:
+    """(t0, t1, w, g1) of the K-span of the packed rows, by the clearing
+    of the module docstring: the pivot row is (w*f^t0, g1), and w = 1,
+    g1 = 0 when t0 = e.  The span is that of (w*f^t0, g1) and (0, f^t1)."""
     F, e, pows = ctx.field, ctx.e, ctx.packed_pows
-    rows = [(pr.pack(F, g[0]), pr.pack(F, g[1])) for g in gens if g[0] or g[1]]
-
     # Pivot for column 0: smallest pi-degree among first coordinates.
-    degs = [_valuation(ctx, g0) for g0, _ in rows]
+    degs = [_valuation(ctx, a0) for a0, _ in rows]
     t0 = min(degs, default=e)
     if t0 == e:  # no first coordinate survives mod f^e
-        return e, min((_valuation(ctx, a1) for _, a1 in rows), default=e), ()
-    g0, g1 = rows.pop(degs.index(t0))
+        return e, min((_valuation(ctx, a1) for _, a1 in rows), default=e), 1, 0
+    p = degs.index(t0)
+    g0, g1 = rows[p]
     w = pr.k_divmod(F, g0, pows[t0])[0]  # exact, w a unit
     # f^(e-t0) times the pivot is (0, f^(e-t0)*g1).
     t1 = min(e, e - t0 + _valuation(ctx, g1))
     # w*(a0, a1) - (a0/f^t0)*(g0, g1) clears each other row's first coordinate.
-    for a0, a1 in rows:
+    for a0, a1 in rows[:p] + rows[p + 1:]:
         qfac = pr.k_divmod(F, a0, pows[t0])[0]  # exact by minimality of t0
         b = pr.k_mul(F, w, a1) ^ pr.k_mul(F, qfac, g1)
         t1 = min(t1, _valuation(ctx, pr.k_mod(F, b, pows[e])))
-    if t1 == 0:
-        return t0, 0, ()
+    return t0, t1, w, g1
+
+
+def canonical_module_form(ctx: ChainCtx, gens) -> CanonForm:
+    """The invariants (t0, t1, a) of the K-span of gens in K^2: the
+    pivot form of the packed rows, normalized to a = w^-1 * g1 mod f^t1;
+    only a is unpacked."""
+    F = ctx.field
+    t0, t1, w, g1 = _pivot_form(ctx, [(pr.pack(F, a0), pr.pack(F, a1)) for a0, a1 in gens])
+    if not (t1 and g1):  # a = 0, with no inverse; always so when t0 = e
+        return t0, t1, ()
     a = pr.k_mul(F, _unit_inverse(ctx, w, t1), g1)
-    return t0, t1, pr.unpack(F, pr.k_mod(F, a, pows[t1]))
+    return t0, t1, pr.unpack(F, pr.k_mod(F, a, ctx.packed_pows[t1]))
 
 
 def module_size(ctx: ChainCtx, form: CanonForm) -> int:
@@ -249,17 +259,18 @@ def module_size(ctx: ChainCtx, form: CanonForm) -> int:
     return ctx.q ** ((ctx.e - t0) + (ctx.e - t1))
 
 
-def _contains(ctx: ChainCtx, t0: int, t1: int, a: int, v0: int, v1: int) -> bool:
-    """Whether packed (v0, v1) lies in the module of canonical form
-    (t0, t1, a): f^t0 | v0 and f^t1 | v1 - (v0/f^t0)*a.
+def _contains(ctx: ChainCtx, t0: int, t1: int, w: int, g1: int, v0: int, v1: int) -> bool:
+    """Whether packed (v0, v1) lies in the span of (w*f^t0, g1) and
+    (0, f^t1), w a unit: f^t0 | v0 and f^t1 | w*v1 - (v0/f^t0)*g1.
 
-    v = (c*f^t0, b) is reduced by c times (f^t0, a); c is fixed only
-    modulo f^(e-t0), and only in a canonical form does every choice
-    leave the same remainder mod f^t1.
+    That span is the module of canonical form (t0, t1, w^-1 * g1), and
+    scaling by the unit w keeps a valuation, so w = 1 is the test
+    against a canonical form.  v0/f^t0 is fixed only modulo f^(e-t0),
+    and f^(e-t0)*g1 lies in <f^t1>, so every choice gives the verdict.
     """
     F, pows = ctx.field, ctx.packed_pows
     qfac, rem = pr.k_divmod(F, v0, pows[t0])
-    return not rem and not pr.k_mod(F, v1 ^ pr.k_mul(F, qfac, a), pows[t1])
+    return not rem and not pr.k_mod(F, pr.k_mul(F, w, v1) ^ pr.k_mul(F, qfac, g1), pows[t1])
 
 
 def satisfies_u_closure(ctx: ChainCtx, gens) -> bool:
@@ -269,17 +280,14 @@ def satisfies_u_closure(ctx: ChainCtx, gens) -> bool:
     (a0, a1) -> a0 + u*a1, to be an ideal of K + uK.  Multiplication by
     u is K-linear, so the span is stable iff u*g lies in it for every
     generator g; each u*g = (u^2*a1, a0) is tested, on packed ints,
-    against the one canonical form.
+    against the pivot row, so no unit is inverted.
     """
-    gens = list(gens)
-    t0, t1, a = canonical_module_form(ctx, gens)
     F, modulus = ctx.field, ctx.packed_pows[ctx.e]
-    a, u2 = pr.pack(F, a), pr.pack(F, ctx.u_squared)
-    return all(
-        _contains(ctx, t0, t1, a,
-                  pr.k_mod(F, pr.k_mul(F, u2, pr.pack(F, a1)), modulus), pr.pack(F, a0))
-        for a0, a1 in gens
-    )
+    rows = [(pr.pack(F, a0), pr.pack(F, a1)) for a0, a1 in gens]
+    t0, t1, w, g1 = _pivot_form(ctx, rows)
+    u2 = pr.pack(F, ctx.u_squared)
+    return all(_contains(ctx, t0, t1, w, g1, pr.k_mod(F, pr.k_mul(F, u2, a1), modulus), a0)
+               for a0, a1 in rows)
 
 
 def _digit(m: int, r: int) -> Poly:

@@ -238,10 +238,11 @@ def valuation_by_division(ctx, a):
 
 def module_contains(ctx, form, v):
     """Whether the pair of polynomials v lies in the module of canonical
-    form (t0, t1, a): chainring's packed test on unpacked inputs."""
+    form (t0, t1, a): chainring's packed test, with the pivot unit
+    w = 1, on unpacked inputs."""
     F = ctx.field
     t0, t1, a = form
-    return _contains(ctx, t0, t1, pr.pack(F, a), pr.pack(F, v[0]), pr.pack(F, v[1]))
+    return _contains(ctx, t0, t1, 1, pr.pack(F, a), pr.pack(F, v[0]), pr.pack(F, v[1]))
 
 
 def canonical_module_form(ctx, gens):

@@ -527,14 +527,30 @@ def test_u_closure_examples(p1122, fd1122, ctx1122):
         assert not cr.satisfies_u_closure(ctx, [((1,), a)])
 
 
-def _u_closure_by_two_forms(ctx, gens):
+def _u_closure_by_two_forms(ctx, gens, form):
     """The u-closure test as first written: the span is u-stable iff
     adding the u-multiples (u^2*a1, a0) of the generators leaves the
-    canonical form unchanged."""
+    canonical form, computed by form, unchanged."""
     gens = list(gens)
     u_images = [(cr.c_mul(ctx, ctx.u_squared, g[1]), g[0]) for g in gens]
-    return (cr.canonical_module_form(ctx, gens + u_images)
-            == cr.canonical_module_form(ctx, gens))
+    return form(ctx, gens + u_images) == form(ctx, gens)
+
+
+def _closure_cases(ctx, ideal_rows, rng):
+    """Each ideal's rows followed by a twin with one second coordinate
+    moved by a multiple of f^i, i < e, then as many random row sets."""
+    cases = []
+    for rows in ideal_rows:
+        cases.append(rows)
+        i = rng.randrange(len(rows))
+        twin = list(rows)
+        twin[i] = (twin[i][0], pr.p_add(ctx.field, twin[i][1], cr.c_mul(
+            ctx, ctx.f_pows[rng.randrange(ctx.e)], rand_elem(ctx, rng))))
+        cases.append(twin)
+    for _ in ideal_rows:
+        cases.append([(rand_elem(ctx, rng), rand_elem(ctx, rng))
+                      for _ in range(rng.randrange(1, 4))])
+    return cases
 
 
 @pytest.mark.parametrize("n,degree", [(1, 1), (3, 2), (7, 3)])
@@ -547,34 +563,84 @@ def test_u_closure_matches_two_form_definition(n, degree):
     ctx = en.chain_contexts(p, fd)[j - 1]
     rng = random.Random(1000 + n)
     descs = list(en.enumerate_ideals(p, ctx, j))
-    cases = []
-    for d in rng.sample(descs, 60):
-        rows = en.descriptor_module_rows(p, ctx, d)
-        cases.append(rows)
-        i = rng.randrange(len(rows))
-        twin = list(rows)
-        twin[i] = (twin[i][0], pr.p_add(F2, twin[i][1], cr.c_mul(
-            ctx, ctx.f_pows[rng.randrange(ctx.e)], rand_elem(ctx, rng))))
-        cases.append(twin)
-    for _ in range(60):
-        cases.append([(rand_elem(ctx, rng), rand_elem(ctx, rng))
-                      for _ in range(rng.randrange(1, 4))])
+    cases = _closure_cases(ctx, [en.descriptor_module_rows(p, ctx, d) for d in rng.sample(descs, 60)], rng)
     verdicts = [cr.satisfies_u_closure(ctx, rows) for rows in cases]
-    assert verdicts == [_u_closure_by_two_forms(ctx, rows) for rows in cases]
+    assert verdicts == [_u_closure_by_two_forms(ctx, rows, cr.canonical_module_form) for rows in cases]
     assert all(verdicts[0:120:2])
     assert 20 <= verdicts.count(False) <= 160
 
 
+@pytest.mark.parametrize("point", [(2, 7, 2, 2, 2, 3), (2, 5, 2, 3, 2, 1)], ids=str)
+def test_u_closure_matches_reference_form_closure(point):
+    # the pivot-row closure against the two-form definition on the
+    # pivot-and-invert reference form, at every factor of two GF(4)
+    # points, on sampled ideals, their twins and random row sets
+    p = Params(*point)
+    rng = random.Random(sum(point))
+    verdicts = []
+    for j, ctx in enumerate(en.chain_contexts(p, build_factor_data(p)), start=1):
+        total = en.count_ideals(ctx.q, p.k, p.lam)
+        descs = [next(en.enumerate_ideals(p, ctx, j, rng.randrange(total))) for _ in range(20)]
+        cases = _closure_cases(ctx, [en.descriptor_module_rows(p, ctx, d) for d in descs], rng)
+        got = [cr.satisfies_u_closure(ctx, rows) for rows in cases]
+        assert got == [_u_closure_by_two_forms(ctx, rows, reference_form) for rows in cases]
+        assert all(got[0:40:2])
+        verdicts += got
+    assert verdicts.count(False) >= 20
+
+
+@pytest.mark.parametrize("F", FORM_FIELDS, ids=repr)
+def test_contains_against_scaled_pivot_row(F):
+    # membership against the pivot row (w*f^t0, g1) gives the verdict
+    # of the canonical triple (w = 1), and scaling (w, g1) by a unit
+    # keeps it, for members of the span and random pairs alike
+    rng = random.Random(F.m + 2)
+    verdicts = set()
+    for ctx in _form_contexts(F):
+        pows = ctx.packed_pows
+        for _ in range(10):
+            rows = _messy_rows(ctx, rng)
+            t0, t1, w, g1 = cr._pivot_form(ctx, [(pr.pack(F, a0), pr.pack(F, a1)) for a0, a1 in rows])
+            form = reference_form(ctx, rows)
+            assert form[:2] == (t0, t1)
+            pivots = [(w, g1)]
+            for _ in range(2):
+                c = pr.pack(F, _unit(ctx, rng))
+                pivots.append(tuple(pr.k_mod(F, pr.k_mul(F, c, x), pows[ctx.e]) for x in (w, g1)))
+            for _ in range(6):
+                v = (rand_elem(ctx, rng), rand_elem(ctx, rng))
+                if rows and rng.random() < 0.5:  # a K-combination of the rows
+                    v = ((), ())
+                    for a0, a1 in rows:
+                        c = rand_elem(ctx, rng)
+                        v = (pr.p_add(F, v[0], cr.c_mul(ctx, c, a0)), pr.p_add(F, v[1], cr.c_mul(ctx, c, a1)))
+                expected = module_contains(ctx, form, v)
+                for pw, pg in pivots:
+                    assert cr._contains(ctx, t0, t1, pw, pg, pr.pack(F, v[0]), pr.pack(F, v[1])) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_membership_check_builds_one_form(monkeypatch, p1122, ctx1122):
-    calls = []
-    real = cr.canonical_module_form
+    # one pivot form per check, and not one unit inverse in all of them
+    calls, inverses = [], []
+    real_form, real_inverse = cr._pivot_form, cr._unit_inverse
 
-    def counting(ctx, gens):
+    def counting_form(ctx, rows):
         calls.append(1)
-        return real(ctx, gens)
+        return real_form(ctx, rows)
 
-    monkeypatch.setattr(cr, "canonical_module_form", counting)
+    def counting_inverse(ctx, w, t):
+        inverses.append(1)
+        return real_inverse(ctx, w, t)
+
+    monkeypatch.setattr(cr, "_pivot_form", counting_form)
+    monkeypatch.setattr(cr, "_unit_inverse", counting_inverse)
     for d in list(en.enumerate_ideals(p1122, ctx1122, 1))[::10]:
         calls.clear()
         assert en.ideal_membership_check(p1122, ctx1122, d)
         assert len(calls) == 1
+    assert not inverses
+    # the counter does count: the canonical triple still inverts w
+    cr.canonical_module_form(ctx1122, [(cr.c_mul(ctx1122, ctx1122.f, (1, 1, 1)), (1,))])
+    assert inverses

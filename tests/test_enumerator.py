@@ -222,6 +222,25 @@ def test_family_boundary_shapes_lam3():
         assert not cr.satisfies_u_closure(ctx, bare)
 
 
+
+@pytest.mark.parametrize("point,count", [((1, 3, 2, 2, 1, 1), 712), ((2, 1, 2, 2, 2, 3), 640)], ids=str)
+def test_v_term_is_needed_in_families_1_and_6(point, count):
+    # every family-1 and family-6 ideal passes u-closure with its
+    # v-term v*f^s and fails it with the term xored out
+    p = Params(*point)
+    seen = 0
+    for j, ctx in enumerate(en.chain_contexts(p, build_factor_data(p)), start=1):
+        for d in en.enumerate_ideals(p, ctx, j):
+            if d.family not in (1, 6):
+                continue
+            rows = en.descriptor_module_rows(p, ctx, d)
+            assert cr.satisfies_u_closure(ctx, rows)
+            vterm = cr.c_mul(ctx, ctx.u_root, ctx.f_pows[d.s])
+            bare = [(pr.p_add(p.field, rows[0][0], vterm), rows[0][1]), *rows[1:]]
+            assert not cr.satisfies_u_closure(ctx, bare), d
+            seen += 1
+    assert seen == count
+
 def test_generator_count_bound(p1122, ctx1122):
     for d in en.enumerate_ideals(p1122, ctx1122, 1):
         gens = en.descriptor_generators(p1122, ctx1122, d)

@@ -71,15 +71,15 @@ def test_tracer_runs_over_packed_kernel():
     # uninstall must put the originals back
     tracer = _load_perfbench("tracer").Tracer()
     _, cc, wl, state, reqs = _verify_workload()
-    p_mul, form = cc.polyring.p_mul, cc.chainring.canonical_module_form
+    p_mul, closure = cc.polyring.p_mul, cc.chainring.satisfies_u_closure
     tracer.install()
     try:
         for req in reqs[::50]:
-            before = tracer.calls_of("chainring.canonical_module_form")
+            before = tracer.calls_of("chainring.satisfies_u_closure")
             assert tracer.request(wl.execute, cc, state, req) is True, req
-            assert tracer.calls_of("chainring.canonical_module_form") == before + 1
+            assert tracer.calls_of("chainring.satisfies_u_closure") == before + 1
     finally:
         tracer.uninstall()
     assert tracer.counters["coeff_products"] > 0
     assert cc.polyring.p_mul is p_mul
-    assert cc.chainring.canonical_module_form is form
+    assert cc.chainring.satisfies_u_closure is closure
