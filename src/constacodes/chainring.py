@@ -31,9 +31,9 @@ span, so t1 is the least valuation of these second coordinates, found
 without an inverse, and the module is the span of the pivot row and
 (0, f^t1).  Only the canonical triple inverts w: a = w^-1 * g1 mod f^t1
 needs w only modulo f^t1, and no inverse at all when g1 = 0 (always
-so when t0 = e) or t1 = 0.  polyring.k_invmod inverts w modulo f, and
-Newton steps lift that to f^t1, each with w reduced to the precision it
-reaches (von zur Gathen and Gerhard, Modern Computer Algebra, 9.1).
+so when t0 = e) or t1 = 0.  The extended gcd of w and f^t1 inverts w:
+its cofactor of w, of degree below that of f^t1, is the reduced inverse
+(von zur Gathen and Gerhard, Modern Computer Algebra, 3.2 and 4.2).
 
 The form serves two jobs.  Equality of forms certifies that two
 generator sets span the same module, which keeps the enumerated codes
@@ -157,23 +157,12 @@ def c_inv(ctx: ChainCtx, a: Poly) -> Poly:
 
 
 def _unit_inverse(ctx: ChainCtx, w: int, t: int) -> int:
-    """Inverse of a packed unit modulo f^t, 1 <= t <= e, lifted from f
-    as the module docstring says.  w is reduced down the ladder t,
-    ceil(t/2), .., 1, each rung from the one above, and the step up to
-    rung k is x -> w*x^2 mod f^k with w taken mod f^k.  In
-    characteristic 2, if w*x = 1 + h with f^j dividing h, then
-    w*(w*x^2) = (1 + h)^2 = 1 + h^2, and 2*ceil(k/2) >= k."""
-    F, pows = ctx.field, ctx.packed_pows
-    rungs = [(t, pr.k_mod(F, w, pows[t]))]  # (k, w mod f^k)
-    while rungs[-1][0] > 1:
-        k = (rungs[-1][0] + 1) // 2
-        rungs.append((k, pr.k_mod(F, rungs[-1][1], pows[k])))
-    x = rungs.pop()[1]
-    if not x:
+    """Inverse of a packed unit modulo f^t, 1 <= t <= e, reduced mod f^t:
+    the cofactor of w in the extended gcd of w mod f^t and f^t."""
+    F, dv = ctx.field, ctx.packed_pows[t]
+    g, x, _ = pr.k_xgcd(F, pr.k_mod(F, w, dv), dv.rows[0])
+    if g != 1:
         raise ZeroDivisionError("element is not a unit (digit 0 vanishes)")
-    x = pr.k_invmod(F, x, pows[1])
-    for k, wk in reversed(rungs):
-        x = pr.k_mod(F, pr.k_mul(F, wk, pr.k_sqr(F, x)), pows[k])
     return x
 
 

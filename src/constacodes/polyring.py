@@ -25,8 +25,6 @@ bits they are Python loops, which cost small polynomials more than the
 kernel saves.  Long division folds nothing: a divisor b is prepared
 once (Divisor) as the rows y^j * b, j < m, and a step with quotient
 coefficient c xors in the rows of the set bits of c, shifted into place.
-k_invmod inverts modulo a prepared divisor by a Euclid that keeps one
-cofactor and stops at the first constant remainder.
 is_irreducible, Rabin's test, runs on it over any GF(2^m); it checks a
 caller's field reduction polynomial and names a factorizer's bad parts.
 """
@@ -205,20 +203,6 @@ def k_xgcd(F: GF2m, a: int, b: int) -> tuple[int, int, int]:
     if c != 1:
         r0, s0, t0 = k_mul(F, r0, c), k_mul(F, s0, c), k_mul(F, t0, c)
     return r0, s0, t0
-
-
-def k_invmod(F: GF2m, a: int, dv: Divisor) -> int:
-    """The inverse of packed a modulo the prepared divisor b, for a
-    coprime to b: Euclid from (b, a), keeping only a's cofactor and
-    stopping at the first constant remainder, which scales it.  Pass a
-    reduced mod b; otherwise the first step only swaps the pair."""
-    r0, r1, s0, s1 = dv.rows[0], a, 0, 1  # r_i = s_i * a (mod b)
-    while r1 >> F.lane:  # deg r1 >= 1
-        q, r = k_divmod(F, r0, k_divisor(F, r1))
-        r0, r1, s0, s1 = r1, r, s1, s0 ^ k_mul(F, q, s1)
-    if not r1:
-        raise ZeroDivisionError("no inverse: the gcd is not a constant")
-    return s1 if r1 == 1 else k_mul(F, s1, F.inv(r1))
 
 
 # ----------------------------------------------------------------------

@@ -86,7 +86,8 @@ def _form_contexts(F):
 
 @pytest.mark.parametrize("F", FORM_FIELDS, ids=repr)
 def test_unit_inverse_precision(F):
-    # the inverse modulo each f^t is the full inverse reduced mod f^t
+    # the inverse modulo each f^t is the full inverse reduced mod f^t,
+    # for w unreduced mod f^t and of degree >= d*e too, and for constants
     rng = random.Random(F.m + 1)
     for ctx in _form_contexts(F):
         pows = ctx.packed_pows
@@ -98,8 +99,14 @@ def test_unit_inverse_precision(F):
                 x = cr._unit_inverse(ctx, w, t)
                 assert pr.k_mod(F, pr.k_mul(F, x, w), pows[t]) == 1
                 assert x == pr.k_mod(F, full, pows[t])
+                r = pr.pack(F, rand_elem(ctx, rng)) or 1
+                for high in (pows[t].rows[0], pows[ctx.e].rows[0]):
+                    assert cr._unit_inverse(ctx, w ^ pr.k_mul(F, high, r), t) == x
+        for c in {1, F.order - 1, rng.randrange(1, F.order)}:
+            for t in range(1, ctx.e + 1):
+                assert cr._unit_inverse(ctx, pr.pack(F, (c,)), t) == pr.pack(F, (F.inv(c),))
         for non_unit in (ctx.f, (), cr.c_mul(ctx, ctx.f, _unit(ctx, rng))):
-            for t in (1, ctx.e):
+            for t in range(1, ctx.e + 1):
                 with pytest.raises(ZeroDivisionError, match="element is not a unit"):
                     cr._unit_inverse(ctx, pr.pack(F, non_unit), t)
 
