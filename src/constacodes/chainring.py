@@ -126,8 +126,8 @@ class ChainCtx:
     def _binomial(self, exponent: int, c: int, scale: int) -> Poly:
         """scale * (x^exponent + c) modulo f^e, by one power of x."""
         F = self.field
-        xe = pr.p_powmod(F, pr.P_X, exponent, self.f_pows[self.e])
-        return pr.p_scale(F, pr.p_add(F, xe, (c,)), scale)
+        xe = pr.k_powmod(F, pr.pack(F, pr.P_X), exponent, self.packed_pows[self.e])
+        return pr.p_scale(F, pr.p_add(F, pr.unpack(F, xe), (c,)), scale)
 
 
 def make_chain_ctx(params: Params, f: Poly) -> ChainCtx:
@@ -160,7 +160,7 @@ def _unit_inverse(ctx: ChainCtx, w: int, t: int) -> int:
     """Inverse of a packed unit modulo f^t, 1 <= t <= e, reduced mod f^t:
     the cofactor of w in the extended gcd of w mod f^t and f^t."""
     F, dv = ctx.field, ctx.packed_pows[t]
-    g, x, _ = pr.k_xgcd(F, pr.k_mod(F, w, dv), dv.rows[0])
+    g, x = pr.k_xgcd(F, pr.k_mod(F, w, dv), dv.rows[0])
     if g != 1:
         raise ZeroDivisionError("element is not a unit (digit 0 vanishes)")
     return x

@@ -145,17 +145,28 @@ def count_submodules_length2(q: int, e: int) -> int:
 # Descriptor streams
 # ----------------------------------------------------------------------
 
+def _family(params: Params, s: int, gap: int) -> int:
+    """The printed family of the shape <a + u*f^s, f^(s+gap)>: 3 for gap
+    0, 1 or 2 when f^(s+gap) = f^e is zero, and 4, 5 or 6 otherwise."""
+    two_k = 1 << params.k
+    if not gap:
+        return 3
+    if s + gap == params.nilpotency:
+        return 1 if gap > two_k else 2
+    return 4 if gap == 1 else 5 if gap <= two_k else 6
+
+
 def ideal_gap(params: Params, family: int, s: int, t: int | None) -> int:
     """The gap t of the shape <a + u*f^s, f^(s+t)>: e - s for families
     1-2, whose f^e is zero, 0 for family 3, and t for families 4-6.
-    This is the one place the printed families are told apart."""
-    if family in (1, 2):
-        return params.nilpotency - s
-    if family == 3:
-        return 0
-    if family in (4, 5, 6) and t is not None:
-        return t
-    raise ValueError(f"malformed descriptor: family {family}, s {s}, t {t}")
+    This is the one place the printed families are told apart, so it
+    rejects a descriptor whose s, gap, family and t do not fit together."""
+    e = params.nilpotency
+    gap = (e - s if family in (1, 2) else 0) if t is None else t
+    if not (0 <= s <= s + gap <= e and _family(params, s, gap) == family
+            and (t is None) == (family <= 3)):
+        raise ValueError(f"malformed descriptor: family {family}, s {s}, t {t}")
+    return gap
 
 
 def h_space_exponent(params: Params, family: int, s: int, t: int | None) -> int:
@@ -170,14 +181,13 @@ def ideal_blocks(params: Params) -> Iterator[tuple[int, int, int | None]]:
     f^l, with l = h_space_exponent(params, family, s, t).
     """
     e = params.nilpotency
-    two_k = 1 << params.k
     for s in range(e):
-        yield (1 if e - s > two_k else 2), s, None
+        yield _family(params, s, e - s), s, None
     for s in range(e + 1):
         yield 3, s, None
     for t in range(1, e):
         for s in range(e - t):
-            yield (4 if t == 1 else 5 if t <= two_k else 6), s, t
+            yield _family(params, s, t), s, t
 
 
 def enumerate_ideals(
@@ -250,7 +260,7 @@ def descriptor_module_rows(
     f^s alone misses it, the ideal <f^s> does not.
     """
     rows = descriptor_generators(params, ctx, desc)
-    if not ideal_gap(params, desc.family, desc.s, desc.t):
+    if not rows[0][1]:  # no u-part: gap 0, as every other gap has u*f^s, s < e
         rows.append((pr.P_ZERO, rows[0][0]))
     return rows
 

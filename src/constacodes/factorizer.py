@@ -58,9 +58,9 @@ def _trace_split(F: GF2m, g: Poly, d: int, rng: random.Random) -> tuple[Poly, Po
         for _ in range(bits - 1):
             acc = pr.k_mod(F, pr.k_sqr(F, acc), dv)
             tr ^= acc
-        w = pr.p_gcd(F, pr.unpack(F, tr), g) if tr else pr.P_ZERO
-        if w and 0 < pr.deg(w) < pr.deg(g):
-            return w, pr.p_divmod(F, g, w)[0]
+        w = pr.k_xgcd(F, tr, dv.rows[0])[0]  # monic; g itself if tr = 0
+        if 0 < (w.bit_length() - 1) // F.lane < dv.deg:
+            return pr.unpack(F, w), pr.unpack(F, pr.k_divmod(F, dv.rows[0], pr.k_divisor(F, w))[0])
     raise ArithmeticError(f"no split of a degree-{pr.deg(g)} part into degree-{d} factors")
 
 

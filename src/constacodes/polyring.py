@@ -7,11 +7,13 @@ stands in for the usual "minus infinity" and compares below every real
 degree.  All operations take the field context as first argument and
 are pure.
 
-Lanes are the kernel.  p_mul, p_sqr, p_divmod, p_mod, p_gcd, p_xgcd
+Lanes are the kernel.  p_mul, p_divmod, p_mod, p_gcd, p_xgcd, p_pow
 and p_powmod pack their tuples into ints, compute on the ints (k_*)
-and unpack the result.  Coefficient i sits in lane i, bits w*i ..
-w*i+w-1, where the lane width w (GF2m.lane) is the least of 8, 16 and
-32 that holds the 2m-1 bits of a carry-less product of two elements:
+and unpack the result, so each algorithm is written once, on the ints:
+one Euclid (k_xgcd, with the cofactor of a alone) and one modular power
+(k_powmod).  Coefficient i sits in lane i, bits w*i .. w*i+w-1, where
+the lane width w (GF2m.lane) is the least of 8, 16 and 32 that holds
+the 2m-1 bits of a carry-less product of two elements:
 
     m      1..4   5..8   9..16
     w         8     16      32
@@ -25,8 +27,9 @@ bits they are Python loops, which cost small polynomials more than the
 kernel saves.  Long division folds nothing: a divisor b is prepared
 once (Divisor) as the rows y^j * b, j < m, and a step with quotient
 coefficient c xors in the rows of the set bits of c, shifted into place.
-is_irreducible, Rabin's test, runs on it over any GF(2^m); it checks a
-caller's field reduction polynomial and names a factorizer's bad parts.
+is_irreducible, Rabin's test over any GF(2^m), runs on k_powmod and
+k_xgcd; it checks a caller's field reduction polynomial and names a
+factorizer's bad parts.
 """
 
 from __future__ import annotations
@@ -192,17 +195,28 @@ def k_mod(F: GF2m, a: int, dv: Divisor) -> int:
     return k_divmod(F, a, dv)[1]
 
 
-def k_xgcd(F: GF2m, a: int, b: int) -> tuple[int, int, int]:
-    """Monic g plus s, t with s*a + t*b = g, on packed polynomials that
-    are not both zero."""
-    (r0, s0, t0), (r1, s1, t1) = (a, 1, 0), (b, 0, 1)  # r = s*a + t*b in each
+def k_xgcd(F: GF2m, a: int, b: int) -> tuple[int, int]:
+    """Monic g = gcd(a, b) plus s with s*a = g modulo b, on packed
+    polynomials that are not both zero; deg s < deg b when deg b >= 1."""
+    (r0, s0), (r1, s1) = (a, 1), (b, 0)  # r = s*a modulo b in each
     while r1:
         q, r = k_divmod(F, r0, k_divisor(F, r1))
-        (r0, s0, t0), (r1, s1, t1) = (r1, s1, t1), (r, s0 ^ k_mul(F, q, s1), t0 ^ k_mul(F, q, t1))
+        (r0, s0), (r1, s1) = (r1, s1), (r, s0 ^ k_mul(F, q, s1))
     c = F.inv(_lead(F, r0))
-    if c != 1:
-        r0, s0, t0 = k_mul(F, r0, c), k_mul(F, s0, c), k_mul(F, t0, c)
-    return r0, s0, t0
+    return (r0, s0) if c == 1 else (k_mul(F, r0, c), k_mul(F, s0, c))
+
+
+def k_powmod(F: GF2m, b: int, e: int, dv: Divisor) -> int:
+    """b**e modulo a prepared nonconstant divisor, by square-and-multiply;
+    e >= 0 may be huge."""
+    b, r = k_mod(F, b, dv), 1  # the constant 1 is already reduced
+    while e:
+        if e & 1:
+            r = k_mod(F, k_mul(F, r, b), dv)
+        e >>= 1
+        if e:
+            b = k_mod(F, k_sqr(F, b), dv)
+    return r
 
 
 # ----------------------------------------------------------------------
@@ -219,10 +233,6 @@ def p_mul(F: GF2m, a: Poly, b: Poly) -> Poly:
     return unpack(F, k_mul(F, pack(F, a), pack(F, b)))
 
 
-def p_sqr(F: GF2m, a: Poly) -> Poly:
-    return unpack(F, k_sqr(F, pack(F, a)))
-
-
 def p_divmod(F: GF2m, a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with deg r < deg b; b must be nonzero."""
     if b and len(a) < len(b):
@@ -237,75 +247,55 @@ def p_mod(F: GF2m, a: Poly, b: Poly) -> Poly:
     return unpack(F, k_mod(F, pack(F, a), k_divisor(F, pack(F, b))))
 
 
-def monic(F: GF2m, p: Poly) -> Poly:
-    if not p:
-        return P_ZERO
-    if p[-1] == 1:
-        return p
-    return p_scale(F, p, F.inv(p[-1]))
-
-
 def p_gcd(F: GF2m, a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) is rejected."""
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = pack(F, a), pack(F, b)
-    while b:
-        a, b = b, k_mod(F, a, k_divisor(F, b))
-    return monic(F, unpack(F, a))
+    return unpack(F, k_xgcd(F, pack(F, a), pack(F, b))[0])
 
 
 def p_xgcd(F: GF2m, a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Monic g plus s, t with s*a + t*b = g, exactly as polynomials."""
+    """Monic g plus s, t with s*a + t*b = g, exactly as polynomials: t is
+    the exact quotient (g - s*a) / b, or 0 when b = 0."""
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
-    return tuple(unpack(F, x) for x in k_xgcd(F, pack(F, a), pack(F, b)))
+    pa, pb = pack(F, a), pack(F, b)
+    g, s = k_xgcd(F, pa, pb)
+    t = k_divmod(F, g ^ k_mul(F, s, pa), k_divisor(F, pb))[0] if b else 0
+    return unpack(F, g), unpack(F, s), unpack(F, t)
 
 
 def p_pow(F: GF2m, p: Poly, e: int) -> Poly:
     """p**e without reduction (e >= 0)."""
     if e < 0:
         raise ValueError("negative exponent")
-    r = P_ONE
+    b, r = pack(F, p), 1
     while e:
         if e & 1:
-            r = p_mul(F, r, p)
+            r = k_mul(F, r, b)
         e >>= 1
         if e:
-            p = p_sqr(F, p)
-    return r
+            b = k_sqr(F, b)
+    return unpack(F, r)
 
 
 def p_powmod(F: GF2m, base: Poly, e: int, modulus: Poly) -> Poly:
-    """base**e mod modulus by square-and-multiply; e may be huge."""
+    """base**e mod modulus; e may be huge."""
     if deg(modulus) < 1:
         raise ValueError("powmod modulus must be nonconstant")
     if e < 0:
         raise ValueError("negative exponent")
-    dv = k_divisor(F, pack(F, modulus))
-    b = k_mod(F, pack(F, base), dv)
-    r = 1  # the constant 1, already reduced by a nonconstant modulus
-    while e:
-        if e & 1:
-            r = k_mod(F, k_mul(F, r, b), dv)
-        e >>= 1
-        if e:
-            b = k_mod(F, k_sqr(F, b), dv)
-    return unpack(F, r)
+    return unpack(F, k_powmod(F, pack(F, base), e, k_divisor(F, pack(F, modulus))))
 
 
 def is_irreducible(F: GF2m, f: Poly) -> bool:
-    """Rabin test over GF(2^m)."""
+    """Rabin's test over GF(2^m): f of degree d >= 2 is irreducible iff
+    x^(q^d) = x mod f and gcd(x^(q^(d/p)) - x, f) = 1 for each prime p | d."""
     d = deg(f)
-    if d < 1:
+    if d < 2:
+        return d == 1
+    q, x, dv = F.order, 1 << F.lane, k_divisor(F, pack(F, f))  # x packed, reduced mod f
+    if k_powmod(F, x, q**d, dv) != x:
         return False
-    if d == 1:
-        return True
-    q = F.order
-    if p_powmod(F, P_X, q**d, f) != p_mod(F, P_X, f):
-        return False
-    for p in _factor_int(d):
-        h = p_powmod(F, P_X, q ** (d // p), f)
-        if p_gcd(F, p_add(F, h, P_X), f) != P_ONE:
-            return False
-    return True
+    return all(k_xgcd(F, k_powmod(F, x, q ** (d // p), dv) ^ x, dv.rows[0])[0] == 1
+               for p in _factor_int(d))

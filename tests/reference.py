@@ -1,15 +1,16 @@
 """Reference implementations the tests check the package against.
 
 Each is written plainly and apart from the package's fast paths: field
-arithmetic through log/antilog tables, the plain side's constants and
-ring operations on coefficient tuples, a code's two combined generators
-reduced mod M, the R-valued inner product of two words, the word ring's
-product, f-adic composition, the valuation by repeated division,
-membership in a canonical module form, brute-force walks of the
-submodules of K^2 over a chain ring K, the pivot-and-invert canonical
-module form, ideal closure through operator matrices with row-by-row
-elimination (multiply-by-y digit by digit through the tables), and the
-greedy generator search.
+arithmetic through log/antilog tables, Rabin's irreducibility test with
+its own square-and-multiply and Euclid on tuples, the plain side's
+constants and ring operations on coefficient tuples, a code's two
+combined generators reduced mod M, the R-valued inner product of two
+words, the word ring's product, f-adic composition, the valuation by
+repeated division, membership in a canonical module form, brute-force
+walks of the submodules of K^2 over a chain ring K, the
+pivot-and-invert canonical module form, ideal closure through operator
+matrices with row-by-row elimination (multiply-by-y digit by digit
+through the tables), and the greedy generator search.
 """
 
 import itertools
@@ -80,6 +81,46 @@ class TableField:
             return 0
         n1 = self.order - 1
         return self.exp[self.log[a] * pow(2, -1, n1) % n1] if n1 > 1 else 1
+
+
+# ----------------------------------------------------------------------
+# Rabin's test on coefficient tuples
+# ----------------------------------------------------------------------
+
+def _powmod(F, base, e, f):
+    """base**e mod f by square-and-multiply on tuples."""
+    r, base = pr.P_ONE, pr.p_mod(F, base, f)
+    while e:
+        if e & 1:
+            r = pr.p_mod(F, pr.p_mul(F, r, base), f)
+        e >>= 1
+        base = pr.p_mod(F, pr.p_mul(F, base, base), f)
+    return r
+
+
+def _gcd(F, a, b):
+    """Monic gcd of a and a nonzero b, by Euclid on tuples."""
+    while b:
+        a, b = b, pr.p_mod(F, a, b)
+    return pr.p_scale(F, a, F.inv(a[-1]))
+
+
+def is_irreducible(F, f):
+    """Rabin's test: f of degree d >= 2 is irreducible iff x^(q^d) = x
+    mod f and gcd(x^(q^(d/p)) - x, f) = 1 for each prime p | d."""
+    d = pr.deg(f)
+    if d < 1:
+        return False
+    if d == 1:
+        return True
+    q = F.order
+    if _powmod(F, pr.P_X, q**d, f) != pr.p_mod(F, pr.P_X, f):
+        return False
+    for p in _factor_int(d):
+        h = _powmod(F, pr.P_X, q ** (d // p), f)
+        if _gcd(F, pr.p_add(F, h, pr.P_X), f) != pr.P_ONE:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +257,7 @@ def unit_inverse_by_xgcd(ctx, w):
     2, if w*x = 1 + h with f^k dividing h, then w*(w*x^2) = (1 + h)^2 =
     1 + h^2."""
     F, pows = ctx.field, ctx.packed_pows
-    _, x, _ = pr.k_xgcd(F, pr.k_mod(F, w, pows[1]), pows[1].rows[0])
+    _, x = pr.k_xgcd(F, pr.k_mod(F, w, pows[1]), pows[1].rows[0])
     k = 1
     while k < ctx.e:
         k = min(2 * k, ctx.e)

@@ -587,3 +587,23 @@ def test_malformed_descriptor_raises_value_error(p1122, ctx1122, fn, family, t):
     }[fn]
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("desc", [
+    pytest.param(en.IdealDescriptor(1, 1, -1), id="negative-s"),
+    pytest.param(en.IdealDescriptor(1, 6, 0, 99, (1,)), id="gap-past-e"),
+    pytest.param(en.IdealDescriptor(1, 4, 0, 2), id="family-4-gap-2"),
+    pytest.param(en.IdealDescriptor(1, 1, 0, 8), id="family-1-with-t"),
+])
+@pytest.mark.parametrize("fn", ["ideal_size", "descriptor_generators", "ideal_membership_check"])
+def test_misfit_descriptor_raises_value_error(p1322, ctxs1322, desc, fn):
+    # a descriptor whose s, gap, family and t do not fit together is
+    # rejected, not read through a negative index or past f^e
+    call = {
+        "ideal_size": lambda: en.ideal_size(p1322, 1, desc),
+        "descriptor_generators": lambda: en.descriptor_generators(p1322, ctxs1322[0], desc),
+        "ideal_membership_check": lambda: en.ideal_membership_check(p1322, ctxs1322[0], desc),
+    }[fn]
+    with pytest.raises(ValueError, match="malformed descriptor"):
+        call()
+

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from constacodes.gf2m import GF2m
 from constacodes import polyring as pr
+from reference import is_irreducible as reference_is_irreducible
 
 F2 = GF2m(1)
 F4 = GF2m(2)
@@ -16,6 +18,11 @@ KERNEL_FIELDS = [GF2m(m) for m in (1, 2, 3, 4, 5, 8, 9, 13, 16)] + [GF2m(8, 0x11
 
 def rand_poly(F, rng, max_deg):
     return pr.normalize(rng.randrange(F.order) for _ in range(max_deg + 1))
+
+
+def sqr(F, a):
+    """a*a through the packed kernel's squaring."""
+    return pr.unpack(F, pr.k_sqr(F, pr.pack(F, a)))
 
 
 # ----------------------------------------------------------------------
@@ -53,7 +60,7 @@ def test_kernel_matches_schoolbook(F):
         cases.append((rand_poly(F, rng, rng.randrange(91)), rand_poly(F, rng, rng.randrange(91))))
     for a, b in cases:
         assert pr.p_mul(F, a, b) == school_mul(F, a, b)
-        assert pr.p_sqr(F, a) == school_mul(F, a, a)
+        assert sqr(F, a) == school_mul(F, a, a)
         for x, y in ((a, b), (b, a)):
             if y:
                 assert pr.p_divmod(F, x, y) == school_divmod(F, x, y)
@@ -125,9 +132,9 @@ def test_ring_laws_random(F, seed):
 
 def test_gcd_examples():
     assert pr.p_gcd(F2, (1, 1), (1, 1, 1)) == (1,)
-    # gcd(a, 0) is the monic version of a
+    # gcd(a, 0) is the monic version of a: here a / 3, and 1/3 = 2 in GF(4)
     a = (2, 0, 3)
-    assert pr.p_gcd(F4, a, ()) == pr.monic(F4, a)
+    assert pr.p_gcd(F4, a, ()) == (3, 0, 1)
     with pytest.raises(ValueError):
         pr.p_gcd(F2, (), ())
 
@@ -153,6 +160,41 @@ def test_xgcd_recombination_random(F, seed):
         if g == pr.P_ONE and pr.deg(b) >= 1:
             # the cofactor of a is reduced mod b: an inverse of a mod b
             assert pr.deg(s) < pr.deg(b)
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=repr)
+def test_xgcd_edge_cases(F):
+    # s*a + t*b = g with g monic and both cofactors reduced, deg s < deg b
+    # and deg t < deg a, or constant where b or a is zero or constant
+    rng = random.Random(F.m + 100)
+    c = rng.randrange(1, F.order)
+    a = rand_poly(F, rng, 12) + (c,)
+    cases = [((), a), (a, ()), (a, (c,)), ((c,), a), ((c,), (F.order - 1,)), (a, a)]
+    for _ in range(40):
+        cases.append((rand_poly(F, rng, rng.randrange(1, 25)) + (rng.randrange(1, F.order),),
+                      rand_poly(F, rng, rng.randrange(1, 25)) + (rng.randrange(1, F.order),)))
+    for x, y in cases:
+        g, s, t = pr.p_xgcd(F, x, y)
+        assert pr.p_add(F, school_mul(F, s, x), school_mul(F, t, y)) == g
+        assert g and g[-1] == 1
+        assert pr.deg(s) < max(pr.deg(y), 1) and pr.deg(t) < max(pr.deg(x), 1)
+    monic = pr.p_scale(F, a, F.inv(c))
+    assert pr.p_xgcd(F, (), a) == (monic, (), (F.inv(c),))
+    assert pr.p_xgcd(F, a, ()) == (monic, (F.inv(c),), ())
+    assert pr.p_xgcd(F, a, (c,)) == ((1,), (), (F.inv(c),))
+    with pytest.raises(ValueError):
+        pr.p_xgcd(F, (), ())
+
+
+@pytest.mark.parametrize("F,top,count,irreducible", [(F2, 10, 2047, 226), (F4, 5, 1365, 294),
+                                                     (F8, 4, 4681, 1212)], ids=repr)
+def test_rabin_matches_tuple_reference(F, top, count, irreducible):
+    # every monic polynomial of degree <= top; the irreducible counts are
+    # Gauss's necklace numbers summed over degrees 1 .. top
+    polys = [low + (1,) for d in range(top + 1) for low in itertools.product(range(F.order), repeat=d)]
+    verdicts = [pr.is_irreducible(F, f) for f in polys]
+    assert verdicts == [reference_is_irreducible(F, f) for f in polys]
+    assert (len(polys), sum(verdicts)) == (count, irreducible)
 
 
 def test_powmod_examples():
@@ -183,10 +225,10 @@ def test_sqr_matches_mul(m):
     # m = 13 is above the log-table limit, so field products are computed
     F = GF2m(m)
     rng = random.Random(m)
-    assert pr.p_sqr(F, ()) == ()
+    assert sqr(F, ()) == ()
     for max_deg in (0, 1, 5, 40, 150):
         a = rand_poly(F, rng, max_deg)
-        assert pr.p_sqr(F, a) == pr.p_mul(F, a, a) == school_mul(F, a, a)
+        assert sqr(F, a) == pr.p_mul(F, a, a) == school_mul(F, a, a)
 
 
 def test_pow_small():
