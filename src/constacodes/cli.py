@@ -8,6 +8,10 @@ internal certificate; 2 invalid input, including an --out path that
 cannot be opened, and an output (stdout or --out) that cannot be
 written.
 
+An argv that starts with a subcommand name is read by that subcommand's
+own parser alone; the top-level parser only prints help and errors,
+including the unrecognized arguments the subcommand's parser leaves.
+
 `oracle` refuses a word space of more than 32 GF(2) dimensions, before
 any set-up; the cap is ambient.DEFAULT_ORACLE_DIM_CAP and has no flag.
 
@@ -343,7 +347,16 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    # The subcommand parsers: the choices of the action add_subparsers returned.
+    sub = argv and parser._actions[-1].choices.get(argv[0])
+    if not sub:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         status = _DISPATCH[args.cmd](args)
         # Flush here so a closed pipe raises inside this try, not at exit.

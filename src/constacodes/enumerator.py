@@ -124,8 +124,10 @@ def count_ideals(q: int, k: int, lam: int) -> int:
 
 def factor_counts(params: Params, degrees: list[int]) -> list[int]:
     """Number of ideals per factor, from the factor degrees: the radices
-    of the code stream."""
-    return [count_ideals(1 << (params.m * d), params.k, params.lam) for d in degrees]
+    of the code stream.  Each distinct degree runs count_ideals once."""
+    counts = {d: count_ideals(1 << (params.m * d), params.k, params.lam)
+              for d in dict.fromkeys(degrees)}
+    return [counts[d] for d in degrees]
 
 
 def count_codes(params: Params, factor_data: FactorData) -> int:
@@ -156,16 +158,19 @@ def _family(params: Params, s: int, gap: int) -> int:
     return 4 if gap == 1 else 5 if gap <= two_k else 6
 
 
-def ideal_gap(params: Params, family: int, s: int, t: int | None) -> int:
+def ideal_gap(params: Params, family: int, s: int, t: int | None,
+              h: Poly = (), d: int = 0) -> int:
     """The gap t of the shape <a + u*f^s, f^(s+t)>: e - s for families
     1-2, whose f^e is zero, 0 for family 3, and t for families 4-6.
     This is the one place the printed families are told apart, so it
-    rejects a descriptor whose s, gap, family and t do not fit together."""
+    rejects a descriptor whose s, gap, family and t do not fit together,
+    or whose h is not a residue mod f^(gap//2) for f of degree d."""
     e = params.nilpotency
     gap = (e - s if family in (1, 2) else 0) if t is None else t
     if not (0 <= s <= s + gap <= e and _family(params, s, gap) == family
-            and (t is None) == (family <= 3)):
-        raise ValueError(f"malformed descriptor: family {family}, s {s}, t {t}")
+            and (t is None) == (family <= 3) and len(h) <= d * (gap // 2)
+            and (not h or min(h) >= 0 and max(h) >> params.m == 0)):
+        raise ValueError(f"malformed descriptor: family {family}, s {s}, t {t}, h {h}")
     return gap
 
 
@@ -214,7 +219,7 @@ def enumerate_ideals(
 
 def ideal_size(params: Params, d: int, desc: IdealDescriptor) -> int:
     """Number of codewords contributed by one descriptor (exact)."""
-    gap = ideal_gap(params, desc.family, desc.s, desc.t)
+    gap = ideal_gap(params, desc.family, desc.s, desc.t, desc.h, d)
     return 1 << (params.m * d * (2 * params.nilpotency - 2 * desc.s - gap))
 
 
@@ -236,7 +241,7 @@ def descriptor_generators(
     [(a, f^s), (f^(s+t), 0)] for gap t, without the second when f^(s+t)
     is zero, and [(f^s, 0)] for gap 0."""
     s, h = desc.s, desc.h
-    t = ideal_gap(params, desc.family, s, desc.t)
+    t = ideal_gap(params, desc.family, s, desc.t, h, ctx.d)
     fs = cr.c_reduce(ctx, ctx.f_pows[s])
     if not t:
         return [(fs, pr.P_ZERO)]

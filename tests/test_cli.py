@@ -816,6 +816,70 @@ def test_parser_built_once(monkeypatch, capsys):
     assert len(built) == 1
 
 
+# Argvs that main reads with a subcommand's own parser, and ones it
+# leaves to the top-level parser: help, errors and valid requests.
+PARSER_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["count"], ["count", "-h"],
+    ["count", "--m", "1", "--threads", "2"], ["count", "--m", "1", "extra"],
+    ["count", "--m", "1", "--", "--n", "3"], ["count", "--m=1"],
+    ["count", "--m", "1", "--del", "1"], ["count", "--m", "x"],
+    ["count", "--m", "1", "--reduction", "zz"], ["--m", "1", "count"],
+    ["count", "--m", "1", "-h"], ["count", "--m", "1", "count"], ["--", "count", "--m", "1"],
+    ["-h", "count"], ["coun", "--m", "1"], ["count", "--m", "1", "--out"],
+    ["count", "--m", "2", "--n", "21", "--delta", "3", "--alpha", "2", "--seed", "5"],
+    ["enumerate", "--m", "1", "--n", "3", "--offset", "7", "--limit", "2", "--format", "csv"],
+    ["enumerate", "--m", "1", "--with-gen", "--limit", "1"],
+    ["enumerate", "--m", "1", "--format", "xml"],
+    ["oracle", "--m", "1", "--n", "1", "--out", "o.json"],
+    ["selfdual", "--m", "2", "--no-verify"], ["factor", "--m", "1", "-x"],
+]
+
+
+def parse_outcome(capsys, parse):
+    """parse()'s namespace as a dict, or its exit code, with the stdout
+    and stderr it printed."""
+    try:
+        result = vars(parse())
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_main_parses_as_the_top_level_parser(monkeypatch, capsys, argv):
+    # main hands a subcommand's arguments to that subcommand's parser
+    # alone; it must dispatch, print and exit as the top-level parser's
+    # parse_args followed by dispatch does.
+    monkeypatch.setenv("COLUMNS", "80")
+    dispatched = []
+    monkeypatch.setattr(cli, "_DISPATCH", dict.fromkeys(cli._DISPATCH, dispatched.append))
+
+    def via_main():
+        cli.main(argv)
+        return dispatched.pop()
+
+    assert (parse_outcome(capsys, via_main)
+            == parse_outcome(capsys, lambda: cli._parser().parse_args(argv)))
+
+
+def test_one_count_per_distinct_degree(monkeypatch, tmp_path):
+    calls = []
+    real = en.count_ideals
+    monkeypatch.setattr(en, "count_ideals", lambda *a: calls.append(a) or real(*a))
+    out = str(tmp_path / "out.json")
+    for m, n, degrees in [(2, 21, [1, 1, 1, 3, 3, 3, 3, 3, 3]), (1, 15, [1, 2, 4, 4, 4])]:
+        calls.clear()
+        assert cli.main(["count", "--m", str(m), "--n", str(n), "--out", out]) == 0
+        assert [f["degree"] for f in json.loads(Path(out).read_text())["per_factor"]] == degrees
+        assert len(calls) == len(set(degrees)), (m, n)
+    # Degrees 1, 3, 3; count_codes for the total and enumerate_codes for
+    # the seek each read the radices.
+    calls.clear()
+    assert cli.main(["enumerate", "--m", "2", "--n", "7", "--limit", "1", "--out", out]) == 0
+    assert len(calls) == 2 * 2
+
+
 def test_oracle_fails_on_repeated_code(monkeypatch, tmp_path):
     # The stream yields its first code twice: the set of bases is still
     # the oracle's, but the enumeration is not "all distinct".

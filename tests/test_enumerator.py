@@ -594,11 +594,14 @@ def test_malformed_descriptor_raises_value_error(p1122, ctx1122, fn, family, t):
     pytest.param(en.IdealDescriptor(1, 6, 0, 99, (1,)), id="gap-past-e"),
     pytest.param(en.IdealDescriptor(1, 4, 0, 2), id="family-4-gap-2"),
     pytest.param(en.IdealDescriptor(1, 1, 0, 8), id="family-1-with-t"),
+    pytest.param(en.IdealDescriptor(1, 5, 0, 2, (5,)), id="h-coefficient-past-field"),
+    pytest.param(en.IdealDescriptor(1, 5, 0, 2, (1, 1)), id="h-degree-past-residue"),
 ])
 @pytest.mark.parametrize("fn", ["ideal_size", "descriptor_generators", "ideal_membership_check"])
 def test_misfit_descriptor_raises_value_error(p1322, ctxs1322, desc, fn):
-    # a descriptor whose s, gap, family and t do not fit together is
-    # rejected, not read through a negative index or past f^e
+    # a descriptor whose s, gap, family and t do not fit together, or
+    # whose h is not a residue mod f^(gap//2), is rejected, not read
+    # through a negative index or past f^e, nor reduced forever
     call = {
         "ideal_size": lambda: en.ideal_size(p1322, 1, desc),
         "descriptor_generators": lambda: en.descriptor_generators(p1322, ctxs1322[0], desc),
