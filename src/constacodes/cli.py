@@ -26,17 +26,16 @@ times word dimension 16m.  No cap has a flag.
 cosets (factorizer.factor_degrees).  Counts and sizes print in full,
 however many digits they have.
 
-`enumerate` writes a JSON or CSV page block by block.  The ideals of a
-factor come in (family, s, t) blocks of descriptors that differ only in
-h, so for each (factor, family, s, t) block the request reaches it keeps,
-built on the block's first descriptor and for that request only: the
-descriptor text (JSON, or CSV fields) before h's digits, the ideal size
-and, with --with-generators, a lifttable.LiftTable.  A descriptor's
-text is then that prefix, h's digits and a fixed suffix.  The stream is
-an odometer whose last factor moves fastest, so the code's size and the
-text and lifted words of the leading factors are rebuilt only when a
-leading factor moves or the last factor enters a new block; every other
-code formats only its last factor's h and lifted words.
+`enumerate` writes a JSON or CSV page run by run: enumerator.code_runs
+yields the codes in runs that share the leading factors' descriptors
+and the last factor's (family, s, t) block and differ only in h.  For
+each (factor, family, s, t) block the request reaches it keeps, for
+that request only: the descriptor text (JSON, or CSV fields) before h's
+digits, the ideal size and, with --with-generators, a
+lifttable.LiftTable.  A descriptor's text is then that prefix, h's
+digits and a fixed suffix.  Per run it builds the code's size and the
+text and lifted words of the leading factors; per code it only joins
+h's digits and, with --with-generators, prints the block's words at h.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -229,9 +227,8 @@ def cmd_enumerate(args) -> int:
         fd.idempotents
         for ctx in ctxs:
             ctx.u_root
-    total = en.count_codes(params, fd)
-    stream = en.enumerate_codes(params, fd, ctxs, start=args.offset)
-    window = itertools.islice(stream, args.limit)
+    counts = en.factor_counts(params, [ent.degree for ent in fd.entries])
+    total = math.prod(counts)
 
     csv = args.format == "csv"
     # A descriptor's CSV fields or JSON, split around the digits of h,
@@ -259,30 +256,32 @@ def cmd_enumerate(args) -> int:
             limit = "null" if args.limit is None else str(args.limit)
             out.write('{"schema":%d,"params":%s,"total":"%s","offset":%d,"limit":%s,"codes":['
                       % (SCHEMA, _dump(params.as_dict()), _decimal(total), args.offset, limit))
-        # The code's size and leading text, rebuilt when a leading factor
-        # moves or the last one enters a new block.
-        lead = key = None
-        for i, code in enumerate(window):
-            *leading, desc = code.components
-            if leading != lead or (desc.family, desc.s, desc.t) != key:
-                lead, key = leading, (desc.family, desc.s, desc.t)
-                entries = [block(j, d) for j, d in enumerate(code.components)]
-                size = _decimal(math.prod(e[1] for e in entries))
-                prefix, _, table = entries.pop()
-                texts = [e[0] + sep.join(map(str, d.h)) + close for e, d in zip(entries, lead)]
-                if csv:
-                    end = "," + size + "\n"
-                    rows = ["", *(t + end for t in texts), ""]
-                else:
-                    head = '{"size":"%s","components":[%s' % (size, "".join(t + "," for t in texts))
-                    end = close + ('],"generators_lifted":[' + "".join(
-                        e[2].json(d.h) + "," for e, d in zip(entries, lead)) if table else "]}")
-            h = sep.join(map(str, desc.h))
+        # The page's code indices, shared by the runs; zip takes h first,
+        # so a run that runs out uses up no index.
+        stop = total if args.limit is None else args.offset + args.limit
+        indices = iter(range(args.offset, stop))
+        runs = en.code_runs(params, ctxs, counts, args.offset) if args.offset < stop else ()
+        for lead, last, hs in runs:
+            entries = [block(j, d) for j, d in enumerate((*lead, en.IdealDescriptor(*last)))]
+            size = _decimal(math.prod(e[1] for e in entries))
+            prefix, _, table = entries.pop()
+            texts = [e[0] + sep.join(map(str, d.h)) + close for e, d in zip(entries, lead)]
             if csv:
-                out.write(str(args.offset + i).join(rows) + prefix + h + end)
+                end = "," + size + "\n"
+                rows = ["", *(t + end for t in texts), ""]
             else:
-                out.write(("," if i else "") + head + prefix + h + end
-                          + (table.json(desc.h) + "]}" if table else ""))
+                head = '{"size":"%s","components":[%s' % (size, "".join(t + "," for t in texts))
+                end = close + ('],"generators_lifted":[' + "".join(
+                    e[2].json(d.h) + "," for e, d in zip(entries, lead)) if table else "]}")
+            for h, index in zip(hs, indices):
+                digits = sep.join(map(str, h))
+                if csv:
+                    out.write(str(index).join(rows) + prefix + digits + end)
+                else:
+                    out.write(("," if index != args.offset else "") + head + prefix + digits + end
+                              + (table.json(h) + "]}" if table else ""))
+            if index == stop - 1:
+                break
         if not csv:
             out.write("]}\n")
     return 0

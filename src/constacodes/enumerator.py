@@ -38,12 +38,13 @@ then h, in chainring.iter_h's residue order.  Streams are lazy so
 astronomically large enumerations can be paged.
 
 Every stream can start at any index.  Block (family, s, t) holds
-exactly q^l descriptors (l = h_space_exponent), so enumerate_ideals
+exactly q^l descriptors (l = h_space_exponent), so a factor's stream
 skips whole blocks and starts iter_h inside the block it lands in.  A
 code is a mixed-radix number over the factors, with the per-factor
-ideal counts as radices, so enumerate_codes splits its start index into
-one index per factor.  A seek costs O(blocks + r) for r factors,
-whatever the index; walking there would cost O(index).
+ideal counts as radices, so code_runs splits its start index into one
+index per factor.  A seek costs O(blocks + r) for r factors, whatever
+the index; walking there would cost O(index).  Inside one of its runs
+only the last factor's h moves; enumerate_codes flattens the runs.
 """
 
 from __future__ import annotations
@@ -199,22 +200,26 @@ def enumerate_ideals(
     params: Params, ctx: ChainCtx, factor_index: int = 1, start: int = 0
 ) -> Iterator[IdealDescriptor]:
     """Every ideal descriptor for one factor, exactly once, in order,
-    from the start-th one on.
-
-    The seek skips whole blocks by their size q^l, then starts iter_h
-    at the remaining index inside the block it lands in.
-    """
+    from the start-th one on."""
     if start < 0:
         raise ValueError(f"start must be nonnegative, got {start}")
+    for family, s, t, hs in _blocks_from(params, ctx, start):
+        for h in hs:
+            yield IdealDescriptor(factor_index, family, s, t, h)
+
+
+def _blocks_from(params: Params, ctx: ChainCtx,
+                 start: int) -> Iterator[tuple[int, int, int | None, Iterator[Poly]]]:
+    """The (family, s, t) blocks of a factor's stream from its start-th
+    descriptor on, each with iter_h's iterator of its h from there: the
+    seek skips whole blocks by their size q^l and starts iter_h at the
+    remaining index inside the block it lands in."""
     for family, s, t in ideal_blocks(params):
         ell = h_space_exponent(params, family, s, t)
         size = ctx.q ** ell
-        if start >= size:
-            start -= size
-            continue
-        for h in iter_h(ctx, ell, start):
-            yield IdealDescriptor(factor_index, family, s, t, h)
-        start = 0
+        if start < size:
+            yield family, s, t, iter_h(ctx, ell, start)
+        start = max(start - size, 0)
 
 
 def ideal_size(params: Params, d: int, desc: IdealDescriptor) -> int:
@@ -283,47 +288,59 @@ def chain_contexts(params: Params, factor_data: FactorData) -> list[ChainCtx]:
     return [cr.make_chain_ctx(params, ent.f) for ent in factor_data.entries]
 
 
+def code_runs(
+    params: Params, ctxs: list[ChainCtx], counts: list[int], start: int = 0
+) -> Iterator[tuple[tuple[IdealDescriptor, ...], tuple[int, int, int, int | None],
+                        Iterator[Poly]]]:
+    """All codes, from the start-th one on, in runs (lead, block, hs):
+    the leading factors' descriptors, the (factor, family, s, t) of one
+    block of the last factor, and the iterator of the block's h.
+
+    Code i is a mixed-radix number of ideal indices, one per factor,
+    with counts as radices and the last factor varying fastest.  The
+    seek splits start into these digits; past the last factor's last
+    block, the leading factors step like an odometer.
+    """
+    if start < 0:
+        raise ValueError(f"start must be nonnegative, got {start}")
+    digits = []
+    for ctx, radix in reversed(list(zip(ctxs, counts, strict=True))):
+        start, idx = divmod(start, radix)
+        digits.append((ctx, idx))
+    if start or not digits:
+        return  # past the end, or no factors
+    (last_ctx, idx), *lead = digits
+    lead.reverse()
+    streams = [enumerate_ideals(params, ctx, j, i) for j, (ctx, i) in enumerate(lead, 1)]
+    current = [next(stream) for stream in streams]
+    while True:
+        descs = tuple(current)
+        for family, s, t, hs in _blocks_from(params, last_ctx, idx):
+            yield descs, (len(digits), family, s, t), hs
+        idx = 0
+        for j in reversed(range(len(streams))):
+            if (desc := next(streams[j], None)) is not None:
+                current[j] = desc
+                break
+            streams[j] = enumerate_ideals(params, lead[j][0], j + 1)
+            current[j] = next(streams[j])
+        else:
+            return
+
+
 def enumerate_codes(
     params: Params,
     factor_data: FactorData,
     ctxs: list[ChainCtx] | None = None,
     start: int = 0,
 ) -> Iterator[CodeDescriptor]:
-    """All codes in a fixed order, from the start-th one on.
-
-    Code i is a mixed-radix number whose digits are ideal indices, one
-    per factor, with the factors' ideal counts as radices and the last
-    factor varying fastest.  The seek splits start into these digits;
-    the stream then runs like an odometer: a factor whose stream runs
-    out restarts at index 0 and the factor before it steps forward.
-    """
-    if start < 0:
-        raise ValueError(f"start must be nonnegative, got {start}")
+    """All codes in code_runs' order, from the start-th one on."""
     if ctxs is None:
         ctxs = chain_contexts(params, factor_data)
-    degrees = [ent.degree for ent in factor_data.entries]
-    indices = []
-    for radix in reversed(factor_counts(params, degrees)):
-        start, idx = divmod(start, radix)
-        indices.append(idx)
-    if start or not indices:
-        return  # past the end, or no factors
-    indices.reverse()
-    streams = [
-        enumerate_ideals(params, ctx, j, idx)
-        for j, (ctx, idx) in enumerate(zip(ctxs, indices, strict=True), start=1)
-    ]
-    current = [next(stream) for stream in streams]
-    while True:
-        yield CodeDescriptor(tuple(current))
-        j = len(streams) - 1
-        while (desc := next(streams[j], None)) is None:
-            if j == 0:
-                return
-            streams[j] = enumerate_ideals(params, ctxs[j], j + 1)
-            current[j] = next(streams[j])
-            j -= 1
-        current[j] = desc
+    counts = factor_counts(params, [ent.degree for ent in factor_data.entries])
+    for lead, (j, family, s, t), hs in code_runs(params, ctxs, counts, start):
+        for h in hs:
+            yield CodeDescriptor((*lead, IdealDescriptor(j, family, s, t, h)))
 
 
 # ----------------------------------------------------------------------

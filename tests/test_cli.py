@@ -577,6 +577,35 @@ def test_enumerate_offset_is_a_seek(monkeypatch, tmp_path):
     assert len(built) <= 10 + r
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_enumerate_pays_per_run_not_per_code(monkeypatch, tmp_path, fmt):
+    # All 100 codes lie in one block of the last factor: one run, so one
+    # descriptor per leading factor and one for the block, r = 3 in all.
+    built = []
+    real = en.IdealDescriptor
+    monkeypatch.setattr(en, "IdealDescriptor", lambda *args: built.append(args) or real(*args))
+    out = tmp_path / "page"
+    argv = ["enumerate", "--m", "2", "--n", "7", "--offset", "2500", "--limit", "100",
+            "--format", fmt, "--out", str(out)]
+    assert cli.main(argv) == 0
+    if fmt == "json":
+        codes = json.loads(out.read_text())["codes"]
+        assert len(codes) == 100 and {len(code["components"]) for code in codes} == {3}
+    else:
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 300 and {int(row[0]) for row in rows} == set(range(2500, 2600))
+    assert len(built) == 3
+
+
+def test_enumerate_limit_past_the_total_prints_the_rest(tmp_path):
+    # A limit of any size, past sys.maxsize too, stops at the last code.
+    out = tmp_path / "page.json"
+    argv = ["enumerate", "--m", "1", "--n", "1", "--offset", "130", "--limit", str(10**30)]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["limit"] == 10**30 and len(doc["codes"]) == 5
+
+
 @pytest.mark.parametrize("offset, limit, with_gens, calls", [
     # one lift table per (factor, family, s, t) block the page reaches:
     # all 50 codes lie in block (1, 0, None) of each of the three factors
@@ -873,11 +902,10 @@ def test_one_count_per_distinct_degree(monkeypatch, tmp_path):
         assert cli.main(["count", "--m", str(m), "--n", str(n), "--out", out]) == 0
         assert [f["degree"] for f in json.loads(Path(out).read_text())["per_factor"]] == degrees
         assert len(calls) == len(set(degrees)), (m, n)
-    # Degrees 1, 3, 3; count_codes for the total and enumerate_codes for
-    # the seek each read the radices.
+    # Degrees 1, 3, 3; the counts are read once, for the total and the seek.
     calls.clear()
     assert cli.main(["enumerate", "--m", "2", "--n", "7", "--limit", "1", "--out", out]) == 0
-    assert len(calls) == 2 * 2
+    assert len(calls) == 2
 
 
 def test_oracle_fails_on_repeated_code(monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -358,6 +359,48 @@ def test_enumerate_codes_seek_is_mixed_radix():
             expected.append(en.CodeDescriptor(tuple(x[a] for x, a in zip(ideals, idx))))
         window = itertools.islice(en.enumerate_codes(p, fd, ctxs, i), 6)
         assert list(window) == expected, i
+
+
+@pytest.mark.parametrize("args, boundary", [
+    # three factors of 789 ideals; the last factor's first block holds 4^4
+    ((2, 3, 2, 2, 1, 1), 4 ** 4),
+    # r = 1: one factor of 135 ideals, first block 2^4
+    ((1, 1, 2, 2, 1, 1), 2 ** 4),
+])
+def test_code_runs(args, boundary):
+    p = Params(*args)
+    fd = build_factor_data(p)
+    ctxs = en.chain_contexts(p, fd)
+    ideals = [list(en.enumerate_ideals(p, ctx, j)) for j, ctx in enumerate(ctxs, 1)]
+    counts = [len(x) for x in ideals]
+    total = math.prod(counts)
+
+    def code(i):
+        """Code i of the product order of the factors' ideal lists."""
+        digits = []
+        for radix in reversed(counts):
+            i, digit = divmod(i, radix)
+            digits.append(digit)
+        return tuple(x[a] for x, a in zip(ideals, reversed(digits)))
+
+    for start in [0, boundary, 789 - 3, 789 ** 2 - 3, total - 1, total, total + 7]:
+        runs = []
+        for lead, block, hs in en.code_runs(p, ctxs, counts, start):
+            runs.append((lead, block, list(hs)))
+            if sum(len(hs) for _, _, hs in runs) >= 600:
+                break
+        n = sum(len(hs) for _, _, hs in runs)
+        assert n >= min(600, max(total - start, 0)), start
+        # The runs flatten to the product order, and every code of a run
+        # has the run's leading descriptors and block.
+        expected = map(code, range(start, start + n))
+        for lead, block, hs in runs:
+            assert hs, start
+            for h in hs:
+                want = next(expected)
+                assert want[:-1] == lead and want[-1] == en.IdealDescriptor(*block, h), start
+        keys = [(lead, block) for lead, block, _ in runs]
+        assert all(a != b for a, b in zip(keys, keys[1:])), start
 
 
 def test_enumerate_codes_needs_one_context_per_factor(p1322, fd1322, ctxs1322):
