@@ -55,14 +55,16 @@ iter_h is the one residue iterator: every walk over residues mod f^l
 walks) goes through it.  Residue number N is the sum of D(N_i) * f^i,
 N_i the base-q digits of N, least significant first, and digit number
 r < q, D(r), is the polynomial of degree below d whose coefficient i is
-bits m*i .. m*i+m-1 of r.  Every digit and residue is computed from its
-number; nothing of size q is stored.
+bits m*i .. m*i+m-1 of r (_residue, by Horner's rule).  D relabels
+bits and multiplying by f^i is linear, so residue N is GF(2)-linear in
+the bits of N: N -> N+1 flips bits 0 .. j-1, and residue N+1 is residue
+N xor residue 2^j - 1.  A walk xors one such row per step, each built
+on first use, so it keeps at most m*d*l rows and nothing of size q.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import xor
 from typing import Iterator
 
 from .gf2m import GF2m
@@ -279,40 +281,34 @@ def satisfies_u_closure(ctx: ChainCtx, gens) -> bool:
                for a0, a1 in rows)
 
 
-def _digit(m: int, r: int) -> Poly:
-    """Digit number r < q: coefficient i is bits m*i .. m*i+m-1 of r."""
-    out, mask = [], (1 << m) - 1
-    while r:
-        out.append(r & mask)
-        r >>= m
-    return tuple(out)
+def _residue(ctx: ChainCtx, n: int) -> int:
+    """Residue number n, packed: the sum of D(n_i) * f^i over the base-q
+    digits n_i of n, by Horner's rule in the packed f."""
+    F, md = ctx.field, ctx.field.m * ctx.d
+    f, mask = pr.pack(F, ctx.f), (1 << F.m) - 1
+    acc = 0
+    for shift in range(md * ((n.bit_length() - 1) // md), -1, -md):
+        if acc:
+            acc = pr.k_mul(F, acc, f)
+        r = n >> shift
+        acc ^= sum(((r >> F.m * i) & mask) << F.lane * i for i in range(ctx.d))
+    return acc
 
 
 def iter_h(ctx: ChainCtx, ell: int, start: int = 0) -> Iterator[Poly]:
     """Residues mod f^ell in the order of the module docstring, from
-    the start-th one on (ell <= 0: the zero residue only).
-
-    Digit 0 varies fastest and its term is the digit itself, so each
-    run of q residues shares one sum of the higher terms.  That sum is
-    zero or of degree >= d, above every digit, so adding a digit only
-    flips its low coefficients.
-    """
+    the start-th one on (ell <= 0: the zero residue only)."""
     if start < 0:
         raise ValueError(f"start must be nonnegative, got {start}")
-    if ell <= 0:
-        if start == 0:
-            yield pr.P_ZERO
+    end = ctx.q ** max(ell, 0)
+    if start >= end:
         return
-    F, m, q = ctx.field, ctx.field.m, ctx.q
-    high_start, low_start = divmod(start, q)
-    for high in range(high_start, q ** (ell - 1)):
-        base = pr.P_ZERO
-        c = high
-        for i in range(1, ell):
-            c, r = divmod(c, q)
-            if r:
-                base = pr.p_add(F, base, pr.p_mul(F, _digit(m, r), ctx.f_pows[i]))
-        for r in range(low_start, q):
-            digit = _digit(m, r)
-            yield tuple(map(xor, base, digit)) + base[len(digit):] if base else digit
-        low_start = 0
+    F, h, rows = ctx.field, _residue(ctx, start), {}
+    for n in range(start, end - 1):
+        yield pr.unpack(F, h)
+        j = (n ^ (n + 1)).bit_length()
+        row = rows.get(j)
+        if row is None:
+            row = rows[j] = _residue(ctx, (1 << j) - 1)
+        h ^= row
+    yield pr.unpack(F, h)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -263,7 +264,9 @@ def digit_sum(ctx, counter, ell):
     (F2, (1, 1, 1), 3),         # d=2, q=4
     (F4, (2, 1), 3),            # d=1, q=4
     (F4, (1, 1, 0, 1), 2),      # d=3, q=64
+    (F4, (1, 1, 0, 1), 3),      # d=3, q=64, across the q^2 carry
     (GF2m(8), (1, 1, 0, 1), 2), # d=3, q=2^24
+    (GF2m(16), (3, 1), 3),      # d=1, q=2^16, 32-bit lanes
 ])
 def test_iter_h_matches_digit_sum(field, f, ell):
     ctx = cr.ChainCtx(field, f, 4)
@@ -272,15 +275,43 @@ def test_iter_h_matches_digit_sum(field, f, ell):
     q, size = ctx.q, ctx.q ** ell
     if size > 1 << 12:
         # Too many residues to list: windows across the run boundaries
-        # at q and q*(q-1), and the last residue.
-        for start in (q - 2, q * (q - 1) - 2, size - 2):
-            want = [digit_sum(ctx, c, ell) for c in range(start, min(start + 4, size))]
-            assert list(itertools.islice(cr.iter_h(ctx, ell, start), 4)) == want, start
+        # at q and q*(q-1), the q^2 carry and the last residue; where q
+        # is small, also one window of 3q + 5 from an odd start, across
+        # all three, that a drifting xor walk would leave.
+        windows = [(start, 4) for start in (q - 2, q * (q - 1) - 2, q * q - 2, size - 2)]
+        if 3 * q + 5 <= 1 << 12:
+            windows.append((q * q - 2 * q - 1, 3 * q + 5))
+        for start, n in windows:
+            want = [digit_sum(ctx, c, ell) for c in range(start, min(start + n, size))]
+            assert list(itertools.islice(cr.iter_h(ctx, ell, start), n)) == want, start
         return
     full = [digit_sum(ctx, c, ell) for c in range(size)]
     assert list(cr.iter_h(ctx, ell)) == full
     for start in sorted({1, q - 1, q, q + 1, size // 2, size - 1, size, size + 5}):
         assert list(cr.iter_h(ctx, ell, start)) == full[start:], start
+
+
+def test_iter_h_cost(monkeypatch):
+    # A walk xors one row per residue: no tuple arithmetic, and its rows
+    # are the residues 2^j - 1 for j <= m*d*l, each built once, by a few
+    # packed products.  A start past the end builds nothing.
+    ctx = cr.ChainCtx(F4, (1, 1, 0, 1), 4)
+    calls = collections.Counter()
+    for name in ("p_mul", "p_add", "k_mul"):
+        def counted(*args, name=name, fn=getattr(pr, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(pr, name, counted)
+    built, residue = [], cr._residue
+    monkeypatch.setattr(cr, "_residue", lambda c, n: built.append(n) or residue(c, n))
+    size = ctx.q ** 2
+    for start in (size, 10 ** 30):
+        assert list(cr.iter_h(ctx, 2, start)) == []
+    assert not calls and not built
+    assert len(list(cr.iter_h(ctx, 2))) == size == 4096
+    assert calls["p_mul"] == calls["p_add"] == 0
+    assert calls["k_mul"] <= 2 * 2 * 3 * 2
+    assert built == [0] + [(1 << j) - 1 for j in range(1, 2 * 3 * 2 + 1)]
 
 
 # ----------------------------------------------------------------------
