@@ -264,8 +264,8 @@ def digit_sum(ctx, counter, ell):
     (F2, (1, 1, 1), 3),         # d=2, q=4
     (F4, (2, 1), 3),            # d=1, q=4
     (F4, (1, 1, 0, 1), 2),      # d=3, q=64
-    (F4, (1, 1, 0, 1), 3),      # d=3, q=64, across the q^2 carry
     (GF2m(8), (1, 1, 0, 1), 2), # d=3, q=2^24
+    (F4, (1, 1, 0, 1), 3),      # d=3, q=64, across the q^2 carry
     (GF2m(16), (3, 1), 3),      # d=1, q=2^16, 32-bit lanes
 ])
 def test_iter_h_matches_digit_sum(field, f, ell):
